@@ -5,34 +5,26 @@ The "before" engine is a faithful reimplementation of the pre-pass-plan
 simulator loop (per-pass geometry derivation, fancy-indexed gather with a
 copy, per-stage ``np.pad`` and a freshly allocated ``pe_step`` output).
 The "after" engines are the shipped :class:`repro.core.FPGAAccelerator`
-variants: the pure-NumPy pass-plan engine, the per-stage native
-microkernel (``plan-native``, when a C compiler is available), the same
-microkernel compiled with auto-vectorization disabled
-(``plan-native-scalar`` — the honest per-lane SIMD baseline), the fused
-native pass driver swept across its persistent worker pool sizes
-(``native-driver-w1`` / ``-w2`` / ``-w4``), and the explicitly
-vectorized fused driver (``native-vector``, single worker — the
-per-core number).  Every engine's output is verified bit-identical to
-the legacy engine before any timing is recorded.
+engines: the pure-NumPy pass-plan engine (``plan-numpy``), the native
+pass driver swept across its persistent worker pool sizes
+(``native-w1`` / ``-w2`` / ``-w4``, rows padded to the config's SIMD
+width), and the same driver source at ``VEC=1`` compiled with
+vectorization off (``native-scalar`` — the honest per-lane SIMD
+baseline).  Every engine's output is verified bit-identical to the
+legacy engine before any timing is recorded.
 
-Each case records two vectorization ratios:
+Each case records:
 
-* ``simd_speedup`` — ``native-vector`` vs ``plan-native-scalar``
-  GCell/s.  This is the paper's ``parvec`` metric (vector vs scalar
-  machine code for the same arithmetic); the ``--gate`` requires it to
-  be >= 2x on the 3D radius-4 case.
-* ``vector_vs_native`` — ``native-vector`` vs the default ``-O3`` build
-  of ``plan-native``.  Smaller, because the compiler auto-vectorizes
-  the "scalar" engines' inner loops too; reported for transparency, not
-  gated.
-
-Each case also records ``scaling_efficiency`` — the ``native-driver-w4``
-to ``native-driver-w1`` GCell/s ratio, i.e. how much the 4-thread pool
-actually buys on this host.  On a single-core runner this hovers near
-1.0 by construction (``cpu_count`` is recorded in the payload so
-readers can tell: the reference container has 1 CPU, where extra
-workers cannot help); the ``--gate`` scaling check therefore only arms
-itself when ``os.cpu_count() >= 4``.
+* ``simd_speedup`` — ``native-w1`` vs ``native-scalar`` GCell/s, one
+  worker each.  This is the paper's ``parvec`` metric (vector vs scalar
+  machine code for the same source and arithmetic); the ``--gate``
+  requires it to be >= 2x on the 3D radius-4 case.
+* ``scaling_efficiency`` — the ``native-w4`` to ``native-w1`` GCell/s
+  ratio, i.e. how much the 4-thread pool actually buys on this host.
+  On a single-core runner this hovers near 1.0 by construction
+  (``cpu_count`` is recorded in the payload so readers can tell), so
+  the ``--gate`` scaling check only arms itself when
+  ``os.cpu_count() >= 4``.
 
 Usage::
 
@@ -40,10 +32,9 @@ Usage::
     PYTHONPATH=src python benchmarks/emit_bench.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate
 
-``--gate`` fails the run if the fused driver is slower than the
-per-stage native engine, if the vectorized driver's SIMD speedup over
-the scalar-build baseline drops below 2x on the 3D case, or (on hosts
-with >= 4 CPUs) if 4-worker scaling efficiency drops below 1.5x.
+``--gate`` fails the run if the driver's SIMD speedup over its
+scalar build drops below 2x on the 3D case, or (on hosts with >= 4
+CPUs) if 4-worker scaling efficiency drops below 1.5x.
 
 The JSON lands in the repository root by default (``--out`` overrides).
 Throughput is reported as GCell/s = cell updates / wall-clock / 1e9.
@@ -61,7 +52,7 @@ import numpy as np
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.blocking import BlockDecomposition
-from repro.core.native import driver_available, native_available
+from repro.core.native import native_available
 from repro.core.pe import pe_step, refresh_border_duplicates
 from repro.errors import ConfigurationError
 
@@ -175,27 +166,19 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
         "plan-numpy": FPGAAccelerator(spec, cfg, engine="numpy"),
     }
     if native_available():
-        engines["plan-native"] = FPGAAccelerator(spec, cfg, engine="native")
-        try:
-            engines["plan-native-scalar"] = FPGAAccelerator(
-                spec, cfg, engine="native-scalar"
-            )
-        except ConfigurationError:
-            pass  # scalar-build baseline unavailable; ratios omitted
-    if driver_available():
         for n in WORKER_SWEEP:
             try:
-                engines[f"native-driver-w{n}"] = FPGAAccelerator(
-                    spec, cfg, engine="native-driver", workers=n
+                engines[f"native-w{n}"] = FPGAAccelerator(
+                    spec, cfg, engine="native", workers=n
                 )
             except ConfigurationError:
                 break  # driver compile failed; skip the whole sweep
         try:
-            engines["native-vector"] = FPGAAccelerator(
-                spec, cfg, engine="native-vector", workers=1
+            engines["native-scalar"] = FPGAAccelerator(
+                spec, cfg, engine="native-scalar"
             )
         except ConfigurationError:
-            pass  # vector driver compile failed; ratios omitted
+            pass  # scalar-build baseline unavailable; ratio omitted
 
     results = {}
     for label, engine in engines.items():
@@ -220,25 +203,18 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
               f"{results[label]['gcell_s']:7.3f} GCell/s")
 
     scaling = None
-    w1 = results.get("native-driver-w1")
-    w4 = results.get("native-driver-w4")
+    w1 = results.get("native-w1")
+    w4 = results.get("native-w4")
     if w1 and w4:
         scaling = round(w4["gcell_s"] / w1["gcell_s"], 3)
         print(f"  {name:14s} scaling efficiency (w4/w1): {scaling:.3f}x")
 
     simd_speedup = None
-    vector_vs_native = None
-    vec = results.get("native-vector")
-    scalar = results.get("plan-native-scalar")
-    native = results.get("plan-native")
-    if vec and scalar:
-        simd_speedup = round(vec["gcell_s"] / scalar["gcell_s"], 3)
-        print(f"  {name:14s} SIMD speedup (vector vs scalar build): "
+    scalar = results.get("native-scalar")
+    if w1 and scalar:
+        simd_speedup = round(w1["gcell_s"] / scalar["gcell_s"], 3)
+        print(f"  {name:14s} SIMD speedup (native-w1 vs scalar build): "
               f"{simd_speedup:.3f}x")
-    if vec and native:
-        vector_vs_native = round(vec["gcell_s"] / native["gcell_s"], 3)
-        print(f"  {name:14s} vector vs auto-vectorized native: "
-              f"{vector_vs_native:.3f}x")
 
     legacy_s = results["legacy"]["seconds"]
     return {
@@ -256,7 +232,6 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
         "results": results,
         "scaling_efficiency": scaling,
         "simd_speedup": simd_speedup,
-        "vector_vs_native": vector_vs_native,
         "speedup_vs_legacy": {
             label: round(legacy_s / r["seconds"], 2)
             for label, r in results.items()
@@ -268,32 +243,22 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
 def apply_gate(cases: list[dict]) -> list[str]:
     """Return regression-gate failure messages (empty = pass).
 
-    Three checks per case: the fused driver must not be slower than the
-    per-stage native engine (timing-noise tolerance 5%); the vectorized
-    driver must deliver >= 2x the *scalar-build* per-stage engine on
-    the 3D radius-4 case (the SIMD speedup — single worker, so this is
-    a per-core claim); and on hosts with at least 4 CPUs the 4-worker
-    pool must deliver >= 1.5x the single-worker throughput.  The
-    scaling check is skipped (with a note) on smaller hosts, where
-    extra workers cannot help.
+    Two checks per case: the driver must deliver >= 2x its own
+    *scalar build* on the 3D radius-4 case (the SIMD speedup — single
+    worker, so this is a per-core claim); and on hosts with at least 4
+    CPUs the 4-worker pool must deliver >= 1.5x the single-worker
+    throughput.  The scaling check is skipped (with a note) on smaller
+    hosts, where extra workers cannot help.
     """
     failures = []
     many_cores = (os.cpu_count() or 1) >= 4
     for case in cases:
         name = case["name"]
-        res = case["results"]
-        native = res.get("plan-native")
-        w1 = res.get("native-driver-w1")
-        if native and w1 and w1["gcell_s"] < 0.95 * native["gcell_s"]:
-            failures.append(
-                f"{name}: native-driver-w1 {w1['gcell_s']} GCell/s below "
-                f"per-stage native {native['gcell_s']} GCell/s"
-            )
         simd = case.get("simd_speedup")
         if name.startswith("3d-radius4") and simd is not None and simd < 2.0:
             failures.append(
                 f"{name}: SIMD speedup {simd:.3f}x < 2x "
-                "(native-vector vs scalar-build plan-native, one core)"
+                "(native-w1 vs native-scalar, one core)"
             )
         scaling = case.get("scaling_efficiency")
         if scaling is None:
@@ -320,7 +285,7 @@ def main() -> None:
                     default=Path(__file__).resolve().parent.parent
                     / "BENCH_engines.json")
     ap.add_argument("--gate", action="store_true",
-                    help="fail on driver-vs-native or scaling regressions")
+                    help="fail on SIMD-speedup or scaling regressions")
     args = ap.parse_args()
 
     repeats = 1 if args.quick else 3
@@ -352,13 +317,11 @@ def main() -> None:
         "generated_by": "benchmarks/emit_bench.py",
         "quick": args.quick,
         "native_available": native_available(),
-        "driver_available": driver_available(),
         "cpu_count": os.cpu_count(),
         "cpu_count_note": (
             "scaling_efficiency is only meaningful when cpu_count >= 4; "
-            "the reference container has 1 CPU, where the w4/w1 ratio "
-            "hovers near 1.0 by construction and the scaling gate "
-            "disarms itself"
+            "on smaller hosts the w4/w1 ratio hovers near 1.0 by "
+            "construction and the scaling gate disarms itself"
         ),
         "worker_sweep": list(WORKER_SWEEP),
         "cases": [run_case(name, spec, cfg, shape, iters, repeats)
@@ -371,7 +334,7 @@ def main() -> None:
         scaling = case["scaling_efficiency"]
         if scaling is not None:
             print(f"{case['name']}: scaling_efficiency={scaling:.3f}x "
-                  f"(native-driver w4 vs w1)")
+                  f"(native w4 vs w1)")
 
     headline = payload["cases"][0]["speedup_vs_legacy"]
     best = max(headline.values())

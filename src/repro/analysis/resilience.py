@@ -655,6 +655,7 @@ def run_overload_campaign(
         ctx = arm(plan) if plan is not None else contextlib.nullcontext()
         try:
             with ctx:
+                start = time.perf_counter()
                 for j in range(jobs_per_factor):
                     tenant = f"tenant-{j % tenants}"
                     try:
@@ -671,7 +672,12 @@ def run_overload_campaign(
                         )
                     except ShedError:
                         shed += 1
-                    time.sleep(interval_s)
+                    # pace against an absolute schedule: a submit the
+                    # dispatch thread delayed (it holds the GIL) is made
+                    # up by the next ones instead of lowering the rate
+                    delay = start + (j + 1) * interval_s - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
                 for ticket in tickets:
                     try:
                         res = ticket.result(timeout=OVERLOAD_BOUND_S)

@@ -25,18 +25,17 @@ performance model.
 Execution is plan-driven: a :class:`repro.core.plan.PassPlan` (cached per
 ``(config, grid_shape, boundary)``) carries the per-block gather segments,
 clamp-duplicate counts, per-stage shrink windows and write slices, so a
-pass is pure execution — slice copies into a preallocated stream-padded
-scratch buffer, in-place stencil accumulation, no per-stage ``np.pad`` and
-no fancy-indexing gathers.  Blocks within a pass are independent, so the
-optional ``workers=N`` mode fans them out over a thread pool with
-deterministic (disjoint-slice) write-back.  While a fault plan is armed
-the simulator instead runs the hardened per-block path, hopping each block
-through real channels with per-stage checksums.
+pass is pure execution.  With a C compiler, a whole pass runs in one call
+into the generated native pass driver (:mod:`repro.core.native`), whose
+persistent worker pool claims blocks off one atomic counter; without one,
+a serial NumPy pass does slice copies into a preallocated stream-padded
+scratch buffer and in-place stencil accumulation.  While a fault plan is
+armed the simulator instead runs the hardened per-block path, hopping
+each block through real channels with per-stage checksums.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,12 +44,7 @@ import numpy as np
 from repro.core.batch import BatchPlan, BatchResult
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
-from repro.core.native import (
-    native_driver_for,
-    native_kernel_for,
-    native_scalar_kernel_for,
-    native_vector_driver_for,
-)
+from repro.core.native import SCALAR_FLAGS, native_driver, vector_width_for
 from repro.core.pe import (
     fill_stream_halo,
     pe_step,
@@ -58,12 +52,39 @@ from repro.core.pe import (
     refresh_border_duplicates,
     stencil_terms,
 )
-from repro.core.plan import BlockPlan, PassPlan, get_pass_plan
+from repro.core.plan import BlockPlan, DriverTables, PassPlan, get_pass_plan
 from repro.core.shift_register import shift_register_words
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError, FaultDetectedError, WatchdogTimeoutError
 from repro.faults import hooks as fault_hooks
 from repro.faults.checksum import crc32_array
+
+#: The execution engines every layer accepts, most capable first.
+#: ``"native"`` is the generated pass driver; ``"numpy"`` — the serial
+#: NumPy pass, which needs no compiler — is the floor every degrade path
+#: ends on; ``"auto"`` runs ``"native"`` when the driver builds and
+#: ``"numpy"`` otherwise.
+ENGINES: tuple[str, ...] = ("auto", "native", "numpy")
+
+#: The engine no degrade path goes below.
+FLOOR_ENGINE = "numpy"
+
+#: :class:`FPGAAccelerator` also accepts ``"native-scalar"``: the same
+#: driver source at ``VEC=1`` built with vectorization off — the SIMD
+#: benchmarking baseline, which nothing selects on its own.
+ACCELERATOR_ENGINES: tuple[str, ...] = ENGINES + ("native-scalar",)
+
+
+def check_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> None:
+    """Raise :class:`ConfigurationError` unless ``engine`` is in ``allowed``."""
+    if engine not in allowed:
+        raise ConfigurationError(
+            f"engine must be one of {', '.join(map(repr, allowed))}, "
+            f"got {engine!r}",
+            param="engine",
+            value=engine,
+            constraint=f"engine in {allowed}",
+        )
 
 
 @dataclass
@@ -127,7 +148,7 @@ class AcceleratorStats:
 def _aligned_f32(n: int, align: int = 64) -> np.ndarray:
     """A float32 buffer of ``n`` elements whose base is ``align``-byte
     aligned (NumPy only guarantees 16).  The view keeps the oversized
-    backing array alive; the vectorized driver's per-worker ping/pong
+    backing array alive; the native driver's per-worker ping/pong
     scratch bases then stay on cache-line boundaries because
     ``scratch_floats`` is rounded to a 64-byte multiple at table-build
     time."""
@@ -138,7 +159,7 @@ def _aligned_f32(n: int, align: int = 64) -> np.ndarray:
 
 
 class _Scratch:
-    """Per-worker pool of preallocated, shape-exact scratch buffers.
+    """Pool of preallocated, shape-exact scratch buffers (NumPy pass).
 
     Keyed by ``(role, shape)`` so every buffer handed to the hot loop is
     C-contiguous (a strided view into one max-sized buffer would knock
@@ -171,43 +192,38 @@ class FPGAAccelerator:
     boundary:
         ``"clamp"`` (the paper's) or ``"periodic"``.
     workers:
-        Blocks within a pass are independent; ``workers > 1`` executes
-        them on a thread pool (each worker owns its scratch buffers, and
-        write-back targets disjoint output slices, so results are
-        deterministic and bit-identical to the serial schedule).  Armed
-        fault-injection runs always execute serially — the channel
-        transport and injector bookkeeping are deliberately sequential.
+        Size of the native driver's worker pool.  Blocks within a pass
+        are independent and write disjoint output slices, so the result
+        is bit-identical for every worker count.  The NumPy pass and
+        armed fault-injection runs always execute serially — the
+        channel transport and injector bookkeeping are deliberately
+        sequential.
     engine:
-        ``"auto"`` (default) walks the ladder ``native-vector ->
-        native-driver -> native -> numpy``: whole passes execute through
-        the generated *vectorized* fused pass driver (rows padded to
-        ``config.parvec`` SIMD lanes, ``#pragma omp simd`` inner loops,
-        final stage fused into the output grid) when a C compiler is
-        available, falling back to the scalar fused driver, per-stage
-        native microkernels, and finally the pure-NumPy path.
-        ``"numpy"`` forces the fallback; ``"native"`` pins the per-stage
-        microkernel; ``"native-scalar"`` pins the per-stage microkernel
-        *compiled with auto-vectorization disabled* (the benchmarking
-        baseline SIMD speedups are measured against — never selected by
-        ``"auto"``); ``"native-driver"`` pins the scalar fused driver;
-        ``"native-vector"`` pins the vectorized one — pinned engines
-        raise :class:`ConfigurationError` when they cannot be built.
-        All engines are bit-identical (tested); the knob exists for
+        ``"auto"`` (default) walks the ladder ``native -> numpy``:
+        whole passes execute through the generated fused pass driver
+        (rows padded to ``vector_width_for(config.parvec)`` SIMD lanes,
+        ``#pragma omp simd`` inner loops, final stage fused into the
+        output grid) when a C compiler is available, else through the
+        serial NumPy pass.  ``"native"`` pins the driver and
+        ``"numpy"`` the NumPy pass; ``"native-scalar"`` pins the same
+        driver source at ``VEC=1`` *compiled with vectorization off* —
+        the baseline SIMD speedups are measured against, never selected
+        by ``"auto"``.  Pinned native engines raise
+        :class:`ConfigurationError` when they cannot be built.  All
+        engines are bit-identical (tested); the knob exists for
         benchmarking and for environments without a toolchain.
         :attr:`resolved_engine` reports what ``"auto"`` selected.
 
     Notes
     -----
-    Worker pools are created once per accelerator and reused by every
-    :meth:`run` call: the fused driver owns a persistent pthread pool
-    (blocks claimed by work-stealing off one atomic counter) and the
-    per-stage path keeps one ``ThreadPoolExecutor`` plus per-worker
-    scratch buffers alive across runs.  Because those resources are
-    shared, a single accelerator instance must not execute two ``run``
-    calls concurrently — use one instance per thread (as
+    The driver's pthread pool (blocks claimed by work-stealing off one
+    atomic counter) and the scratch buffers are created once per
+    accelerator and reused by every :meth:`run` call.  Because those
+    resources are shared, a single accelerator instance must not execute
+    two ``run`` calls concurrently — use one instance per thread (as
     :class:`repro.runtime.scheduler.StencilScheduler` does).
-    :meth:`close` releases the pools early; otherwise they are freed
-    with the accelerator.
+    :meth:`close` releases the pool early; otherwise it is freed with
+    the accelerator.
 
     Examples
     --------
@@ -255,14 +271,7 @@ class FPGAAccelerator:
             )
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if engine not in (
-            "auto", "numpy", "native", "native-scalar", "native-driver",
-            "native-vector",
-        ):
-            raise ConfigurationError(
-                "engine must be 'auto', 'numpy', 'native', 'native-scalar', "
-                f"'native-driver' or 'native-vector', got {engine!r}"
-            )
+        check_engine(engine, ACCELERATOR_ENGINES)
         self.spec = spec
         self.config = config
         self.boundary = boundary
@@ -272,46 +281,22 @@ class FPGAAccelerator:
         )
         self._terms = stencil_terms(spec, spec.dims)
         self.engine = engine
-        if engine == "numpy":
-            self._native = None
-        elif engine == "native-scalar":
-            self._native = native_scalar_kernel_for(spec)
-        else:
-            self._native = native_kernel_for(spec)
-        self._native_kind = "native-scalar" if engine == "native-scalar" else "native"
-        if engine in ("native", "native-scalar") and self._native is None:
-            raise ConfigurationError(
-                f"engine={engine!r} but no native kernel could be built "
-                "(no C compiler, compile failure, or REPRO_NO_NATIVE set)"
-            )
         self._driver = None
-        self._driver_kind = "none"
-        if engine in ("auto", "native-vector"):
-            self._driver = native_vector_driver_for(
-                spec, workers, config.parvec
+        if engine == "native-scalar":
+            self._driver = native_driver(spec, workers, 1, SCALAR_FLAGS)
+        elif engine != "numpy":
+            self._driver = native_driver(
+                spec, workers, vector_width_for(config.parvec)
             )
-            if self._driver is not None:
-                self._driver_kind = "native-vector"
-        if engine == "native-vector" and self._driver is None:
+        if engine not in ("auto", "numpy") and self._driver is None:
             raise ConfigurationError(
-                "engine='native-vector' but no vectorized pass driver "
-                "could be built (no C compiler, compile failure, or "
-                "REPRO_NO_NATIVE set)"
+                f"engine={engine!r} but no native pass driver could be "
+                "built (no C compiler, compile failure, or REPRO_NO_NATIVE "
+                "set)"
             )
-        if self._driver is None and engine in ("auto", "native-driver"):
-            self._driver = native_driver_for(spec, workers)
-            if self._driver is not None:
-                self._driver_kind = "native-driver"
-        if engine == "native-driver" and self._driver is None:
-            raise ConfigurationError(
-                "engine='native-driver' but no pass driver could be built "
-                "(no C compiler, compile failure, or REPRO_NO_NATIVE set)"
-            )
-        # Persistent per-accelerator execution resources, created lazily
-        # on first use and reused by every run() (satellite of the fused
-        # driver's own persistent pthread pool).
-        self._exec_pool: ThreadPoolExecutor | None = None
-        self._scratches: list[_Scratch] = []
+        # Execution resources reused by every run(), like the driver's
+        # own persistent pthread pool.
+        self._scratch = _Scratch()
         self._driver_scratch: np.ndarray | None = None
         self._closed = False
 
@@ -349,27 +334,25 @@ class FPGAAccelerator:
     def resolved_engine(self) -> str:
         """The engine actually executing disarmed passes.
 
-        One of ``"native-vector"``, ``"native-driver"``, ``"native"`` or
-        ``"numpy"`` — what the ``"auto"`` ladder selected (pinned
-        engines report themselves).  Armed fault-injection runs always
-        take the serial channel path regardless.
+        ``"native"`` or ``"numpy"`` — what the ``"auto"`` ladder
+        selected — or ``"native-scalar"`` when pinned.  Armed
+        fault-injection runs always take the serial channel path
+        regardless.
         """
-        if self._driver is not None:
-            return self._driver_kind
-        if self._native is not None:
-            return self._native_kind
-        return "numpy"
+        if self._driver is None:
+            return "numpy"
+        return "native-scalar" if self.engine == "native-scalar" else "native"
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` has released the worker pools."""
+        """True once :meth:`close` has released the worker pool."""
         return self._closed
 
     def close(self) -> None:
-        """Release the persistent worker pools (idempotent).
+        """Release the persistent worker pool (idempotent).
 
-        Joins the fused driver's pthread pool and shuts down the
-        per-stage thread pool.  A closed accelerator is *terminal*:
+        Joins the driver's pthread pool and drops the scratch buffers.
+        A closed accelerator is *terminal*:
         :meth:`run` raises a typed :class:`ConfigurationError` instead
         of silently degrading (or, worse, touching a parked pool) —
         long-running services rely on this to turn a
@@ -382,10 +365,7 @@ class FPGAAccelerator:
         if self._driver is not None:
             self._driver.close()
             self._driver = None
-        if self._exec_pool is not None:
-            self._exec_pool.shutdown()
-            self._exec_pool = None
-        self._scratches = []
+        self._scratch = _Scratch()
         self._driver_scratch = None
 
     # ------------------------------------------------------------------ #
@@ -462,20 +442,6 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(grid, stats)
 
-        armed = fault_hooks.ACTIVE is not None
-        use_driver = self._driver is not None and not armed
-        n_workers = (
-            1
-            if (armed or use_driver)
-            else min(self.workers, len(plan.blocks))
-        )
-        while len(self._scratches) < n_workers:
-            self._scratches.append(_Scratch())
-        pool = None
-        if n_workers > 1:
-            if self._exec_pool is None:
-                self._exec_pool = ThreadPoolExecutor(self.workers)
-            pool = self._exec_pool
         # Ping-pong output buffers: two allocations per run (passes
         # alternate between them) instead of one ``np.empty_like`` per
         # pass.  Both are this run's own arrays, so the returned result
@@ -488,10 +454,7 @@ class FPGAAccelerator:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
                     out = pong[0] if current is not pong[0] else pong[1]
-                    self._run_pass(
-                        current, out, plan, steps, stats, n_workers, pool,
-                        use_driver,
-                    )
+                    self._run_pass(current, out, plan, steps, stats)
                     current = out
                     remaining -= steps
                     stats.passes += 1
@@ -542,8 +505,8 @@ class FPGAAccelerator:
         ctypes call with one scratch allocation, the pool's atomic claim
         counter ranging over ``(grid, block)`` pairs.  Per-job overhead
         (plan lookup, dispatch, accounting) is paid once per batch
-        instead of once per grid.  The NumPy/per-stage fallback executes
-        the same slab loop grid by grid.  Either way the outputs are
+        instead of once per grid.  The NumPy fallback executes the same
+        slab loop grid by grid.  Either way the outputs are
         bit-identical to ``len(grids)`` separate :meth:`run` calls (a
         tested invariant): batching changes scheduling, never numerics.
 
@@ -626,16 +589,6 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(slab, stats)
 
-        use_driver = self._driver is not None
-        n_workers = 1 if use_driver else min(self.workers, n_grids)
-        while len(self._scratches) < n_workers:
-            self._scratches.append(_Scratch())
-        pool = None
-        if n_workers > 1:
-            if self._exec_pool is None:
-                self._exec_pool = ThreadPoolExecutor(self.workers)
-            pool = self._exec_pool
-
         pong = (np.empty_like(slab), np.empty_like(slab))
         current = slab
         remaining = iterations
@@ -644,39 +597,18 @@ class FPGAAccelerator:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
                     out = pong[0] if current is not pong[0] else pong[1]
-                    if use_driver:
-                        tables = plan.to_driver_tables(
-                            steps, self._driver.vector_width
-                        )
-                        need = self._driver.workers * 2 * tables.scratch_floats
-                        if (
-                            self._driver_scratch is None
-                            or self._driver_scratch.size < need
-                        ):
-                            self._driver_scratch = _aligned_f32(need)
+                    if self._driver is not None:
+                        tables = self._driver_tables(plan, steps)
                         self._driver.run_batch_pass(
                             current, out, tables, plan.periodic,
                             self._driver_scratch, n_grids, bplan.grid_stride,
                         )
-                    elif pool is not None:
-                        windows = plan.windows(steps)
-                        futures = [
-                            pool.submit(
-                                self._exec_grids,
-                                current, out, plan, windows,
-                                range(w, n_grids, n_workers),
-                                self._scratches[w],
-                            )
-                            for w in range(n_workers)
-                        ]
-                        for f in futures:
-                            f.result()
                     else:
+                        # each slab entry is C-contiguous, so a grid's
+                        # view runs exactly like a standalone grid
                         windows = plan.windows(steps)
-                        self._exec_grids(
-                            current, out, plan, windows, range(n_grids),
-                            self._scratches[0],
-                        )
+                        for g in range(n_grids):
+                            self._exec_blocks(current[g], out[g], plan, windows)
                     self._account_pass(stats, plan, n_grids)
                     current = out
                     remaining -= steps
@@ -693,27 +625,6 @@ class FPGAAccelerator:
         outputs = list(bplan.unpack(current))
         self._batch_golden(outputs, errors, expected_crcs, stats)
         return BatchResult(outputs, errors, stats)
-
-    def _exec_grids(
-        self,
-        slab_src: np.ndarray,
-        slab_out: np.ndarray,
-        plan: PassPlan,
-        windows,
-        grid_indices,
-        scratch: _Scratch,
-    ) -> None:
-        """Fallback batched pass: the per-stage engine, grid by grid.
-
-        Each slab entry is itself C-contiguous, so the per-grid views
-        feed :meth:`_exec_blocks` exactly like a standalone grid — the
-        fallback is bit-exact versus per-grid runs by construction.
-        """
-        block_range = range(len(plan.blocks))
-        for g in grid_indices:
-            self._exec_blocks(
-                slab_src[g], slab_out[g], plan, windows, block_range, scratch
-            )
 
     def _run_batch_armed(
         self,
@@ -797,58 +708,43 @@ class FPGAAccelerator:
         plan: PassPlan,
         steps: int,
         stats: AcceleratorStats,
-        n_workers: int,
-        pool: ThreadPoolExecutor | None,
-        use_driver: bool = False,
     ) -> None:
         """One pass: every block flows through ``steps`` chained PE stages.
 
         Disarmed, the whole pass executes in one ctypes call through the
-        fused native driver (its persistent pthread pool work-steals
-        blocks), or — per-stage fallback — blocks execute the cached
-        plan against preallocated scratch buffers (optionally fanned out
-        over ``pool``).  When a fault plan is armed, the pass instead
-        moves each block between stages through real
-        :class:`~repro.core.channels.Channel` objects carrying per-block
-        checksums — the hardened design's detection path; the numerics
-        are bit-identical every way.
+        native driver (its persistent pthread pool work-steals blocks),
+        or — NumPy fallback — blocks execute the cached plan serially
+        against preallocated scratch buffers.  When a fault plan is
+        armed, the pass instead moves each block between stages through
+        real :class:`~repro.core.channels.Channel` objects carrying
+        per-block checksums — the hardened design's detection path; the
+        numerics are bit-identical every way.
         """
         inj = fault_hooks.ACTIVE
         if inj is not None:
             windows = plan.windows(steps)
             self._run_pass_armed(src, out, plan, windows, steps, inj)
-        elif use_driver:
-            tables = plan.to_driver_tables(steps, self._driver.vector_width)
-            need = self._driver.workers * 2 * tables.scratch_floats
-            if self._driver_scratch is None or self._driver_scratch.size < need:
-                self._driver_scratch = _aligned_f32(need)
+        elif self._driver is not None:
+            tables = self._driver_tables(plan, steps)
             self._driver.run_pass(
                 src, out, tables, plan.periodic, self._driver_scratch
             )
-        elif pool is not None:
-            windows = plan.windows(steps)
-            futures = [
-                pool.submit(
-                    self._exec_blocks,
-                    src,
-                    out,
-                    plan,
-                    windows,
-                    range(w, len(plan.blocks), n_workers),
-                    self._scratches[w],
-                )
-                for w in range(n_workers)
-            ]
-            for f in futures:
-                f.result()
         else:
-            windows = plan.windows(steps)
-            self._exec_blocks(
-                src, out, plan, windows, range(len(plan.blocks)),
-                self._scratches[0],
-            )
+            self._exec_blocks(src, out, plan, plan.windows(steps))
 
         self._account_pass(stats, plan)
+
+    def _driver_tables(self, plan: PassPlan, steps: int) -> DriverTables:
+        """The driver's tables for a ``steps`` pass, with scratch to match.
+
+        Grows the shared aligned scratch buffer (ping and pong per pool
+        worker) when these tables need more than the last ones did.
+        """
+        tables = plan.to_driver_tables(steps, self._driver.vector_width)
+        need = self._driver.workers * 2 * tables.scratch_floats
+        if self._driver_scratch is None or self._driver_scratch.size < need:
+            self._driver_scratch = _aligned_f32(need)
+        return tables
 
     def _account_pass(
         self, stats: AcceleratorStats, plan: PassPlan, grids: int = 1
@@ -879,10 +775,8 @@ class FPGAAccelerator:
         out: np.ndarray,
         plan: PassPlan,
         windows,
-        block_indices,
-        scratch: _Scratch,
     ) -> None:
-        """Execute a subset of a pass's blocks against one scratch pool.
+        """The NumPy pass: every block in turn, against one scratch pool.
 
         Each stage accumulates into a window-shaped contiguous buffer,
         chunked along the streamed axis (all chunks read the stage input
@@ -896,9 +790,8 @@ class FPGAAccelerator:
         periodic = plan.periodic
         boundary = self.boundary
         terms = self._terms
-        native = self._native
-        for bi in block_indices:
-            bp = plan.blocks[bi]
+        scratch = self._scratch
+        for bi, bp in enumerate(plan.blocks):
             n0 = bp.footprint[0]
             padded = scratch.get("padded", (n0 + 2 * rad,) + bp.footprint[1:])
             cur = padded[rad : rad + n0]
@@ -913,20 +806,17 @@ class FPGAAccelerator:
                 fill_stream_halo(padded, n0, rad, boundary)
                 wshape = tuple(hi - lo for lo, hi in window)
                 acc = scratch.get("acc", wshape)
-                if native is not None:
-                    native.stage(padded, window, acc)
-                else:
-                    z_lo, z_hi = window[0]
-                    for z0 in range(z_lo, z_hi, chunk):
-                        z1 = min(z0 + chunk, z_hi)
-                        pe_step_padded(
-                            padded,
-                            spec,
-                            ((z0, z1),) + window[1:],
-                            out=acc[z0 - z_lo : z1 - z_lo],
-                            tmp=scratch.get("tmp", (z1 - z0,) + wshape[1:]),
-                            terms=terms,
-                        )
+                z_lo, z_hi = window[0]
+                for z0 in range(z_lo, z_hi, chunk):
+                    z1 = min(z0 + chunk, z_hi)
+                    pe_step_padded(
+                        padded,
+                        spec,
+                        ((z0, z1),) + window[1:],
+                        out=acc[z0 - z_lo : z1 - z_lo],
+                        tmp=scratch.get("tmp", (z1 - z0,) + wshape[1:]),
+                        terms=terms,
+                    )
                 cur[tuple(slice(lo, hi) for lo, hi in window)] = acc
                 if not periodic:
                     for local_axis, axis in enumerate(blocked_axes):
@@ -1024,20 +914,6 @@ class FPGAAccelerator:
                 )
             )
         return item
-
-    @staticmethod
-    def _gather(src: np.ndarray, index_arrays: list[np.ndarray]) -> np.ndarray:
-        """Gather the (clamped) block footprint; axis 0 streams in full.
-
-        Fancy indexing already materializes a fresh array, so the result
-        never aliases ``src`` — no extra copy is needed (the hardened
-        armed path mutates the returned block in place between hops).
-        """
-        if src.ndim == 2:
-            (ix,) = index_arrays
-            return src[:, ix]
-        iy, ix = index_arrays
-        return src[:, iy[:, None], ix[None, :]]
 
 
 #: Re-exported for introspection/tests: the plan types the engine executes.

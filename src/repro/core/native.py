@@ -1,14 +1,14 @@
-"""Generated native microkernels for the pass-plan engine.
+"""The generated native pass driver.
 
 The paper's host program *generates* the OpenCL device code from the
-stencil parameters (radius, dimensionality, coefficients) and compiles it
-offline; the FPGA then executes a fixed-function pipeline.  This module
-mirrors that structure for the functional simulator: from a
-:class:`~repro.core.stencil.StencilSpec` it generates a tiny C translation
-unit with the coefficients baked in as exact float literals, compiles it
-once with the system C compiler, and executes PE stages through ``ctypes``
-— one fused pass over the window instead of two NumPy ufunc passes per
-stencil term.
+stencil parameters (radius, dimensionality, coefficients, ``parvec``)
+and compiles it offline; the FPGA then executes a fixed-function
+pipeline.  This module mirrors that structure for the functional
+simulator: from a :class:`~repro.core.stencil.StencilSpec` and a SIMD
+width it generates one C translation unit — the fused pass driver,
+with the coefficients baked in as exact float literals — compiles it
+once with the system C compiler, and executes whole passes through
+``ctypes`` on a persistent pthread pool.
 
 Bit-exactness is preserved by construction:
 
@@ -20,14 +20,14 @@ Bit-exactness is preserved by construction:
   rounded float32 operation;
 * ``-ffp-contract=off`` forbids the compiler from fusing the multiply
   and add into an FMA (which rounds once and would change the bits), and
-  auto-vectorization only batches *across* elements, never reassociating
+  vectorization only batches *across* elements, never reassociating
   within an element's chain.
 
 Everything is best-effort: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` in the environment simply yields ``None`` and the
 engine falls back to the pure-NumPy path (same bits, more wall-clock).
-Compiled libraries are content-addressed by source hash and cached in the
-user's temp directory, so each ``(dims, radius, coefficients)`` spec
+Compiled libraries are content-addressed by source and flags and cached
+in the user's temp directory, so each ``(spec, vector width, flags)``
 compiles at most once per machine.
 """
 
@@ -43,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from repro.core.pe import Window, stencil_terms
+from repro.core.pe import stencil_terms
 from repro.core.plan import DRIVER_RECORD_LEN, DriverTables
 from repro.core.stencil import StencilSpec
 
@@ -58,14 +58,13 @@ def _c_literal(value: float) -> str:
 
 
 def _acc_chain(spec: StencilSpec, indent: str, read) -> list[str]:
-    """The per-element accumulation chain, shared by every generated kernel.
+    """The per-element accumulation chain, shared by every generated stage.
 
     ``read(axis, off)`` returns the C expression loading the neighbor at
     ``off`` along ``axis``; ``read(None, 0)`` loads the center.  Emitting
-    the chain from one helper guarantees every generated kernel — the
-    per-stage microkernels, the fused pass drivers, and the vectorized
-    direct-read stage — executes the identical fixed accumulation order:
-    the bit-exactness invariant.
+    the chain from one helper guarantees every stage of the driver — the
+    buffered stages and the direct-read first stage — executes the
+    identical fixed accumulation order: the bit-exactness invariant.
     """
     lines = [f"{indent}float acc = {_c_literal(spec.center)} * {read(None, 0)};"]
     for axis, off, coeff in stencil_terms(spec, spec.dims):
@@ -91,60 +90,6 @@ def _acc_lines(spec: StencilSpec, indent: str, steps: dict[int, str]) -> list[st
 def _off_tag(off: int) -> str:
     """C-identifier-safe suffix for a signed offset (``-4`` -> ``m4``)."""
     return ("m" if off < 0 else "p") + str(abs(off))
-
-
-def kernel_source(spec: StencilSpec) -> str:
-    """C source of the fused PE-stage kernel for ``spec``.
-
-    The function computes ``out[window] = stencil(padded)`` where
-    ``padded`` is the block padded by ``radius`` slabs along the streamed
-    axis (axis 0) only — exactly the layout
-    :func:`repro.core.pe.pe_step_padded` operates on.  Window bounds
-    arrive in padded coordinates for axis 0 and interior coordinates for
-    the other axes; the innermost axis must be unit-stride for both
-    arrays (the caller guarantees it).
-    """
-    body: list[str] = []
-    if spec.dims == 2:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0,",
-            "              long y0, long y1, long x0, long x1,",
-            "              long os0) {",
-            "  for (long y = y0; y < y1; ++y) {",
-            "    const float *row = p + y * ps0;",
-            "    float *orow = out + (y - y0) * os0;",
-            "    for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "ps0", 1: "1"})
-        body += [
-            "      orow[x - x0] = acc;",
-            "    }",
-            "  }",
-            "}",
-        ]
-    else:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0, long ps1,",
-            "              long z0, long z1, long y0, long y1,",
-            "              long x0, long x1,",
-            "              long os0, long os1) {",
-            "  for (long z = z0; z < z1; ++z) {",
-            "    for (long y = y0; y < y1; ++y) {",
-            "      const float *row = p + z * ps0 + y * ps1;",
-            "      float *orow = out + (z - z0) * os0 + (y - y0) * os1;",
-            "      for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "ps0", 1: "ps1", 2: "1"})
-        body += [
-            "        orow[x - x0] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-        ]
-    return "\n".join(body) + "\n"
 
 
 #: Shared C prelude of the generated pass driver: the job description,
@@ -335,267 +280,19 @@ void driver_destroy(void *handle) {
 """
 
 
-def driver_source(spec: StencilSpec) -> str:
+def driver_source(spec: StencilSpec, vector_width: int) -> str:
     """C source of the fused pass driver for ``spec``.
 
     One translation unit executes an *entire pass*: for every block, the
-    read kernel (gather segments), all chained PE stages, and the write
-    kernel — driven from the flat tables of
-    :meth:`repro.core.plan.PassPlan.to_driver_tables`.  Stages ping-pong
-    between two per-worker padded buffers instead of copying the window
-    back after each stage: the overlapped-blocking shrink invariant
-    (lint rule P302) guarantees every star-stencil neighbor read at
-    stage ``s`` lands inside stage ``s-1``'s window or in a clamp
-    duplicate refreshed from it, so the cells left stale outside the
-    window are never read and the per-element accumulation chain (shared
-    with :func:`kernel_source` via the same generator) stays
-    bit-identical to the per-stage engines.
-    """
-    rad = spec.radius
-    rec = DRIVER_RECORD_LEN[spec.dims]
-    head = [f"#define RAD {rad}", f"#define REC {rec}", _DRIVER_PRELUDE]
-    body: list[str] = []
-    if spec.dims == 2:
-        body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 z0, i64 z1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    const float *row = a + z * s0;",
-            "    float *orow = b + z * s0;",
-            "    for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "s0", 1: "1"})
-        body += [
-            "      orow[x] = acc;",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "static void do_block(const job_t *J, const float *src,",
-            "                     float *out, i64 bi, float *A, float *B) {",
-            "  const i64 *R = J->blocks + bi * REC;",
-            "  const i64 n0 = R[0], nx = R[1];",
-            "  const i64 dlx = R[2], dhx = R[3];",
-            "  const i64 wx = R[4], cx = R[5], rx = R[6];",
-            "  const i64 *segx = J->segs + 4 * R[7];",
-            "  const i64 nsx = R[8];",
-            "  const i64 s0 = nx;",
-            "  /* read kernel: segment copies into A's interior */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    float *dst = A + (z + RAD) * s0;",
-            "    const float *srow = src + z * J->gs0;",
-            "    for (i64 j = 0; j < nsx; ++j) {",
-            "      const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "      const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "      if (xs1 - xs0 == 1) {",
-            "        const float v = srow[xs0];",
-            "        for (i64 x = xd0; x < xd1; ++x) dst[x] = v;",
-            "      } else {",
-            "        memcpy(dst + xd0, srow + xs0,",
-            "               (size_t)(xd1 - xd0) * sizeof(float));",
-            "      }",
-            "    }",
-            "  }",
-            "  /* PE chain: ping-pong A -> B, one stage per chained PE */",
-            "  const i64 *W = J->wins + bi * J->steps * 4;",
-            "  for (i64 s = 0; s < J->steps; ++s, W += 4) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 x0 = W[2], x1 = W[3];",
-            "    stage(A, B, s0, W[0] + RAD, W[1] + RAD, x0, x1);",
-            "    if (s + 1 < J->steps && !J->periodic && (dlx | dhx)) {",
-            "      /* refresh clamp duplicates from the border window cell.",
-            "       * P302 guarantees the source cell is inside the stage",
-            "       * window whenever a later stage reads the duplicates, so",
-            "       * no other cells outside the window need copying over. */",
-            "      for (i64 z = RAD; z < RAD + n0; ++z) {",
-            "        float *row = B + z * s0;",
-            "        if (dlx) {",
-            "          const float v = row[dlx];",
-            "          for (i64 x = 0; x < dlx; ++x) row[x] = v;",
-            "        }",
-            "        if (dhx) {",
-            "          const float v = row[nx - 1 - dhx];",
-            "          for (i64 x = 0; x < dhx; ++x) row[nx - 1 - x] = v;",
-            "        }",
-            "      }",
-            "    }",
-            "    float *t = A; A = B; B = t;",
-            "  }",
-            "  /* write kernel: copy the compute region out */",
-            "  for (i64 z = 0; z < n0; ++z)",
-            "    memcpy(out + z * J->gs0 + wx, A + (z + RAD) * s0 + rx,",
-            "           (size_t)cx * sizeof(float));",
-            "}",
-        ]
-    else:
-        body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 s1, i64 z0, i64 z1,",
-            "                  i64 y0, i64 y1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    for (i64 y = y0; y < y1; ++y) {",
-            "      const float *row = a + z * s0 + y * s1;",
-            "      float *orow = b + z * s0 + y * s1;",
-            "      for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "s0", 1: "s1", 2: "1"})
-        body += [
-            "        orow[x] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "static void do_block(const job_t *J, const float *src,",
-            "                     float *out, i64 bi, float *A, float *B) {",
-            "  const i64 *R = J->blocks + bi * REC;",
-            "  const i64 n0 = R[0], ny = R[1], nx = R[2];",
-            "  const i64 dly = R[3], dhy = R[4], dlx = R[5], dhx = R[6];",
-            "  const i64 wy = R[7], wx = R[8], cy = R[9], cx = R[10];",
-            "  const i64 ry = R[11], rx = R[12];",
-            "  const i64 *segy = J->segs + 4 * R[13];",
-            "  const i64 nsy = R[14];",
-            "  const i64 *segx = J->segs + 4 * R[15];",
-            "  const i64 nsx = R[16];",
-            "  const i64 s1 = nx, s0 = ny * nx;",
-            "  /* read kernel: segment copies into A's interior */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    float *dz = A + (z + RAD) * s0;",
-            "    const float *sz = src + z * J->gs0;",
-            "    for (i64 i = 0; i < nsy; ++i) {",
-            "      const i64 yd0 = segy[4 * i], yd1 = segy[4 * i + 1];",
-            "      const i64 ys0 = segy[4 * i + 2], ys1 = segy[4 * i + 3];",
-            "      const int ybroad = (ys1 - ys0) == 1;",
-            "      for (i64 yd = yd0; yd < yd1; ++yd) {",
-            "        const i64 ys = ybroad ? ys0 : ys0 + (yd - yd0);",
-            "        float *dst = dz + yd * s1;",
-            "        const float *srow = sz + ys * J->gs1;",
-            "        for (i64 j = 0; j < nsx; ++j) {",
-            "          const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "          const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "          if (xs1 - xs0 == 1) {",
-            "            const float v = srow[xs0];",
-            "            for (i64 x = xd0; x < xd1; ++x) dst[x] = v;",
-            "          } else {",
-            "            memcpy(dst + xd0, srow + xs0,",
-            "                   (size_t)(xd1 - xd0) * sizeof(float));",
-            "          }",
-            "        }",
-            "      }",
-            "    }",
-            "  }",
-            "  /* PE chain: ping-pong A -> B, one stage per chained PE */",
-            "  const i64 *W = J->wins + bi * J->steps * 6;",
-            "  for (i64 s = 0; s < J->steps; ++s, W += 6) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 y0 = W[2], y1 = W[3], x0 = W[4], x1 = W[5];",
-            "    stage(A, B, s0, s1, W[0] + RAD, W[1] + RAD, y0, y1, x0, x1);",
-            "    if (s + 1 < J->steps && !J->periodic",
-            "        && (dly | dhy | dlx | dhx)) {",
-            "      /* refresh clamp duplicates -- y rows first, then x",
-            "       * columns, matching refresh_border_duplicates order.",
-            "       * P302 guarantees the source cells are inside the stage",
-            "       * window whenever a later stage reads the duplicates, so",
-            "       * no other cells outside the window need copying over. */",
-            "      for (i64 z = RAD; z < RAD + n0; ++z) {",
-            "        float *bz = B + z * s0;",
-            "        for (i64 y = 0; y < dly; ++y)",
-            "          memcpy(bz + y * s1, bz + dly * s1,",
-            "                 (size_t)nx * sizeof(float));",
-            "        for (i64 y = 0; y < dhy; ++y)",
-            "          memcpy(bz + (ny - 1 - y) * s1,",
-            "                 bz + (ny - 1 - dhy) * s1,",
-            "                 (size_t)nx * sizeof(float));",
-            "        if (dlx)",
-            "          for (i64 y = 0; y < ny; ++y) {",
-            "            float *row = bz + y * s1;",
-            "            const float v = row[dlx];",
-            "            for (i64 x = 0; x < dlx; ++x) row[x] = v;",
-            "          }",
-            "        if (dhx)",
-            "          for (i64 y = 0; y < ny; ++y) {",
-            "            float *row = bz + y * s1;",
-            "            const float v = row[nx - 1 - dhx];",
-            "            for (i64 x = 0; x < dhx; ++x) row[nx - 1 - x] = v;",
-            "          }",
-            "      }",
-            "    }",
-            "    float *t = A; A = B; B = t;",
-            "  }",
-            "  /* write kernel: copy the compute region out */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    const float *az = A + (z + RAD) * s0;",
-            "    float *oz = out + z * J->gs0;",
-            "    for (i64 y = 0; y < cy; ++y)",
-            "      memcpy(oz + (wy + y) * J->gs1 + wx, az + (ry + y) * s1 + rx,",
-            "             (size_t)cx * sizeof(float));",
-            "  }",
-            "}",
-        ]
-    return "\n".join(head + body) + _DRIVER_EPILOGUE
-
-
-def vector_kernel_source(spec: StencilSpec) -> str:
-    """C source of the explicitly vectorized PE-stage kernel.
-
-    Same ``pe_stage`` contract as :func:`kernel_source`, with
-    ``#pragma omp simd`` on the unit-stride x loop (honored by
-    ``-fopenmp-simd`` without linking an OpenMP runtime).  Vectorizing
-    *across* x lanes never reorders one element's accumulation chain —
-    each lane still executes the fixed ``acc = c0*x; acc += ci*xi``
-    sequence from :func:`_acc_lines` — so the result stays bit-identical
-    to the scalar kernel, which the property suite asserts.
-    """
-    body: list[str] = []
-    if spec.dims == 2:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0,",
-            "              long y0, long y1, long x0, long x1,",
-            "              long os0) {",
-            "  for (long y = y0; y < y1; ++y) {",
-            "    const float *restrict row = p + y * ps0;",
-            "    float *restrict orow = out + (y - y0) * os0;",
-            "#pragma omp simd",
-            "    for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "ps0", 1: "1"})
-        body += [
-            "      orow[x - x0] = acc;",
-            "    }",
-            "  }",
-            "}",
-        ]
-    else:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0, long ps1,",
-            "              long z0, long z1, long y0, long y1,",
-            "              long x0, long x1,",
-            "              long os0, long os1) {",
-            "  for (long z = z0; z < z1; ++z) {",
-            "    for (long y = y0; y < y1; ++y) {",
-            "      const float *restrict row = p + z * ps0 + y * ps1;",
-            "      float *restrict orow = out + (z - z0) * os0 + (y - y0) * os1;",
-            "#pragma omp simd",
-            "      for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "ps0", 1: "ps1", 2: "1"})
-        body += [
-            "        orow[x - x0] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-        ]
-    return "\n".join(body) + "\n"
-
-
-def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
-    """C source of the vectorized fused pass driver.
-
-    Differences from the scalar :func:`driver_source` — the paper's
-    ``parvec`` story mapped onto CPU SIMD lanes:
+    read kernel, all chained PE stages and the write kernel, driven from
+    the flat tables of :meth:`repro.core.plan.PassPlan.to_driver_tables`.
+    Stages ping-pong between two per-worker padded buffers; the
+    overlapped-blocking shrink invariant (lint rule P302) guarantees
+    every neighbor read at stage ``s`` lands inside stage ``s-1``'s
+    window or in a clamp duplicate refreshed from it, so cells left
+    stale outside the window are never read.  ``vector_width`` is the
+    paper's ``parvec`` mapped onto CPU SIMD lanes (see
+    :func:`vector_width_for`; 1 is the scalar case):
 
     * **fused read kernel**: stage 0 reads the source grid *directly*
       through per-axis index maps decoded from the gather segments —
@@ -613,8 +310,8 @@ def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
     * the inner x loops carry ``#pragma omp simd`` + ``restrict``,
       batching ``VEC`` independent per-element accumulation chains per
       instruction — lanes never reassociate *within* a chain, so the
-      bits match the scalar engines exactly (``-ffp-contract=off``
-      still forbids FMA fusion);
+      bits match the reference exactly (``-ffp-contract=off`` still
+      forbids FMA fusion);
     * the final stage of a *full* pass streams its results straight
       into the output grid (``stage_out``, or ``stage_in`` itself when
       ``steps == 1``) instead of bouncing through the ping-pong buffer
@@ -623,10 +320,6 @@ def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
       the driver re-checks that geometry per block at runtime so short
       (tail) passes — whose final window is wider — safely fall back
       to the write-kernel path.
-
-    The pool/ABI (``driver_create``/``driver_run_pass``/
-    ``driver_destroy``) is shared with the scalar driver, so
-    :class:`NativeDriver` runs either library unchanged.
     """
     rad = spec.radius
     rec = DRIVER_RECORD_LEN[spec.dims]
@@ -1129,6 +822,31 @@ def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
     return "\n".join(head + body) + _DRIVER_EPILOGUE
 
 
+def vector_width_for(parvec: int) -> int:
+    """SIMD lanes the driver pads rows to for a config's ``parvec``.
+
+    The largest power of two dividing ``parvec`` (``parvec & -parvec``):
+    every power-of-two ``parvec`` keeps its own width, and an odd one
+    runs the same source at ``VEC=1``.
+    """
+    return parvec & -parvec
+
+
+#: Compiler flags of the shipped driver.  ``-fopenmp-simd`` honors the
+#: ``omp simd`` pragmas without linking an OpenMP runtime, and unrolling
+#: lets independent accumulation chains overlap; neither reassociates
+#: within a chain, so the bits are unaffected.
+VECTOR_FLAGS = ("-fopenmp-simd", "-funroll-loops")
+
+#: Flags of the scalar SIMD baseline (engine ``"native-scalar"``): the
+#: same source at ``VEC=1`` with every vectorizer off.  Dropping only
+#: ``-ftree-vectorize`` is not enough — the ``omp simd`` loops would
+#: still vectorize under ``-fopenmp-simd``.
+SCALAR_FLAGS = (
+    "-funroll-loops", "-fno-tree-vectorize", "-fno-tree-slp-vectorize",
+)
+
+
 def _find_compiler() -> str | None:
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
         if cand and shutil.which(cand):
@@ -1136,33 +854,17 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _compile(
-    source: str,
-    link: tuple[str, ...] = (),
-    extra: tuple[str, ...] = (),
-) -> str | None:
+def _compile(source: str, flags: tuple[str, ...]) -> str | None:
     """Compile ``source`` to a cached shared library; return its path.
 
-    Content-addressed: the same source always maps to the same ``.so``
-    in the temp directory, built at most once (atomic rename, so racing
-    processes are safe).  ``link`` appends linker flags (the pass driver
-    needs ``-lpthread``); ``extra`` appends compiler flags (the vector
-    driver adds ``-funroll-loops`` so independent accumulation chains
-    overlap — unrolling never reassociates, so bits are unaffected).
-    Returns ``None`` on any failure.
+    Content-addressed: the same source and flags always map to the same
+    ``.so`` in the temp directory, built at most once (atomic rename, so
+    racing processes are safe).  Returns ``None`` on any failure.
     """
     compiler = _find_compiler()
     if compiler is None:
         return None
-    base = [
-        compiler,
-        "-O3",
-        "-ffp-contract=off",
-        "-fopenmp-simd",
-        "-shared",
-        "-fPIC",
-        *extra,
-    ]
+    base = [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC", *flags]
     tag = source + "\x00" + " ".join(base[1:])
     digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
     cache = os.path.join(tempfile.gettempdir(), f"repro_native_{digest}.so")
@@ -1174,16 +876,14 @@ def _compile(
         so_path = os.path.join(workdir, "kernel.so")
         with open(c_path, "w") as fh:
             fh.write(source)
-        attempts = [
-            base + ["-march=native"],
-            base,
+        attempts = [base + ["-march=native"], base]
+        if "-fopenmp-simd" in base:
             # last resort: a compiler without -fopenmp-simd (the pragma
             # is then ignored as an unknown pragma, still correct)
-            [f for f in base if f != "-fopenmp-simd"],
-        ]
+            attempts.append([f for f in base if f != "-fopenmp-simd"])
         for cmd in attempts:
             proc = subprocess.run(
-                cmd + ["-o", so_path, c_path] + list(link),
+                cmd + ["-o", so_path, c_path, "-lpthread"],
                 capture_output=True,
                 timeout=120,
             )
@@ -1197,142 +897,9 @@ def _compile(
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-class NativeStencil:
-    """A compiled fused PE-stage kernel for one stencil spec.
-
-    Calling :meth:`stage` is bit-identical to
-    :func:`repro.core.pe.pe_step_padded` over the same window (asserted
-    by the equivalence tests) — a single C pass instead of ~2 NumPy
-    passes per term.  The ctypes call releases the GIL, so block workers
-    genuinely overlap when ``workers > 1``.
-    """
-
-    def __init__(self, spec: StencilSpec, lib_path: str):
-        self.spec = spec
-        self.lib_path = lib_path
-        lib = ctypes.CDLL(lib_path)
-        fn = lib.pe_stage
-        n_longs = 6 if spec.dims == 2 else 10
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [
-            ctypes.c_long
-        ] * n_longs
-        fn.restype = None
-        self._fn = fn
-
-    def stage(
-        self, padded: np.ndarray, window: Window, out: np.ndarray
-    ) -> np.ndarray:
-        """Compute one PE stage of ``window`` from ``padded`` into ``out``.
-
-        ``window`` is in interior coordinates (as produced by
-        :meth:`PassPlan.windows`); ``out`` must be float32 with the
-        window's shape and unit stride on the innermost axis.
-        """
-        rad = self.spec.radius
-        itemsize = padded.itemsize
-        if self.spec.dims == 2:
-            (y0, y1), (x0, x1) = window
-            self._fn(
-                padded.ctypes.data,
-                out.ctypes.data,
-                padded.strides[0] // itemsize,
-                y0 + rad,
-                y1 + rad,
-                x0,
-                x1,
-                out.strides[0] // itemsize,
-            )
-        else:
-            (z0, z1), (y0, y1), (x0, x1) = window
-            self._fn(
-                padded.ctypes.data,
-                out.ctypes.data,
-                padded.strides[0] // itemsize,
-                padded.strides[1] // itemsize,
-                z0 + rad,
-                z1 + rad,
-                y0,
-                y1,
-                x0,
-                x1,
-                out.strides[0] // itemsize,
-                out.strides[1] // itemsize,
-            )
-        return out
-
-
 def native_available() -> bool:
     """True if native kernels are enabled and a C compiler is present."""
     return not os.environ.get(DISABLE_ENV) and _find_compiler() is not None
-
-
-_KERNELS: dict[tuple, NativeStencil | None] = {}
-
-
-def native_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """The compiled kernel for ``spec``, or ``None`` when unavailable.
-
-    Cached on the spec's numeric content (``StencilSpec`` holds a NumPy
-    coefficient array, so the spec itself is not hashable); failures (no
-    compiler, compile error, :envvar:`REPRO_NO_NATIVE` set) are cached
-    too, so the fallback decision is made once per spec.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _KERNELS:
-        return _KERNELS[key]
-    lib_path = _compile(kernel_source(spec))
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
-        try:
-            kernel = NativeStencil(spec, lib_path)
-        except OSError:
-            kernel = None
-    _KERNELS[key] = kernel
-    return kernel
-
-
-def native_scalar_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """Like :func:`native_kernel_for` but compiled with vectorization off.
-
-    ``-fno-tree-vectorize -fno-tree-slp-vectorize`` pins the build to
-    genuinely scalar machine code.  At ``-O3`` the compiler otherwise
-    auto-vectorizes even the "scalar" engines' inner loops, which makes
-    engine-vs-engine timings understate the SIMD payoff; this build is
-    the honest per-lane baseline the vectorization speedup in
-    ``BENCH_engines.json`` is measured against (the paper's ``parvec``
-    speedups are likewise vector-vs-scalar on one kernel).  Accumulation
-    order is untouched, so the result stays bit-identical.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        "scalar",
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _KERNELS:
-        return _KERNELS[key]
-    lib_path = _compile(
-        kernel_source(spec),
-        extra=("-fno-tree-vectorize", "-fno-tree-slp-vectorize"),
-    )
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
-        try:
-            kernel = NativeStencil(spec, lib_path)
-        except OSError:
-            kernel = None
-    _KERNELS[key] = kernel
-    return kernel
 
 
 class NativeDriver:
@@ -1354,13 +921,12 @@ class NativeDriver:
         spec: StencilSpec,
         workers: int,
         lib_path: str,
-        vector_width: int = 1,
+        vector_width: int,
     ):
         self.spec = spec
         self.workers = max(1, int(workers))
         self.lib_path = lib_path
-        #: SIMD lane count the compiled ``do_block`` pads rows to
-        #: (1 = the scalar driver; the driver ABI is identical).
+        #: SIMD lane count the compiled ``do_block`` pads rows to.
         self.vector_width = max(1, int(vector_width))
         lib = ctypes.CDLL(lib_path)
         lib.driver_create.argtypes = [ctypes.c_longlong]
@@ -1474,115 +1040,45 @@ class NativeDriver:
         )
 
 
-def driver_available() -> bool:
-    """True if the fused pass driver can be built on this machine."""
-    return native_available()
+#: Compiled driver library path per ``(stencil key, vector width,
+#: flags)``; ``None`` caches failures.  Pool handles are *not* shared —
+#: each accelerator gets its own :class:`NativeDriver` so concurrent
+#: runs never contend for a job slot.
+_LIBS: dict[tuple, str | None] = {}
 
 
-#: Compiled driver library path per stencil key (``None`` caches
-#: failures); pool handles are *not* shared — each accelerator gets its
-#: own :class:`NativeDriver` so concurrent runs never contend for a job
-#: slot.
-_DRIVER_LIBS: dict[tuple, str | None] = {}
-
-
-def native_driver_for(spec: StencilSpec, workers: int) -> NativeDriver | None:
+def native_driver(
+    spec: StencilSpec,
+    workers: int,
+    vector_width: int,
+    flags: tuple[str, ...] = VECTOR_FLAGS,
+) -> NativeDriver | None:
     """A fresh pass driver (own pool) for ``spec``, or ``None``.
 
-    The compiled library is content-addressed and shared across calls;
-    the pthread pool is per returned instance, created once and reused
-    for every pass of every run of the owning accelerator.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key not in _DRIVER_LIBS:
-        _DRIVER_LIBS[key] = _compile(driver_source(spec), link=("-lpthread",))
-    lib_path = _DRIVER_LIBS[key]
-    if lib_path is None:
-        return None
-    try:
-        return NativeDriver(spec, workers, lib_path)
-    except OSError:
-        return None
-
-
-_VECTOR_KERNELS: dict[tuple, NativeStencil | None] = {}
-
-
-def native_vector_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """The compiled *vectorized* PE-stage kernel, or ``None``.
-
-    Same contract and caching discipline as :func:`native_kernel_for`;
-    the library is built from :func:`vector_kernel_source` (explicit
-    ``#pragma omp simd``), and the property suite asserts it is
-    bit-identical to the scalar kernel.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _VECTOR_KERNELS:
-        return _VECTOR_KERNELS[key]
-    lib_path = _compile(vector_kernel_source(spec))
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
-        try:
-            kernel = NativeStencil(spec, lib_path)
-        except OSError:
-            kernel = None
-    _VECTOR_KERNELS[key] = kernel
-    return kernel
-
-
-#: Compiled vector-driver library path per ``(stencil key, vector
-#: width)`` — separate from the scalar cache because VEC is baked into
-#: the generated ``do_block``.
-_VECTOR_DRIVER_LIBS: dict[tuple, str | None] = {}
-
-
-def native_vector_driver_for(
-    spec: StencilSpec, workers: int, vector_width: int
-) -> NativeDriver | None:
-    """A fresh vectorized pass driver (own pool) for ``spec``, or ``None``.
-
-    ``vector_width`` is the SIMD lane count rows are padded to — the
-    paper's ``parvec`` mapped onto CPU lanes; it must match the
-    ``vector_width`` the accelerator passes to
+    ``vector_width`` is the SIMD lane count rows are padded to; it must
+    match the ``vector_width`` the accelerator passes to
     :meth:`PassPlan.to_driver_tables` so the Python-side scratch sizing
-    covers the padded rows the C code derives per block.
+    covers the padded rows the C code derives per block.  The compiled
+    library is content-addressed and shared across calls; the pthread
+    pool is per returned instance, created once and reused for every
+    pass of every run of the owning accelerator.
     """
     if os.environ.get(DISABLE_ENV):
-        return None
-    vec = int(vector_width)
-    if vec < 1 or vec & (vec - 1):
         return None
     key = (
         spec.dims,
         spec.radius,
         float(np.float32(spec.center)),
         spec.coefficients.tobytes(),
-        vec,
+        vector_width,
+        flags,
     )
-    if key not in _VECTOR_DRIVER_LIBS:
-        _VECTOR_DRIVER_LIBS[key] = _compile(
-            vector_driver_source(spec, vec),
-            link=("-lpthread",),
-            extra=("-funroll-loops",),
-        )
-    lib_path = _VECTOR_DRIVER_LIBS[key]
+    if key not in _LIBS:
+        _LIBS[key] = _compile(driver_source(spec, vector_width), flags)
+    lib_path = _LIBS[key]
     if lib_path is None:
         return None
     try:
-        return NativeDriver(spec, workers, lib_path, vector_width=vec)
+        return NativeDriver(spec, workers, lib_path, vector_width)
     except OSError:
         return None

@@ -72,11 +72,11 @@ def stencil_terms(
     In the paper's fixed accumulation order (:meth:`StencilSpec.offsets`).
     Deriving these once per run keeps enum/attribute lookups out of the
     per-chunk hot loop.  This tuple is the bit-exactness contract: the
-    NumPy engine iterates it directly, and both generated native code
-    paths (the per-stage microkernel and the fused pass driver) emit
-    their accumulation chains from it via the same generator
-    (``repro.core.native._acc_lines``), so every engine performs the
-    identical sequence of separately rounded float32 operations.
+    NumPy engine iterates it directly, and every stage of the generated
+    native pass driver emits its accumulation chain from it via one
+    generator (``repro.core.native._acc_chain``), so every engine
+    performs the identical sequence of separately rounded float32
+    operations.
     """
     return tuple(
         (

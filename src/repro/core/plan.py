@@ -162,12 +162,12 @@ class DriverTables:
     windows: np.ndarray
     steps: int
     scratch_floats: int
-    #: Vector width the tables were built for: 1 for the scalar driver,
-    #: ``config.parvec`` for the vectorized driver.  When > 1 the block
-    #: buffers' x stride is padded to a multiple of this width, the
-    #: padding is folded into ``scratch_floats``, and the alignment
-    #: invariants below hold (asserted at build time, re-proved by lint
-    #: rule P309 without executing a pass).
+    #: Vector width the tables were built for: the driver's
+    #: ``vector_width_for(config.parvec)`` (1 = no padding).  When > 1
+    #: the block buffers' x stride is padded to a multiple of this
+    #: width, the padding is folded into ``scratch_floats``, and the
+    #: alignment invariants below hold (asserted at build time,
+    #: re-proved by lint rule P309 without executing a pass).
     vector_width: int = 1
     #: Upper bound on any block's padded x stride (== the scalar max x
     #: footprint when ``vector_width == 1``).  The generated C re-derives

@@ -61,6 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batch import BatchPlan
+from repro.core.native import vector_width_for
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
 from repro.core.sharding import ShardPlan
 from repro.lint.findings import Finding
@@ -505,7 +506,7 @@ def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
 def _check_vector_tables(plan: PassPlan, locus: str) -> list[Finding]:
     """P309: vectorized tables keep alignment; padding is layout-only.
 
-    The vectorized driver pads each scratch row's x stride to a multiple
+    The native driver pads each scratch row's x stride to a multiple
     of the vector width so every row base stays on a vector boundary,
     and sizes the ping-pong halves so per-worker bases keep (at least)
     64-byte alignment.  Those invariants are *asserted* at table-build
@@ -528,7 +529,7 @@ def _check_vector_tables(plan: PassPlan, locus: str) -> list[Finding]:
     max_fp = tuple(
         max(bp.footprint[ax] for bp in plan.blocks) for ax in range(ndim)
     )
-    for vec in sorted({2, 8, plan.config.parvec} - {1}):
+    for vec in sorted({2, 8, vector_width_for(plan.config.parvec)} - {1}):
         tables = plan.to_driver_tables(steps, vec)
         t_locus = f"{locus}/tables(steps={steps},vec={vec})"
 

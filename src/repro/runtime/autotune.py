@@ -17,13 +17,15 @@ A selection is keyed by the workload *and* the machine that measured
 it::
 
     sha256(spec numeric content, grid shape, boundary, engine,
-           cpu fingerprint, cache schema version)
+           cpu fingerprint, driver source digest, cache schema version)
 
 The cpu fingerprint (:func:`cpu_fingerprint`) folds in the processor
 model and core count, so a cache directory shared between heterogeneous
-hosts never serves a plan measured on different silicon.  Bumping
-``CACHE_VERSION`` invalidates every prior selection at once (the old
-files are simply never looked up again).
+hosts never serves a plan measured on different silicon.  The driver
+source digest (:func:`source_digest`) does the same for code: an edit
+to the generated driver invalidates every plan measured on the old one.
+Bumping ``CACHE_VERSION`` invalidates every prior selection at once (the
+old files are simply never looked up again).
 
 Knobs
 -----
@@ -56,6 +58,7 @@ import numpy as np
 
 from repro.core.accelerator import FPGAAccelerator
 from repro.core.blocking import BlockingConfig
+from repro.core.native import driver_source
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A, Board
@@ -103,6 +106,27 @@ def cpu_fingerprint() -> str:
     return _CPU_FINGERPRINT
 
 
+#: :func:`source_digest` memo per spec key: generating a 3D radius-4
+#: driver takes about a millisecond, and the digest is on the per-request
+#: resolve path.
+_SOURCE_DIGESTS: dict[tuple, str] = {}
+
+
+def source_digest(spec: StencilSpec) -> str:
+    """sha256 of the generated driver source for ``spec`` at ``VEC=1``."""
+    key = (
+        spec.dims,
+        spec.radius,
+        float(np.float32(spec.center)),
+        spec.coefficients.tobytes(),
+    )
+    digest = _SOURCE_DIGESTS.get(key)
+    if digest is None:
+        digest = hashlib.sha256(driver_source(spec, 1).encode()).hexdigest()
+        _SOURCE_DIGESTS[key] = digest
+    return digest
+
+
 def plan_digest(
     spec: StencilSpec,
     shape: tuple[int, ...],
@@ -118,7 +142,8 @@ def plan_digest(
     h.update(b"\x00")
     h.update(spec.coefficients.tobytes())
     h.update(f"\x00{tuple(int(n) for n in shape)}\x00".encode())
-    h.update(f"{boundary}\x00{engine}\x00{cpu}".encode())
+    h.update(f"{boundary}\x00{engine}\x00{cpu}\x00".encode())
+    h.update(source_digest(spec).encode())
     return h.hexdigest()
 
 

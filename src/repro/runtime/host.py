@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accelerator import FPGAAccelerator
+from repro.core.accelerator import FPGAAccelerator, check_engine
 from repro.core.blocking import BlockingConfig
 from repro.core.codegen import generate_opencl_kernel
 from repro.core.stencil import StencilSpec
@@ -235,13 +235,12 @@ class StencilProgram:
     Building mirrors the offline OpenCL compile: it runs the area model
     (raising :class:`ConfigurationError` if the design does not fit the
     device), the fmax model, and generates the kernel source.  ``engine``
-    is forwarded to :class:`~repro.core.FPGAAccelerator` (ladder
-    ``auto -> native-vector -> native-driver -> native -> numpy``); the
-    wrapped
-    accelerator — and its persistent worker pools — lives for the
-    program's lifetime, so schedulers re-dispatching many small jobs
-    through one program never rebuild pools.  :attr:`resolved_engine`
-    reports the tier actually selected.
+    — one of :data:`~repro.core.accelerator.ENGINES` — is forwarded to
+    :class:`~repro.core.FPGAAccelerator` (ladder ``auto -> native ->
+    numpy``); the wrapped accelerator — and its persistent worker pool —
+    lives for the program's lifetime, so schedulers re-dispatching many
+    small jobs through one program never rebuild pools.
+    :attr:`resolved_engine` reports the tier actually selected.
     """
 
     def __init__(
@@ -254,6 +253,7 @@ class StencilProgram:
         self.spec = spec
         self.config = config
         self.board = board
+        check_engine(engine)
         self.engine = engine
         self.area = AreaModel(board.device).report(spec, config)
         if not self.area.fits:

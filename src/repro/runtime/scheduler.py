@@ -24,11 +24,9 @@ puts a resilient scheduler in front of a fleet of simulated
   (:class:`~repro.errors.DeadlineExceededError`) with the late result
   discarded — never silently late;
 * **degraded mode** — a per-device circuit breaker around the native
-  engines (the fused pass driver and the per-stage microkernel):
-  repeated faulted kernels on a device (or a compile failure when
-  ``engine="native"``/``"native-driver"``/``"native-vector"`` is
-  requested) trip the device
-  to the conservative NumPy engine, so its jobs complete slower rather
+  pass driver: repeated faulted kernels on a device (or a compile
+  failure when ``engine="native"`` is requested) trip the device to
+  the conservative NumPy engine, so its jobs complete slower rather
   than fail.  All engines are bit-identical, so degradation never
   changes results;
 * **re-dispatch** — a job that fails with a transient fault on one
@@ -49,6 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.accelerator import ENGINES, FLOOR_ENGINE, check_engine
 from repro.core.blocking import BlockingConfig
 from repro.core.grid import make_grid
 from repro.core.stencil import StencilSpec
@@ -85,11 +84,11 @@ class StencilJob:
     ``watchdog_factor`` sets the kernel watchdog to
     ``factor * modeled_time``.  ``engine`` overrides the scheduler's
     preferred engine for this job only (the serving layer's graceful-
-    degradation ladder pins overloaded jobs to cheaper tiers); a tripped
-    device breaker still wins and forces ``"numpy"``.  ``config=None``
-    defers the blocking config to the empirical autotuner's persistent
-    plan-selection cache (resolved once at admission; see
-    :mod:`repro.runtime.autotune`).
+    degradation ladder pins hard-overloaded jobs to ``"numpy"``); a
+    tripped device breaker still wins and forces ``"numpy"``.
+    ``config=None`` defers the blocking config to the empirical
+    autotuner's persistent plan-selection cache (resolved once at
+    admission; see :mod:`repro.runtime.autotune`).
     """
 
     job_id: str
@@ -103,13 +102,8 @@ class StencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -179,13 +173,8 @@ class BatchStencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -282,13 +271,8 @@ class ShardedJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -398,7 +382,7 @@ class _Worker:
         self.events: list[str] = []
 
     def engine(self, preferred: str) -> str:
-        return "numpy" if self.breaker.tripped else preferred
+        return FLOOR_ENGINE if self.breaker.tripped else preferred
 
     def fault_rate(self) -> float:
         if not self.window:
@@ -430,10 +414,10 @@ class StencilScheduler:
         Admission bound: :meth:`submit` raises
         :class:`~repro.errors.SchedulerSaturatedError` beyond it.
     engine:
-        Preferred execution engine for healthy devices (``"auto"``,
-        ``"numpy"``, ``"native"``, ``"native-driver"`` or
-        ``"native-vector"``); a device
-        whose circuit breaker has tripped always runs ``"numpy"``.
+        Preferred execution engine for healthy devices, one of
+        :data:`~repro.core.accelerator.ENGINES` (``"auto"``,
+        ``"native"`` or ``"numpy"``); a device whose circuit breaker
+        has tripped always runs ``"numpy"``.
     quarantine_threshold / health_window / min_health_samples:
         A device is quarantined when its fault rate over the last
         ``health_window`` jobs exceeds the threshold (once at least
@@ -489,13 +473,7 @@ class StencilScheduler:
             raise ConfigurationError(
                 f"quarantine_threshold must be in (0, 1], got {quarantine_threshold}"
             )
-        if engine not in (
-            "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {engine!r}"
-            )
+        check_engine(engine)
         if max_dispatches < 1:
             raise ConfigurationError(
                 f"max_dispatches must be >= 1, got {max_dispatches}"
@@ -929,13 +907,12 @@ class StencilScheduler:
         ``(kernel, config, board, engine)`` key reuses one cached
         :class:`StencilProgram` — and therefore one compiled library and
         one live worker pool.  A native compile failure
-        (``engine="native"``, ``"native-driver"`` or ``"native-vector"``
-        requested but no
-        toolchain / failed build) trips the breaker and degrades to the
-        NumPy engine instead of failing the job.
+        (``engine="native"`` requested but no toolchain / failed build)
+        trips the breaker and degrades to the NumPy engine instead of
+        failing the job.
         """
         engine = worker.engine(preferred or self.engine)
-        if engine in ("native", "native-driver", "native-vector"):
+        if engine == "native":
             try:
                 return self.program_cache.get(
                     spec, config, worker.device.board, engine=engine
@@ -946,7 +923,7 @@ class StencilScheduler:
                     f"degraded to numpy engine ({engine} compile failure)"
                 )
                 self._audit_degraded_pools()
-                engine = "numpy"
+                engine = FLOOR_ENGINE
         return self.program_cache.get(
             spec, config, worker.device.board, engine=engine
         )
@@ -968,7 +945,7 @@ class StencilScheduler:
                 continue
             if all(w.breaker.tripped for w in group):
                 closed = self.program_cache.release_engines(
-                    name, ("auto", "native", "native-driver", "native-vector")
+                    name, tuple(e for e in ENGINES if e != FLOOR_ENGINE)
                 )
                 self._released_boards.add(name)
                 group[0].log(

@@ -23,12 +23,12 @@ shared installation needs on the *wall* clock:
   enforcement.  Transient failures are re-dispatched with seeded,
   jittered exponential backoff, never past the remaining deadline
   budget.
-* **graceful degradation** — under queue pressure (or a fully degraded
-  fleet) dispatch pins jobs down the ``native-vector → native-driver →
-  native → numpy``
-  engine ladder and shrinks the checkpoint cadence; every downgraded
-  result carries an explicit ``degraded`` marker.  All engines are
-  bit-identical, so degradation trades latency, never correctness.
+* **graceful degradation** — under queue pressure dispatch first
+  shrinks the checkpoint cadence while keeping the scheduler's engine,
+  and under hard pressure (or a fully degraded fleet) also pins jobs to
+  the NumPy engine; every downgraded result carries an explicit
+  ``degraded`` marker.  All engines are bit-identical, so degradation
+  trades latency, never correctness.
 * **request coalescing** — jobs sharing ``(kernel, config, board,
   engine)`` reuse one warm program through the service-owned
   :class:`~repro.runtime.artifacts.ArtifactCache` (single-flight
@@ -62,6 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.accelerator import FLOOR_ENGINE
 from repro.core.blocking import BlockingConfig
 from repro.core.stencil import StencilSpec
 from repro.errors import (
@@ -85,9 +86,11 @@ from repro.runtime.scheduler import (
     StencilScheduler,
 )
 
-#: Engine tiers from fastest to most conservative; degradation walks
-#: right.  ``None`` (level 0) defers to the scheduler's preference.
-ENGINE_LADDER: tuple[str | None, ...] = (None, "native", "numpy")
+#: Engine pinned at each degrade level.  ``None`` defers to the
+#: scheduler's preference: level 1 only shrinks the checkpoint cadence,
+#: because a slower engine under queue pressure would add load, and
+#: level 2 pins the NumPy floor.
+ENGINE_LADDER: tuple[str | None, ...] = (None, None, FLOOR_ENGINE)
 
 #: Error types the service re-dispatches (transient detections).  A
 #: deadline, shed or configuration failure is never retried.
@@ -122,9 +125,9 @@ class ServicePolicy:
     """Service-level knobs (queue bounds, retries, degradation ladder).
 
     ``degrade_at`` / ``degrade_hard_at`` are queue-depth fractions: at
-    ``degrade_at`` dispatch pins jobs one engine tier down, at
-    ``degrade_hard_at`` to the most conservative tier (the NumPy
-    engine) with the shrunk ``degraded_checkpoint`` cadence.
+    ``degrade_at`` dispatch keeps the scheduler's engine but shrinks the
+    checkpoint cadence to ``degraded_checkpoint``; at
+    ``degrade_hard_at`` it also pins jobs to the NumPy engine.
     ``queue_timeout_s`` bounds the wall-clock wait of a queued job.
     Retries use seeded, jittered exponential backoff
     (``retry_backoff_s * 2**attempt``, +/- ``retry_jitter``), bounded
@@ -951,7 +954,7 @@ class StencilService:
             retries += 1
             self.metrics.count(req.tenant, "retries")
             time.sleep(delay)
-            # renewed pressure reading: a retry may ride a cheaper tier
+            # renewed pressure reading: a retry may degrade further
             level = max(level, self._degrade_level())
             engine = ENGINE_LADDER[level]
             checkpoint = self._checkpoint_for(req, level)
@@ -964,9 +967,9 @@ class StencilService:
         degraded = level > 0 or (
             last.engine is not None
             and last.status == "completed"
-            and last.engine == "numpy"
-            and self.scheduler.engine != "numpy"
-            and engine != "numpy"
+            and last.engine == FLOOR_ENGINE
+            and self.scheduler.engine != FLOOR_ENGINE
+            and engine != FLOOR_ENGINE
         )
         self._finish(
             req,
@@ -1076,7 +1079,7 @@ class StencilService:
             for req in live:
                 self.metrics.count(req.tenant, "retries")
             time.sleep(delay)
-            # renewed pressure reading: a retry may ride a cheaper tier
+            # renewed pressure reading: a retry may degrade further
             level = max(level, self._degrade_level())
             engine = ENGINE_LADDER[level]
             checkpoint = self._checkpoint_for(live[0], level)
@@ -1091,9 +1094,9 @@ class StencilService:
                     self._fail_deadline(req, retries, queue_wait, late=True)
                     continue
                 degraded = level > 0 or (
-                    result.engine == "numpy"
-                    and self.scheduler.engine != "numpy"
-                    and engine != "numpy"
+                    result.engine == FLOOR_ENGINE
+                    and self.scheduler.engine != FLOOR_ENGINE
+                    and engine != FLOOR_ENGINE
                 )
                 self._finish(
                     req,
@@ -1143,7 +1146,7 @@ class StencilService:
             return self._closing
 
     def _degrade_level(self) -> int:
-        """0 = preferred tier, 1 = mid ladder, 2 = most conservative."""
+        """0 = as requested, 1 = shrunk checkpoints, 2 = also NumPy."""
         if all(w.breaker.tripped for w in self.scheduler.workers):
             return 2
         with self._lock:

@@ -25,10 +25,9 @@ Failure domains are per shard:
   recovery cost scales with the snapshot distance of *one* shard, not
   with the whole run (``ShardedStats.replayed_passes`` vs a whole-run
   retry's ``passes * shards``; gated in ``BENCH_sharding.json``).
-* **Repeated faults on one board** degrade that shard's engine down the
-  ``native-vector → native-driver → native → numpy`` ladder
-  independently (all engines
-  are bit-identical, so degradation never changes the answer).
+* **Repeated faults on one board** degrade that shard's engine from
+  ``native`` to ``numpy`` independently (all engines are bit-identical,
+  so degradation never changes the answer).
 * **Board lost outright** (:class:`~repro.faults.DeviceLossFault`,
   polled at pass boundaries): the lost shard's state is restored from
   its snapshots and replayed on a survivor, the global grid is
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accelerator import FPGAAccelerator
+from repro.core.accelerator import FLOOR_ENGINE, FPGAAccelerator, check_engine
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
 from repro.core.sharding import HaloEdge, ShardPlan
@@ -83,13 +82,6 @@ _MERGE_FIELDS = (
     "vector_ops",
     "pe_invocations",
 )
-
-#: Engine one rung down the per-shard degradation ladder.
-_NEXT_ENGINE = {
-    "native-vector": "native-driver",
-    "native-driver": "native",
-    "native": "numpy",
-}
 
 
 @dataclass
@@ -162,8 +154,9 @@ class ShardedRunner:
         Number of simulated devices; the grid's streamed axis is split
         across them (see :class:`~repro.core.sharding.ShardPlan`).
     engine:
-        Initial engine of every device's accelerator.  Per-shard fault
-        pressure degrades individual devices down the ladder
+        Initial engine of every device's accelerator, one of
+        :data:`~repro.core.accelerator.ENGINES`.  Per-shard fault
+        pressure degrades individual devices to ``"numpy"``
         independently; degradation is sticky across runs (a flaky board
         stays degraded, mirroring scheduler quarantine).
     engines:
@@ -184,7 +177,7 @@ class ShardedRunner:
         CRC-failed halo transfers are retried this many times before
         the exchange fails with :class:`~repro.errors.HaloExchangeError`.
     degrade_after:
-        Detected faults on one board before its engine degrades a rung.
+        Detected faults on one board before its engine degrades.
     """
 
     #: Spin attempts an exchange hop tolerates before declaring the
@@ -234,6 +227,8 @@ class ShardedRunner:
                 param="engines", value=len(engines),
                 constraint="len(engines) == shards",
             )
+        for name in engines if engines is not None else (engine,):
+            check_engine(name)
         self.spec = spec
         self.config = config
         self.boundary = boundary
@@ -548,21 +543,14 @@ class ShardedRunner:
         return None
 
     def _degrade(self, dev: _ShardDevice, stats: ShardedStats) -> None:
-        """Step one device's engine down the ladder (numpy is the floor)."""
-        nxt = _NEXT_ENGINE.get(dev.acc.resolved_engine)
-        if nxt is None:
-            return
-        try:
-            acc = FPGAAccelerator(
-                self.spec, self.config, self.boundary,
-                stall_watchdog=self.stall_watchdog, engine=nxt,
-            )
-        except ConfigurationError:
-            acc = FPGAAccelerator(
-                self.spec, self.config, self.boundary,
-                stall_watchdog=self.stall_watchdog, engine="numpy",
-            )
+        """Move one device's engine to the NumPy floor (once)."""
         old = dev.acc.resolved_engine
+        if old == FLOOR_ENGINE:
+            return
+        acc = FPGAAccelerator(
+            self.spec, self.config, self.boundary,
+            stall_watchdog=self.stall_watchdog, engine=FLOOR_ENGINE,
+        )
         dev.acc.close()
         dev.acc = acc
         stats.degradations += 1

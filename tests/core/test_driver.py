@@ -1,11 +1,11 @@
-"""The fused native pass driver (``engine="native-driver"``).
+"""The fused native pass driver (``engine="native"``).
 
 The driver executes an entire pass — every block, every chained PE
 stage, gather and writeback — in one ctypes call against a persistent
 pthread worker pool.  Being a pure execution choice, it must be
-bit-identical to the NumPy engine and the per-stage native microkernel
-for every geometry, boundary and worker count; these tests pin that
-down, plus the pool lifecycle (reuse across runs, ``close()``,
+bit-identical to the NumPy engine and to its own scalar build
+(``engine="native-scalar"``) for every geometry, boundary and worker
+count; these tests pin that down, plus the pool lifecycle (reuse across runs, ``close()``,
 ``REPRO_NO_NATIVE`` fallback) and the interplay with checkpointed
 recovery (armed runs force the serial channel path).
 """
@@ -22,13 +22,13 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.native import DISABLE_ENV, driver_available, native_driver_for
+from repro.core.native import DISABLE_ENV, native_available, native_driver
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SEUFault, arm
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 
@@ -56,15 +56,17 @@ def test_2d_bit_identical_across_engines(radius, boundary) -> None:
     want, _ = FPGAAccelerator(
         spec, cfg, boundary=boundary, engine="numpy"
     ).run(grid, iters)
-    per_stage, _ = FPGAAccelerator(
-        spec, cfg, boundary=boundary, engine="native"
-    ).run(grid, iters)
+    scalar = FPGAAccelerator(
+        spec, cfg, boundary=boundary, engine="native-scalar"
+    )
+    unvectorized, _ = scalar.run(grid, iters)
+    scalar.close()
     acc = FPGAAccelerator(
-        spec, cfg, boundary=boundary, engine="native-driver", workers=2
+        spec, cfg, boundary=boundary, engine="native", workers=2
     )
     fused, _ = acc.run(grid, iters)
     acc.close()
-    assert np.array_equal(want, per_stage)
+    assert np.array_equal(want, unvectorized)
     assert np.array_equal(want, fused)
 
 
@@ -80,7 +82,7 @@ def test_3d_bit_identical_across_engines(radius, boundary) -> None:
         spec, cfg, boundary=boundary, engine="numpy"
     ).run(grid, iters)
     acc = FPGAAccelerator(
-        spec, cfg, boundary=boundary, engine="native-driver", workers=4
+        spec, cfg, boundary=boundary, engine="native", workers=4
     )
     fused, _ = acc.run(grid, iters)
     acc.close()
@@ -95,7 +97,7 @@ def test_worker_count_never_changes_bits(workers) -> None:
     cfg = _cfg(2, 2, partime=3)
     grid = make_grid((9, 95), "mixed", seed=3)
     want = reference_run(grid, spec, 7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=workers)
+    acc = FPGAAccelerator(spec, cfg, engine="native", workers=workers)
     got, _ = acc.run(grid, 7)
     acc.close()
     assert np.array_equal(want, got)
@@ -106,7 +108,7 @@ def test_matches_reference_many_iterations() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native", workers=2)
     out, stats = acc.run(grid, 25)
     acc.close()
     assert np.array_equal(out, reference_run(grid, spec, 25))
@@ -121,7 +123,7 @@ def test_auto_ladder_selects_driver_and_reuses_it() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     acc = FPGAAccelerator(spec, cfg)  # engine="auto"
-    assert acc.resolved_engine == "native-vector"
+    assert acc.resolved_engine == "native"
     pool = acc._driver
     grid = make_grid((12, 48), "random", seed=1)
     for iters in (1, 4, 5):
@@ -155,8 +157,8 @@ def test_close_is_idempotent_and_run_after_close_raises_typed() -> None:
 def test_separate_accelerators_get_separate_pools() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
-    a = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
-    b = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    a = FPGAAccelerator(spec, cfg, engine="native", workers=2)
+    b = FPGAAccelerator(spec, cfg, engine="native", workers=2)
     try:
         assert a._driver is not b._driver
         assert a._driver.lib_path == b._driver.lib_path  # shared .so
@@ -176,9 +178,9 @@ def test_disable_env_blocks_driver(monkeypatch) -> None:
     monkeypatch.setenv(DISABLE_ENV, "1")
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
-    assert native_driver_for(spec, workers=2) is None
+    assert native_driver(spec, 2, cfg.parvec) is None
     with pytest.raises(ConfigurationError):
-        FPGAAccelerator(spec, cfg, engine="native-driver")
+        FPGAAccelerator(spec, cfg, engine="native")
     # auto degrades silently and still computes the right bits
     acc = FPGAAccelerator(spec, cfg)
     assert acc.resolved_engine == "numpy"
@@ -212,7 +214,7 @@ def test_checkpointed_driver_run_matches_plain() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native", workers=2)
     plain, _ = acc.run(grid, 10)
     ckpt, stats = acc.run(grid, 10, checkpoint=2)
     acc.close()
@@ -229,7 +231,7 @@ def test_armed_rollback_mid_run_is_bit_exact() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native", workers=2)
     blocks = acc.run(grid, cfg.partime)[1].blocks_per_pass
     touches_per_pass = blocks * (1 + cfg.partime)
     plan = FaultPlan(

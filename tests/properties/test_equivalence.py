@@ -19,14 +19,16 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.native import driver_available, native_available
+from repro.core.native import native_available
 
 
 @st.composite
 def config_2d(draw):
     radius = draw(st.integers(1, 4))
     partime = draw(st.integers(1, 4))
-    parvec = draw(st.sampled_from([1, 2, 4]))
+    # 3 and 6 are not powers of two: the driver runs them at the largest
+    # power-of-two divisor (VEC=1 and VEC=2)
+    parvec = draw(st.sampled_from([1, 2, 3, 4, 6]))
     halo = partime * radius
     # bsize must exceed 2*halo and be a parvec multiple
     extra = draw(st.integers(1, 8)) * parvec
@@ -46,7 +48,7 @@ def config_2d(draw):
 def config_3d(draw):
     radius = draw(st.integers(1, 3))
     partime = draw(st.integers(1, 3))
-    parvec = draw(st.sampled_from([1, 2, 4]))
+    parvec = draw(st.sampled_from([1, 2, 3, 4, 6]))
     halo = partime * radius
     bsize_x = ((2 * halo) // parvec + 1) * parvec + draw(st.integers(1, 4)) * parvec
     bsize_y = 2 * halo + draw(st.integers(1, 12))
@@ -67,14 +69,32 @@ def config_3d(draw):
     return cfg, (nz, ny, nx), iters, seed, boundary
 
 
+def _check_auto(spec, cfg, grid, iters, boundary) -> None:
+    """``auto`` is bit-exact on ``run`` and ``run_batch`` and, with a
+    compiler, resolves to the native driver for every ``parvec``."""
+    expected = reference_run(grid, spec, iters, boundary=boundary)
+    acc = FPGAAccelerator(spec, cfg, boundary=boundary)
+    try:
+        if native_available():
+            assert acc.resolved_engine == "native"
+        actual, _ = acc.run(grid, iters)
+        batch = acc.run_batch([grid, grid[::-1]], iters)
+    finally:
+        acc.close()
+    assert np.array_equal(expected, actual)
+    assert np.array_equal(expected, batch.outputs[0])
+    assert np.array_equal(
+        reference_run(grid[::-1], spec, iters, boundary=boundary),
+        batch.outputs[1],
+    )
+
+
 @given(config_2d())
 def test_accelerator_equals_reference_2d(params) -> None:
     cfg, shape, iters, seed, boundary = params
     spec = StencilSpec.star(2, cfg.radius)
     grid = make_grid(shape, "random", seed=seed)
-    expected = reference_run(grid, spec, iters, boundary=boundary)
-    actual, _ = FPGAAccelerator(spec, cfg, boundary=boundary).run(grid, iters)
-    assert np.array_equal(expected, actual)
+    _check_auto(spec, cfg, grid, iters, boundary)
 
 
 @settings(max_examples=25)
@@ -83,17 +103,15 @@ def test_accelerator_equals_reference_3d(params) -> None:
     cfg, shape, iters, seed, boundary = params
     spec = StencilSpec.star(3, cfg.radius)
     grid = make_grid(shape, "random", seed=seed)
-    expected = reference_run(grid, spec, iters, boundary=boundary)
-    actual, _ = FPGAAccelerator(spec, cfg, boundary=boundary).run(grid, iters)
-    assert np.array_equal(expected, actual)
+    _check_auto(spec, cfg, grid, iters, boundary)
 
 
 @settings(max_examples=20)
 @given(config_2d(), st.integers(2, 4))
 def test_engines_and_workers_bit_identical(params, workers) -> None:
-    """The NumPy fallback, the per-stage native microkernel, the fused
-    native pass driver (both when a compiler is available) and the
-    block-parallel schedule are pure execution choices: same bits."""
+    """The NumPy fallback, the native pass driver and its scalar build
+    (both when a compiler is available) and the driver's worker count
+    are pure execution choices: same bits."""
     cfg, shape, iters, seed, boundary = params
     spec = StencilSpec.star(2, cfg.radius)
     grid = make_grid(shape, "random", seed=seed)
@@ -107,18 +125,14 @@ def test_engines_and_workers_bit_identical(params, workers) -> None:
     assert np.array_equal(base, via_numpy)
     assert np.array_equal(base, parallel)
     if native_available():
-        per_stage, _ = FPGAAccelerator(
-            spec, cfg, boundary=boundary, engine="native"
-        ).run(grid, iters)
-        assert np.array_equal(base, per_stage)
-    if driver_available():
-        acc = FPGAAccelerator(
-            spec, cfg, boundary=boundary, engine="native-driver",
-            workers=workers,
-        )
-        fused, _ = acc.run(grid, iters)
-        acc.close()
-        assert np.array_equal(base, fused)
+        for engine in ("native", "native-scalar"):
+            acc = FPGAAccelerator(
+                spec, cfg, boundary=boundary, engine=engine,
+                workers=workers,
+            )
+            fused, _ = acc.run(grid, iters)
+            acc.close()
+            assert np.array_equal(base, fused)
 
 
 @given(

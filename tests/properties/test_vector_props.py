@@ -1,15 +1,17 @@
-"""Property tests: the vectorized engine is bit-identical to the golden
-reference across dimensionalities, radii, boundaries and awkward extents.
+"""Property tests: the native driver is bit-identical to the golden
+reference across dimensionalities, radii, boundaries, SIMD widths and
+awkward extents.
 
-The vectorized driver pads each block row's x stride to the SIMD width,
-so the geometries most likely to break it are the ones where the
-padding actually does something: odd extents, x extents that are not a
-multiple of ``parvec``, grids smaller than a single block.  Hypothesis
+The driver pads each block row's x stride to the SIMD width (the
+largest power of two dividing ``parvec``), so the geometries most likely
+to break it are the ones where the padding actually does something: odd
+extents, x extents that are not a multiple of ``parvec``, grids smaller
+than a single block, and ``parvec`` values that are not powers of two.  Hypothesis
 draws those shapes; the oracle is :func:`repro.core.reference
 .reference_run` (plain NumPy, no blocking, no vectorization).  Equality
 is ``np.array_equal`` — bit-exact, not approximate — because the shared
 accumulation-order contract (`_acc_lines` + ``-ffp-contract=off``) is
-the whole point of the engine ladder.
+the whole point of one engine.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from repro.core import (
     StencilSpec,
     make_grid,
 )
-from repro.core.native import driver_available
+from repro.core.native import native_available, vector_width_for
 from repro.core.reference import reference_run
 from repro.lint import lint_plan
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 
@@ -47,14 +49,20 @@ def _vec_cfg(dims, radius, partime, parvec):
 
 def _run_vector(spec, cfg, shape, boundary, iters, seed):
     grid = make_grid(shape, "random", seed=seed)
-    acc = FPGAAccelerator(spec, cfg, boundary=boundary,
-                          engine="native-vector")
+    acc = FPGAAccelerator(spec, cfg, boundary=boundary, engine="native")
     try:
+        assert acc.resolved_engine == "native"
+        assert acc._driver.vector_width == vector_width_for(cfg.parvec)
         out, _ = acc.run(grid, iters)
+        batch = acc.run_batch([grid, -grid], iters)
     finally:
         acc.close()
-    assert np.array_equal(out, reference_run(grid, spec, iters,
-                                             boundary=boundary))
+    want = reference_run(grid, spec, iters, boundary=boundary)
+    assert np.array_equal(out, want)
+    assert np.array_equal(batch.outputs[0], want)
+    assert np.array_equal(
+        batch.outputs[1], reference_run(-grid, spec, iters, boundary=boundary)
+    )
 
 
 @needs_driver
@@ -62,7 +70,7 @@ def _run_vector(spec, cfg, shape, boundary, iters, seed):
 @given(
     radius=st.integers(1, 2),
     partime=st.integers(1, 3),
-    parvec=st.sampled_from([2, 4, 8]),
+    parvec=st.sampled_from([2, 3, 4, 6, 8]),
     ny=st.integers(2, 17),
     nx=st.integers(2, 61),
     iters=st.integers(1, 4),
@@ -82,7 +90,7 @@ def test_vector_engine_matches_reference_2d(
 @given(
     radius=st.integers(1, 2),
     partime=st.integers(1, 2),
-    parvec=st.sampled_from([2, 4]),
+    parvec=st.sampled_from([2, 3, 4, 6]),
     nz=st.integers(2, 9),
     ny=st.integers(2, 13),
     nx=st.integers(2, 41),
@@ -113,7 +121,7 @@ def test_vector_engine_non_multiple_tail_2d(tail) -> None:
 @given(
     radius=st.integers(1, 3),
     partime=st.integers(1, 4),
-    parvec=st.sampled_from([1, 2, 4, 8, 16]),
+    parvec=st.sampled_from([1, 2, 3, 4, 6, 8, 16]),
     ny=st.integers(2, 40),
     nx=st.integers(2, 90),
     boundary=st.sampled_from(["clamp", "periodic"]),

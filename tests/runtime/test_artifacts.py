@@ -85,7 +85,7 @@ def test_release_engines_drops_only_matching_tiers() -> None:
     fast = cache.get(SPEC, CONFIG, engine="auto")
     slow = cache.get(SPEC, CONFIG, engine="numpy")
     released = cache.release_engines(
-        "Nallatech 385A", ("auto", "native", "native-driver", "native-vector")
+        "Nallatech 385A", ("auto", "native")
     )
     assert released == 1
     assert fast.closed and not slow.closed

@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
-from repro.core.native import driver_available
+from repro.core.native import native_available
 from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A
 from repro.models.tuner import Tuner
 from repro.runtime import StencilScheduler, StencilService
 from repro.runtime.artifacts import ArtifactCache
+from repro.runtime import autotune
 from repro.runtime.autotune import (
     CACHE_VERSION,
     DISABLE_ENV,
@@ -42,7 +43,7 @@ SPEC = StencilSpec.star(2, 1)
 SHAPE = (16, 64)
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 
@@ -101,6 +102,14 @@ def test_digest_separates_workloads_and_machines() -> None:
         plan_digest(StencilSpec.star(2, 2), SHAPE, "clamp", "auto", "cpuA"),
     ]
     assert base not in others and len(set(others)) == len(others)
+
+
+def test_digest_changes_with_the_generated_driver_source(monkeypatch) -> None:
+    base = plan_digest(SPEC, SHAPE, "clamp", "auto", "cpuA")
+    edited = autotune.driver_source(SPEC, 1) + "/* codegen edit */\n"
+    monkeypatch.setattr(autotune, "driver_source", lambda spec, vec: edited)
+    monkeypatch.setattr(autotune, "_SOURCE_DIGESTS", {})
+    assert plan_digest(SPEC, SHAPE, "clamp", "auto", "cpuA") != base
 
 
 # -- resolution ladder ------------------------------------------------------ #

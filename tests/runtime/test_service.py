@@ -318,6 +318,50 @@ def test_degraded_checkpoint_cadence_shrinks_not_grows() -> None:
     svc.close()
 
 
+def _serve_at_level(monkeypatch, engine: str, level: int):
+    """One request served with the degrade level held at ``level``;
+    returns the result and the job the scheduler was handed."""
+    svc = StencilService(
+        StencilScheduler(devices=1, engine=engine),
+        policy=ServicePolicy(coalesce=False, degraded_checkpoint=2),
+        start=False,
+    )
+    jobs = []
+    execute = svc.scheduler.execute_job
+
+    def spy(job):
+        jobs.append(job)
+        return execute(job)
+
+    monkeypatch.setattr(svc, "_degrade_level", lambda: level)
+    monkeypatch.setattr(svc.scheduler, "execute_job", spy)
+    ticket = svc.submit(**request())
+    svc.run_pending()
+    svc.close()
+    result = ticket.result(0)
+    assert result.status == "completed"
+    assert np.array_equal(result.result, REF_4)
+    (job,) = jobs
+    return result, job
+
+
+@pytest.mark.parametrize("engine", ["auto", "numpy"])
+def test_soft_degrade_keeps_the_schedulers_engine(monkeypatch, engine) -> None:
+    # level 1 must neither pin a slower engine under pressure nor
+    # override an operator's numpy choice upward: it only shrinks the
+    # checkpoint cadence
+    result, job = _serve_at_level(monkeypatch, engine, level=1)
+    assert job.engine is None and job.checkpoint == 2
+    assert result.job_result.engine == engine
+    assert result.degraded
+
+
+def test_hard_degrade_pins_numpy(monkeypatch) -> None:
+    result, job = _serve_at_level(monkeypatch, "auto", level=2)
+    assert job.engine == "numpy" and job.checkpoint == 2
+    assert result.degraded and result.degraded_engine == "numpy"
+
+
 # -- lifecycle --------------------------------------------------------------- #
 
 
