@@ -8,10 +8,13 @@ The "after" engines are the shipped :class:`repro.core.FPGAAccelerator`
 engines: the pure-NumPy pass-plan engine (``plan-numpy``), the native
 pass driver swept across its persistent worker pool sizes
 (``native-w1`` / ``-w2`` / ``-w4``, rows padded to the config's SIMD
-width), and the same driver source at ``VEC=1`` compiled with
-vectorization off (``native-scalar`` — the honest per-lane SIMD
-baseline).  Every engine's output is verified bit-identical to the
-legacy engine before any timing is recorded.
+width), the driver at its default pool size with no ``workers=``
+passed (``native-auto`` — one worker per CPU this process may use,
+which is what the runtime serves with), and the same driver source at
+``VEC=1`` compiled with vectorization off (``native-scalar``, one
+worker — the honest per-lane SIMD baseline).  Every engine's output is
+verified bit-identical to the legacy engine before any timing is
+recorded.
 
 Each case records:
 
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.blocking import BlockDecomposition
-from repro.core.native import native_available
+from repro.core.native import native_available, usable_cpus
 from repro.core.pe import pe_step, refresh_border_duplicates
 from repro.errors import ConfigurationError
 
@@ -173,9 +176,11 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
                 )
             except ConfigurationError:
                 break  # driver compile failed; skip the whole sweep
+        if "native-w1" in engines:
+            engines["native-auto"] = FPGAAccelerator(spec, cfg, engine="native")
         try:
             engines["native-scalar"] = FPGAAccelerator(
-                spec, cfg, engine="native-scalar"
+                spec, cfg, engine="native-scalar", workers=1
             )
         except ConfigurationError:
             pass  # scalar-build baseline unavailable; ratio omitted
@@ -318,6 +323,7 @@ def main() -> None:
         "quick": args.quick,
         "native_available": native_available(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
         "cpu_count_note": (
             "scaling_efficiency is only meaningful when cpu_count >= 4; "
             "on smaller hosts the w4/w1 ratio hovers near 1.0 by "

@@ -44,7 +44,12 @@ import numpy as np
 from repro.core.batch import BatchPlan, BatchResult
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
-from repro.core.native import SCALAR_FLAGS, native_driver, vector_width_for
+from repro.core.native import (
+    SCALAR_FLAGS,
+    native_driver,
+    usable_cpus,
+    vector_width_for,
+)
 from repro.core.pe import (
     fill_stream_halo,
     pe_step,
@@ -192,11 +197,15 @@ class FPGAAccelerator:
     boundary:
         ``"clamp"`` (the paper's) or ``"periodic"``.
     workers:
-        Size of the native driver's worker pool.  Blocks within a pass
-        are independent and write disjoint output slices, so the result
-        is bit-identical for every worker count.  The NumPy pass and
-        armed fault-injection runs always execute serially — the
-        channel transport and injector bookkeeping are deliberately
+        Size of the native driver's worker pool.  ``None`` (default)
+        means one worker per CPU this process may run on
+        (:func:`~repro.core.native.usable_cpus`, its affinity mask); an
+        int pins the size.  Blocks within a pass are independent and
+        write disjoint output slices, so the result is bit-identical
+        for every worker count.  A pass with a single block (or a
+        one-worker pool) runs inline on the calling thread.  The NumPy
+        pass and armed fault-injection runs always execute serially —
+        the channel transport and injector bookkeeping are deliberately
         sequential.
     engine:
         ``"auto"`` (default) walks the ladder ``native -> numpy``:
@@ -250,7 +259,7 @@ class FPGAAccelerator:
         config: BlockingConfig,
         boundary: str = "clamp",
         stall_watchdog: int | None = None,
-        workers: int = 1,
+        workers: int | None = None,
         engine: str = "auto",
     ):
         if spec.dims != config.dims:
@@ -269,7 +278,9 @@ class FPGAAccelerator:
             raise ConfigurationError(
                 f"stall_watchdog must be >= 1, got {stall_watchdog}"
             )
-        if workers < 1:
+        if workers is None:
+            workers = usable_cpus()
+        elif workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         check_engine(engine, ACCELERATOR_ENGINES)
         self.spec = spec
@@ -308,7 +319,7 @@ class FPGAAccelerator:
         boundary: str = "clamp",
         iterations: int = 1,
         engine: str = "auto",
-        workers: int = 1,
+        workers: int | None = None,
     ) -> "FPGAAccelerator":
         """An accelerator whose blocking config is picked by the autotuner.
 

@@ -164,6 +164,14 @@ static void fill_halo(float *buf, i64 n0, i64 s0, int periodic) {
 #: — across grids of a batch as well as blocks of one grid) and the
 #: public pool API.
 _DRIVER_EPILOGUE = r"""
+/* One (grid, block) unit on ping/pong scratch starting at ``base``. */
+static void run_unit(const job_t *J, i64 t, float *base) {
+  const i64 g = t / J->n_blocks;
+  const i64 b = t % J->n_blocks;
+  do_block(J, J->src + g * J->grid_stride, J->out + g * J->grid_stride,
+           b, base, base + J->scratch_half);
+}
+
 static void run_worker(pool_t *p, i64 wid) {
   const job_t *J = &p->job;
   float *base = J->scratch + wid * 2 * J->scratch_half;
@@ -171,10 +179,7 @@ static void run_worker(pool_t *p, i64 wid) {
   for (;;) {
     i64 t = __atomic_fetch_add(&p->next_block, 1, __ATOMIC_RELAXED);
     if (t >= total) break;
-    const i64 g = t / J->n_blocks;
-    const i64 b = t % J->n_blocks;
-    do_block(J, J->src + g * J->grid_stride, J->out + g * J->grid_stride,
-             b, base, base + J->scratch_half);
+    run_unit(J, t, base);
   }
 }
 
@@ -233,33 +238,30 @@ void driver_run_pass(void *handle, const float *src, float *out,
                      int periodic, float *scratch, i64 scratch_half,
                      i64 n_grids, i64 grid_stride) {
   pool_t *p = (pool_t *)handle;
+  const job_t job = {
+      .src = src, .out = out, .blocks = blocks, .segs = segs, .wins = wins,
+      .n_blocks = n_blocks, .steps = steps, .gs0 = gs0, .gs1 = gs1,
+      .periodic = periodic, .scratch = scratch, .scratch_half = scratch_half,
+      .n_grids = n_grids, .grid_stride = grid_stride};
+  const i64 total = n_grids * n_blocks;
+  if (p->n_workers == 1 || total <= 1) {
+    /* nothing to share: run inline on the calling thread (worker 0's
+     * scratch) without waking, locking or waiting on the pool */
+    for (i64 t = 0; t < total; ++t) run_unit(&job, t, scratch);
+    return;
+  }
   pthread_mutex_lock(&p->mu);
-  p->job.src = src;
-  p->job.out = out;
-  p->job.blocks = blocks;
-  p->job.segs = segs;
-  p->job.wins = wins;
-  p->job.n_blocks = n_blocks;
-  p->job.steps = steps;
-  p->job.gs0 = gs0;
-  p->job.gs1 = gs1;
-  p->job.periodic = periodic;
-  p->job.scratch = scratch;
-  p->job.scratch_half = scratch_half;
-  p->job.n_grids = n_grids;
-  p->job.grid_stride = grid_stride;
+  p->job = job;
   p->next_block = 0;
   p->workers_done = 0;
   p->generation++;
   pthread_cond_broadcast(&p->cv_work);
   pthread_mutex_unlock(&p->mu);
   run_worker(p, 0);  /* the calling thread is worker 0 */
-  if (p->n_workers > 1) {
-    pthread_mutex_lock(&p->mu);
-    while (p->workers_done < p->n_workers - 1)
-      pthread_cond_wait(&p->cv_done, &p->mu);
-    pthread_mutex_unlock(&p->mu);
-  }
+  pthread_mutex_lock(&p->mu);
+  while (p->workers_done < p->n_workers - 1)
+    pthread_cond_wait(&p->cv_done, &p->mu);
+  pthread_mutex_unlock(&p->mu);
 }
 
 void driver_destroy(void *handle) {
@@ -902,6 +904,19 @@ def native_available() -> bool:
     return not os.environ.get(DISABLE_ENV) and _find_compiler() is not None
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on (its affinity mask).
+
+    The default pool size: one worker per CPU the operating system
+    will actually run this process on, so a process pinned to one CPU
+    runs every pass inline on the calling thread.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 class NativeDriver:
     """A compiled fused pass driver with its own persistent worker pool.
 
@@ -911,6 +926,9 @@ class NativeDriver:
     :meth:`run_pass` call executes an *entire pass* — every block's
     gather, all chained PE stages and the write-back — inside native
     code, with blocks claimed off one atomic counter (work-stealing).
+    A pass with a single ``(grid, block)`` unit, or any pass of a
+    one-worker pool, runs inline on the calling thread and never
+    touches the pool's mutex or condition variables.
     The handle is not reentrant: one pass at a time per driver, which is
     exactly the accelerator's pass loop.  Freed via ``weakref.finalize``
     (or an explicit :meth:`close`), so pools never leak across runs.

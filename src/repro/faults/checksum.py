@@ -14,8 +14,13 @@ import numpy as np
 
 
 def crc32_array(array: np.ndarray) -> int:
-    """CRC32 of an array's raw bytes (layout-normalised)."""
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+    """CRC32 of an array's raw bytes (layout-normalised).
+
+    Equal to ``zlib.crc32(array.tobytes())``, but a C-contiguous array is
+    hashed in place, through a byte view of its buffer, with no copy.
+    """
+    flat = np.ascontiguousarray(array).reshape(-1)
+    return zlib.crc32(flat.view(np.uint8))
 
 
 def crc32_bytes(data: bytes) -> int:

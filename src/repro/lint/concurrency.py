@@ -35,10 +35,11 @@ proves, ahead of any run:
   joined — a still-running daemon must never touch a closed handle.
 * **T509/T510 — generated-driver protocol.**  Structural verification
   of the C pass driver's pthread pool: the block-claim counter only
-  advances via ``__atomic_fetch_add`` (resets to zero must hold the
-  mutex), workers only ``pthread_cond_wait`` under the mutex and behind
-  a ``while`` predicate, and every ``cv_work`` broadcast bumps the
-  generation counter (or raises ``shutdown``) first.
+  advances one unit at a time via ``__atomic_fetch_add`` inside a claim
+  loop (resets to zero must hold the mutex), workers only
+  ``pthread_cond_wait`` under the mutex and behind a ``while``
+  predicate, and every ``cv_work`` broadcast bumps the generation
+  counter (or raises ``shutdown``) first.
 * **T511 — no blocking call under a lock.**  ``sleep``/``join``/
   ``run``/``execute_*``/``wait``-style calls while holding a lock
   serialize the world behind it; the one sanctioned shape is waiting on
@@ -1060,6 +1061,11 @@ def lint_concurrency_tree(root: Path) -> list[Finding]:
 # --------------------------------------------------------------------- #
 
 _NB_DECL_RE = re.compile(r"\bi64\s+next_block\s*;")
+_NB_CLAIM_RE = re.compile(
+    r"__atomic_fetch_add\s*\(\s*&\s*(p\s*->\s*)?next_block\s*,\s*1\s*,"
+)
+_LOOP_HEAD_RE = re.compile(r"^(\}\s*)?(for|while|do)\b")
+_COMMENT_RE = re.compile(r"/\*.*?\*/|//.*$")
 _NB_RESET_RE = re.compile(r"next_block\s*=\s*0\s*;")
 _NB_MUTATE_RE = re.compile(
     r"(next_block\s*(\+\+|--|=|\+=|-=))|((\+\+|--)\s*(p\s*->\s*)?next_block)"
@@ -1078,8 +1084,10 @@ def lint_driver_concurrency(text: str, name: str) -> list[Finding]:
     mutant of them:
 
     * T509 — the block-claim counter ``next_block`` is only advanced by
-      ``__atomic_fetch_add``; the only other permitted write is a reset
-      to zero while the mutex is held.
+      ``__atomic_fetch_add(&p->next_block, 1, ...)`` inside a loop body
+      (the claim loop — brace-tracked, so a pass run inline on the
+      calling thread cannot bump it from straight-line code); the only
+      other permitted write is a reset to zero while the mutex is held.
     * T510 — ``pthread_cond_wait`` only under the mutex and behind a
       ``while`` predicate; ``cv_work`` broadcasts bump ``generation``
       (or raise ``shutdown``) under the mutex first; ``cv_done``
@@ -1087,6 +1095,7 @@ def lint_driver_concurrency(text: str, name: str) -> list[Finding]:
     """
     findings: list[Finding] = []
     depth = 0
+    braces: list[bool] = []  # one entry per open brace: is it a loop body?
     gen_since_lock = False
     shutdown_since_lock = False
     done_since_lock = False
@@ -1102,12 +1111,29 @@ def lint_driver_concurrency(text: str, name: str) -> list[Finding]:
         line = raw.strip()
         if not line or line.startswith(("/*", "*", "//")):
             continue
+        code = _COMMENT_RE.sub("", line)
+        # a loop body: an open loop brace, or the single statement of a
+        # brace-less loop head on this line or the one before
+        loop_head = bool(_LOOP_HEAD_RE.match(code))
+        in_loop = any(braces) or loop_head or (
+            bool(_LOOP_HEAD_RE.match(last_code_line))
+            and "{" not in last_code_line
+        )
         if "pthread_mutex_lock" in line:
             depth += 1
             gen_since_lock = shutdown_since_lock = done_since_lock = False
         if "next_block" in line and not _NB_DECL_RE.search(line):
             if "__atomic_fetch_add" in line:
-                pass  # the sanctioned claim operation
+                if not (in_loop and _NB_CLAIM_RE.search(line)):
+                    emit(
+                        "T509", lineno,
+                        "claim counter advanced outside a claim loop or "
+                        "by more than one unit; the units it skips are "
+                        "never run",
+                        "advance next_block only in a worker's claim "
+                        "loop, one unit per __atomic_fetch_add; run an "
+                        "inline pass without touching the counter",
+                    )
             elif _NB_RESET_RE.search(line):
                 if depth < 1:
                     emit(
@@ -1187,5 +1213,11 @@ def lint_driver_concurrency(text: str, name: str) -> list[Finding]:
             if depth == 0:
                 gen_since_lock = shutdown_since_lock = False
                 done_since_lock = False
-        last_code_line = line
+        for ch in code:
+            if ch == "{":
+                braces.append(loop_head)
+                loop_head = False  # only the head's first brace is the body
+            elif ch == "}" and braces:
+                braces.pop()
+        last_code_line = code
     return findings

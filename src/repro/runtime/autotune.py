@@ -20,8 +20,10 @@ it::
            cpu fingerprint, driver source digest, cache schema version)
 
 The cpu fingerprint (:func:`cpu_fingerprint`) folds in the processor
-model and core count, so a cache directory shared between heterogeneous
-hosts never serves a plan measured on different silicon.  The driver
+model and the number of CPUs this process may run on, so a cache
+directory shared between heterogeneous hosts never serves a plan
+measured on different silicon, and a plan measured with a two-worker
+pool is never served to a process pinned to one CPU.  The driver
 source digest (:func:`source_digest`) does the same for code: an edit
 to the generated driver invalidates every plan measured on the old one.
 Bumping ``CACHE_VERSION`` invalidates every prior selection at once (the
@@ -58,7 +60,7 @@ import numpy as np
 
 from repro.core.accelerator import FPGAAccelerator
 from repro.core.blocking import BlockingConfig
-from repro.core.native import driver_source
+from repro.core.native import driver_source, usable_cpus
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A, Board
@@ -72,23 +74,33 @@ DISABLE_ENV = "REPRO_NO_AUTOTUNE"
 
 #: Bump to invalidate every persisted selection (schema or semantics
 #: change); part of the content address, so old entries just go cold.
-CACHE_VERSION = 1
+#: Version 2: candidates are measured with the default, affinity-sized
+#: driver pool instead of one worker.
+CACHE_VERSION = 2
 
 
-_CPU_FINGERPRINT: str | None = None
+_CPU_MODEL: str | None = None
 
 
 def cpu_fingerprint() -> str:
     """A stable identity for the silicon a measurement ran on.
 
     Processor model name (from ``/proc/cpuinfo`` when available) plus
-    the core count — enough that a cache directory shared across
-    heterogeneous hosts (or a container whose CPU allotment changed)
-    never serves a foreign plan.
+    the number of CPUs this process may run on
+    (:func:`~repro.core.native.usable_cpus`, the size candidates are
+    measured with) — enough that a cache directory shared across
+    heterogeneous hosts, a container whose CPU allotment changed, or a
+    process pinned to fewer CPUs never serves a foreign plan.  The model
+    name is read once; the affinity mask on every call, since it can
+    change while the process runs.
     """
-    global _CPU_FINGERPRINT
-    if _CPU_FINGERPRINT is not None:
-        return _CPU_FINGERPRINT
+    return f"{_cpu_model()}/cores={usable_cpus()}"
+
+
+def _cpu_model() -> str:
+    global _CPU_MODEL
+    if _CPU_MODEL is not None:
+        return _CPU_MODEL
     model = ""
     try:
         with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
@@ -102,8 +114,8 @@ def cpu_fingerprint() -> str:
         import platform
 
         model = platform.processor() or platform.machine() or "unknown"
-    _CPU_FINGERPRINT = f"{model}/cores={os.cpu_count() or 1}"
-    return _CPU_FINGERPRINT
+    _CPU_MODEL = model
+    return model
 
 
 #: :func:`source_digest` memo per spec key: generating a 3D radius-4

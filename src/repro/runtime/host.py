@@ -237,9 +237,11 @@ class StencilProgram:
     device), the fmax model, and generates the kernel source.  ``engine``
     — one of :data:`~repro.core.accelerator.ENGINES` — is forwarded to
     :class:`~repro.core.FPGAAccelerator` (ladder ``auto -> native ->
-    numpy``); the wrapped accelerator — and its persistent worker pool —
-    lives for the program's lifetime, so schedulers re-dispatching many
-    small jobs through one program never rebuild pools.
+    numpy``); the wrapped accelerator — and its persistent worker pool,
+    one worker per CPU this process may run on — lives for the
+    program's lifetime, so every pass of an executed job runs on all of
+    those CPUs and schedulers re-dispatching many small jobs through
+    one program never rebuild pools.
     :attr:`resolved_engine` reports the tier actually selected.
     """
 

@@ -155,7 +155,10 @@ class ShardedRunner:
         across them (see :class:`~repro.core.sharding.ShardPlan`).
     engine:
         Initial engine of every device's accelerator, one of
-        :data:`~repro.core.accelerator.ENGINES`.  Per-shard fault
+        :data:`~repro.core.accelerator.ENGINES`.  Each accelerator's
+        native pool has the default size (one worker per CPU this
+        process may run on); shards execute one at a time, so those
+        pools never compete for the CPUs.  Per-shard fault
         pressure degrades individual devices to ``"numpy"``
         independently; degradation is sticky across runs (a flaky board
         stays degraded, mirroring scheduler quarantine).

@@ -12,9 +12,15 @@ recovery (armed runs force the serial channel path).
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     BlockingConfig,
     FPGAAccelerator,
@@ -22,7 +28,12 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.native import DISABLE_ENV, native_available, native_driver
+from repro.core.native import (
+    DISABLE_ENV,
+    native_available,
+    native_driver,
+    usable_cpus,
+)
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SEUFault, arm
@@ -92,15 +103,55 @@ def test_3d_bit_identical_across_engines(radius, boundary) -> None:
 @needs_driver
 @pytest.mark.parametrize("workers", [1, 2, 4, 9])
 def test_worker_count_never_changes_bits(workers) -> None:
-    # more workers than blocks included: extra threads must idle safely
+    # more workers than blocks included: extra threads must idle safely.
+    # A single-block grid and a B=1 batch of it are one-unit passes,
+    # which the driver runs inline on the calling thread at any size.
     spec = StencilSpec.star(2, 2)
     cfg = _cfg(2, 2, partime=3)
     grid = make_grid((9, 95), "mixed", seed=3)
-    want = reference_run(grid, spec, 7)
+    single = make_grid((9, 7), "mixed", seed=4)
     acc = FPGAAccelerator(spec, cfg, engine="native", workers=workers)
-    got, _ = acc.run(grid, 7)
-    acc.close()
-    assert np.array_equal(want, got)
+    try:
+        got, _ = acc.run(grid, 7)
+        one, stats = acc.run(single, 7)
+        batch = acc.run_batch([single], 7)
+    finally:
+        acc.close()
+    assert np.array_equal(reference_run(grid, spec, 7), got)
+    assert stats.blocks_per_pass == 1
+    want = reference_run(single, spec, 7)
+    assert np.array_equal(want, one)
+    assert batch.ok and np.array_equal(want, batch.outputs[0])
+
+
+def test_default_pool_is_one_worker_per_usable_cpu() -> None:
+    spec = StencilSpec.star(2, 1)
+    cfg = _cfg(2, 1, partime=2)
+    acc = FPGAAccelerator(spec, cfg)
+    try:
+        assert acc.workers == usable_cpus() == len(os.sched_getaffinity(0))
+        if acc._driver is not None:
+            assert acc._driver.workers == acc.workers
+    finally:
+        acc.close()
+    # a process pinned to one CPU gets a one-worker pool
+    probe = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec\n"
+        "cfg = BlockingConfig(dims=2, radius=1, bsize_x=16, parvec=4,"
+        " partime=2)\n"
+        "print(FPGAAccelerator(StencilSpec.star(2, 1), cfg).workers)\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 @needs_driver

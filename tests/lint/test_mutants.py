@@ -634,6 +634,27 @@ def _t509_unlocked_reset():
     )
 
 
+def _t509_inline_claim_outside_loop():
+    # a one-unit pass run inline that still claims off the shared
+    # counter: nothing reset it since the last pooled pass, so the claim
+    # returns a stale index past the end of this pass's units
+    return lint_driver_concurrency(
+        "void driver_run_pass(void *handle, i64 total) {\n"
+        "  pool_t *p = (pool_t *)handle;\n"
+        "  if (p->n_workers == 1 || total <= 1) {\n"
+        "    i64 t = __atomic_fetch_add(&p->next_block, 1, __ATOMIC_RELAXED);\n"
+        "    run_unit(&job, t, scratch);\n"
+        "    return;\n"
+        "  }\n"
+        "  for (;;) {\n"
+        "    i64 u = __atomic_fetch_add(&p->next_block, 1, __ATOMIC_RELAXED);\n"
+        "    if (u >= total) break;\n"
+        "  }\n"
+        "}\n",
+        "driver<mutant>.c",
+    )
+
+
 def _t510_wait_without_while():
     return lint_driver_concurrency(
         "static void *worker_main(void *arg) {\n"
@@ -768,6 +789,8 @@ MUTANTS = [
     ("t509-nonatomic-claim", "T509", _t509_nonatomic_claim,
      "driver<mutant>.c:"),
     ("t509-unlocked-reset", "T509", _t509_unlocked_reset,
+     "driver<mutant>.c:"),
+    ("t509-inline-claim-outside-loop", "T509", _t509_inline_claim_outside_loop,
      "driver<mutant>.c:"),
     ("t510-wait-no-while", "T510", _t510_wait_without_while,
      "driver<mutant>.c:"),

@@ -16,9 +16,15 @@ deterministic and never touches the real user cache directory.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.native import native_available
@@ -110,6 +116,39 @@ def test_digest_changes_with_the_generated_driver_source(monkeypatch) -> None:
     monkeypatch.setattr(autotune, "driver_source", lambda spec, vec: edited)
     monkeypatch.setattr(autotune, "_SOURCE_DIGESTS", {})
     assert plan_digest(SPEC, SHAPE, "clamp", "auto", "cpuA") != base
+
+
+def test_fingerprint_and_digest_follow_the_affinity_mask() -> None:
+    # measured winners depend on the pool size, which is the affinity
+    # count: shrinking the mask must move the plan to a fresh key
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("needs at least two usable CPUs to shrink the mask")
+    probe = (
+        "import json, os\n"
+        "from repro.core import StencilSpec\n"
+        "from repro.runtime.autotune import cpu_fingerprint, plan_digest\n"
+        "def key():\n"
+        "    cpu = cpu_fingerprint()\n"
+        "    return [cpu, plan_digest(StencilSpec.star(2, 1), (16, 64),"
+        " 'clamp', 'auto', cpu)]\n"
+        "wide = key()\n"
+        f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+        "print(json.dumps([wide, key()]))\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (wide_cpu, wide_digest), (one_cpu, one_digest) = json.loads(proc.stdout)
+    assert wide_cpu == cpu_fingerprint()
+    assert wide_cpu.endswith(f"/cores={len(cpus)}")
+    assert one_cpu.endswith("/cores=1")
+    assert one_digest != wide_digest
 
 
 # -- resolution ladder ------------------------------------------------------ #
