@@ -184,6 +184,54 @@ class _Scratch:
         return buf
 
 
+class _PassTargets:
+    """Output arrays for a run's passes, alternating so the last lands in
+    ``out``.
+
+    A pass writes ``out`` when an odd number of passes (counting itself)
+    remain, else a second array allocated on first use — so a one-pass
+    run allocates nothing beyond ``out``.  The choice depends only on
+    the steps left, so it stays right after a checkpoint rollback
+    restarts the tail from a snapshot.
+    """
+
+    def __init__(self, out: np.ndarray, partime: int) -> None:
+        self.out = out
+        self.partime = partime
+        self._other: np.ndarray | None = None
+
+    def next(self, remaining: int) -> np.ndarray:
+        if -(-remaining // self.partime) % 2:
+            return self.out
+        if self._other is None:
+            self._other = np.empty_like(self.out)
+        return self._other
+
+
+def _check_out(out: np.ndarray, shape: tuple[int, ...], inputs) -> None:
+    """Raise :class:`ConfigurationError` unless ``out`` can take a result
+    of ``shape``: float32, C-contiguous, writeable and sharing no memory
+    with any of ``inputs``."""
+    problem = None
+    if not isinstance(out, np.ndarray):
+        problem = f"out must be a numpy array, got {type(out).__name__}"
+    elif out.shape != shape or out.dtype != np.float32:
+        problem = (
+            f"out is {out.dtype}{list(out.shape)}, result is "
+            f"float32{list(shape)}"
+        )
+    elif not (out.flags.c_contiguous and out.flags.writeable):
+        problem = "out must be C-contiguous and writeable"
+    elif any(np.may_share_memory(out, a) for a in inputs):
+        problem = "out must not share memory with the input"
+    if problem is not None:
+        raise ConfigurationError(
+            problem, param="out", value=getattr(out, "shape", out),
+            constraint=f"writeable C-contiguous float32{list(shape)} "
+            "disjoint from the input",
+        )
+
+
 class FPGAAccelerator:
     """Functional model of the blocked, PE-chained stencil accelerator.
 
@@ -387,6 +435,7 @@ class FPGAAccelerator:
         iterations: int,
         expected_crc: int | None = None,
         checkpoint=None,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, AcceleratorStats]:
         """Advance ``grid`` by ``iterations`` time steps.
 
@@ -394,6 +443,15 @@ class FPGAAccelerator:
         ``iterations`` is not a multiple of ``partime`` the final pass runs
         only the remaining steps (the hardware equivalent: trailing PEs
         forward data unchanged).
+
+        ``out`` receives the result: a writeable C-contiguous float32
+        array of the grid's shape that shares no memory with ``grid``
+        (else :class:`ConfigurationError`).  The passes alternate
+        between ``out`` and one scratch array so that the last pass
+        writes straight into ``out``; ``iterations == 0`` copies the
+        input into it.  The returned ``result`` *is* ``out``.  Without
+        ``out`` the result is a fresh array of this run's own, never
+        aliasing accelerator state or a checkpoint snapshot.
 
         ``expected_crc`` is the golden-CRC check: when given, the CRC32
         of the float32 result must match it or
@@ -431,6 +489,10 @@ class FPGAAccelerator:
         if iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
         grid = np.ascontiguousarray(grid, dtype=np.float32)
+        if out is None:
+            out = np.empty_like(grid)
+        else:
+            _check_out(out, grid.shape, (grid,))
 
         plan = get_pass_plan(config, grid.shape, self.boundary)
         stats = AcceleratorStats(
@@ -439,9 +501,9 @@ class FPGAAccelerator:
             grid_shape=grid.shape,
         )
         if iterations == 0:
-            result = grid.copy()
-            self._golden_check(result, expected_crc, stats)
-            return result, stats
+            np.copyto(out, grid)
+            self._golden_check(out, expected_crc, stats)
+            return out, stats
 
         mgr = None
         if checkpoint is not None:
@@ -453,20 +515,16 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(grid, stats)
 
-        # Ping-pong output buffers: two allocations per run (passes
-        # alternate between them) instead of one ``np.empty_like`` per
-        # pass.  Both are this run's own arrays, so the returned result
-        # never aliases accelerator state or a checkpoint snapshot.
-        pong = (np.empty_like(grid), np.empty_like(grid))
+        targets = _PassTargets(out, config.partime)
         current = grid
         remaining = iterations
         while True:
             try:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
-                    out = pong[0] if current is not pong[0] else pong[1]
-                    self._run_pass(current, out, plan, steps, stats)
-                    current = out
+                    target = targets.next(remaining)
+                    self._run_pass(current, target, plan, steps, stats)
+                    current = target
                     remaining -= steps
                     stats.passes += 1
                     stats.steps_executed += steps
@@ -507,6 +565,7 @@ class FPGAAccelerator:
         iterations: int,
         expected_crcs: Sequence[int | None] | None = None,
         checkpoint=None,
+        out: np.ndarray | None = None,
     ) -> BatchResult:
         """Advance ``len(grids)`` same-shape grids by ``iterations`` steps.
 
@@ -539,6 +598,13 @@ class FPGAAccelerator:
         (``None`` entries skip the check); mismatches fail the affected
         entries only.  ``stats`` aggregates counters over the whole
         batch (per-pass quantities scale by the batch size).
+
+        ``out`` is the output slab — a writeable C-contiguous float32
+        array of shape ``(len(grids),) + grid_shape`` sharing no memory
+        with the inputs (else :class:`ConfigurationError`).  The last
+        pass writes straight into it, the returned outputs are views of
+        its entries, and a failed entry's slot holds that grid's input.
+        Without ``out`` every output is an independent array.
         """
         if self._closed:
             raise ConfigurationError(
@@ -580,18 +646,40 @@ class FPGAAccelerator:
             shift_register_words_per_pe=shift_register_words(config),
             grid_shape=bplan.grid_shape,
         )
+        if out is not None:
+            _check_out(out, bplan.slab_shape, arrays)
 
         if fault_hooks.ACTIVE is not None:
-            return self._run_batch_armed(
-                arrays, iterations, expected_crcs, checkpoint, stats
+            result = self._run_batch_armed(
+                arrays, iterations, expected_crcs, checkpoint, stats, out
             )
+        else:
+            outputs = self._run_slab(
+                bplan, arrays, iterations, checkpoint, stats, out
+            )
+            result = BatchResult(outputs, [None] * n_grids, stats)
+            self._batch_golden(result, expected_crcs)
+        if out is not None:
+            for g, output in enumerate(result.outputs):
+                if output is None:
+                    out[g] = arrays[g]
+        return result
 
-        errors: list[Exception | None] = [None] * n_grids
+    def _run_slab(
+        self,
+        bplan: BatchPlan,
+        arrays: list[np.ndarray],
+        iterations: int,
+        checkpoint,
+        stats: AcceleratorStats,
+        out: np.ndarray | None,
+    ) -> list[np.ndarray | None]:
+        """Disarmed batch: every pass over the whole slab at once."""
         if iterations == 0:
-            outputs: list[np.ndarray | None] = [a.copy() for a in arrays]
-            self._batch_golden(outputs, errors, expected_crcs, stats)
-            return BatchResult(outputs, errors, stats)
-
+            if out is None:
+                return [a.copy() for a in arrays]
+            return list(bplan.pack(arrays, out=out))
+        config, plan, n_grids = self.config, bplan.plan, bplan.n_grids
         slab = bplan.pack(arrays)
         mgr = None
         if checkpoint is not None:
@@ -600,18 +688,20 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(slab, stats)
 
-        pong = (np.empty_like(slab), np.empty_like(slab))
+        targets = _PassTargets(
+            np.empty_like(slab) if out is None else out, config.partime
+        )
         current = slab
         remaining = iterations
         while True:
             try:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
-                    out = pong[0] if current is not pong[0] else pong[1]
+                    target = targets.next(remaining)
                     if self._driver is not None:
                         tables = self._driver_tables(plan, steps)
                         self._driver.run_batch_pass(
-                            current, out, tables, plan.periodic,
+                            current, target, tables, plan.periodic,
                             self._driver_scratch, n_grids, bplan.grid_stride,
                         )
                     else:
@@ -619,9 +709,11 @@ class FPGAAccelerator:
                         # view runs exactly like a standalone grid
                         windows = plan.windows(steps)
                         for g in range(n_grids):
-                            self._exec_blocks(current[g], out[g], plan, windows)
+                            self._exec_blocks(
+                                current[g], target[g], plan, windows
+                            )
                     self._account_pass(stats, plan, n_grids)
-                    current = out
+                    current = target
                     remaining -= steps
                     stats.passes += 1
                     stats.steps_executed += steps
@@ -633,9 +725,7 @@ class FPGAAccelerator:
                     raise
                 current = mgr.rollback(stats, err)
                 remaining = iterations - stats.steps_executed
-        outputs = list(bplan.unpack(current))
-        self._batch_golden(outputs, errors, expected_crcs, stats)
-        return BatchResult(outputs, errors, stats)
+        return list(bplan.unpack(current) if out is None else current)
 
     def _run_batch_armed(
         self,
@@ -644,6 +734,7 @@ class FPGAAccelerator:
         expected_crcs,
         checkpoint,
         stats: AcceleratorStats,
+        out: np.ndarray | None,
     ) -> BatchResult:
         """Armed batch: hardened per-grid execution, per-grid failures.
 
@@ -668,15 +759,15 @@ class FPGAAccelerator:
         for g, grid in enumerate(arrays):
             crc = expected_crcs[g] if expected_crcs is not None else None
             try:
-                out, s = self.run(
+                output, s = self.run(
                     grid, iterations, expected_crc=crc,
-                    checkpoint=policy,
+                    checkpoint=policy, out=None if out is None else out[g],
                 )
             except FaultDetectedError as err:
                 outputs.append(None)
                 errors.append(err)
                 continue
-            outputs.append(out)
+            outputs.append(output)
             errors.append(None)
             for name in (
                 "passes", "steps_executed", "cells_written",
@@ -688,24 +779,20 @@ class FPGAAccelerator:
         return BatchResult(outputs, errors, stats)
 
     @staticmethod
-    def _batch_golden(
-        outputs: list[np.ndarray | None],
-        errors: list[Exception | None],
-        expected_crcs,
-        stats: AcceleratorStats,
-    ) -> None:
+    def _batch_golden(result: BatchResult, expected_crcs) -> None:
         """Per-grid golden-CRC check: mismatches fail only their entry."""
         if expected_crcs is None:
             return
-        for g, crc in enumerate(expected_crcs):
-            if crc is None or outputs[g] is None:
+        outputs = result.outputs
+        for g, output in enumerate(outputs):
+            if expected_crcs[g] is None or output is None:
                 continue
-            got = crc32_array(outputs[g])
-            if got != crc:
-                errors[g] = fault_hooks.report_detection(
+            got = crc32_array(output)
+            if got != expected_crcs[g]:
+                result.errors[g] = fault_hooks.report_detection(
                     FaultDetectedError(
                         f"golden-CRC mismatch on batch grid {g}: result CRC "
-                        f"{got:#010x} != expected {crc:#010x}"
+                        f"{got:#010x} != expected {expected_crcs[g]:#010x}"
                     )
                 )
                 outputs[g] = None

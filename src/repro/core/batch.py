@@ -114,11 +114,14 @@ class BatchPlan:
         """Per-grid float offset of each grid within the slab."""
         return tuple(g * self.grid_stride for g in range(self.n_grids))
 
-    def pack(self, grids: Sequence[np.ndarray]) -> np.ndarray:
+    def pack(
+        self, grids: Sequence[np.ndarray], out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Stack ``n_grids`` grids into one contiguous float32 slab.
 
         Validates count and shapes; the inputs are copied (the slab is
-        the batch's working memory, callers keep their arrays).
+        the batch's working memory, callers keep their arrays) into
+        ``out`` when given, else into a new slab.
         """
         if len(grids) != self.n_grids:
             raise ConfigurationError(
@@ -126,7 +129,7 @@ class BatchPlan:
                 param="grids", value=len(grids),
                 constraint=f"len(grids) == n_grids ({self.n_grids})",
             )
-        slab = np.empty(self.slab_shape, dtype=np.float32)
+        slab = np.empty(self.slab_shape, dtype=np.float32) if out is None else out
         for g, grid in enumerate(grids):
             if tuple(grid.shape) != self.grid_shape:
                 raise ConfigurationError(

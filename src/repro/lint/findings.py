@@ -120,6 +120,8 @@ RULES: dict[str, Rule] = _catalog([
      "id()-keyed state (object-identity reuse hazard)"),
     ("H403", Severity.ERROR, "purity",
      "unseeded random number generator on a simulation path"),
+    ("H404", Severity.ERROR, "purity",
+     "integrity check (CRC or host mirror) skipped outside a disarmed guard"),
     # ---- concurrency pass ---------------------------------------------- #
     ("T501", Severity.ERROR, "concurrency",
      "lock-acquisition graph contains a cycle (potential deadlock)"),

@@ -12,6 +12,13 @@ to break silently during refactors:
   unrelated arrays.
 * H403 — no unseeded random number generators: simulation paths must be
   reproducible, so every RNG takes an explicit seed.
+* H404 — an integrity check (a ``crc32_array`` call or a store into a
+  host mirror, ``..._host_mirror[...] = ...``) is skipped only where no
+  fault can enter: every condition it sits under must hold whenever a
+  plan is armed (``inj is not None``) or a golden CRC was supplied
+  (``expected_crc is not None``).  Two more conditions skip nothing: a
+  cache fill (``if self._crc is None: self._crc = crc32_array(...)``)
+  and an absent argument (``if x is not None: crc32_array(x)``).
 
 The checker is deliberately syntactic and conservative-but-precise for
 this codebase's idioms.  Accepted guard forms (all appear in the source
@@ -218,6 +225,153 @@ def _check_hooks(
         )
 
 
+#: Names whose ``None`` test means "no golden CRC was supplied".
+_GOLDEN_NAMES = frozenset({"expected_crc", "expected_crcs"})
+
+
+def _is_crc_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return name == "crc32_array"
+
+
+def _is_mirror_store(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Assign):
+        return False
+    for target in node.targets:
+        if isinstance(target, ast.Subscript):
+            base = target.value
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(
+                base, "id", ""
+            )
+            if name.endswith("_host_mirror"):
+                return True
+    return False
+
+
+def _justified(test: ast.AST, ctx, runs: bool) -> bool:
+    """H404 on one condition.  ``runs``: the check runs under ``test``,
+    so it must hold whenever a fault can enter.  Otherwise the check is
+    skipped under ``test``, so it must hold only where none can."""
+    aliases, memo, arg = ctx
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _justified(test.operand, ctx, not runs)
+    if isinstance(test, ast.BoolOp):
+        verdicts = [_justified(v, ctx, runs) for v in test.values]
+        return any(verdicts) if isinstance(test.op, ast.Or) == runs else all(
+            verdicts
+        )
+    none_test = _none_test(test)
+    if none_test is None:
+        return False
+    subject, is_none = none_test
+    text = ast.unparse(subject)
+    if is_none == runs:  # runs when ``memo is None``: a cache fill
+        return text == memo
+    if text == arg:  # runs when there is something to check
+        return True
+    if isinstance(subject, ast.Subscript):
+        subject = subject.value
+    return _expr_matches(subject, aliases) or (
+        isinstance(subject, ast.Name) and subject.id in _GOLDEN_NAMES
+    )
+
+
+def _none_test(test: ast.AST) -> tuple[ast.AST, bool] | None:
+    """``x is None`` -> (x, True); ``x is not None`` -> (x, False)."""
+    if (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        return test.left, isinstance(test.ops[0], ast.Is)
+    return None
+
+
+def _exits_quietly(stmt: ast.stmt) -> bool:
+    """``if <test>: ... return|continue|break`` — an exit that skips what
+    follows without failing (a ``raise`` fails loudly instead)."""
+    return (
+        isinstance(stmt, ast.If)
+        and not stmt.orelse
+        and isinstance(stmt.body[-1], (ast.Return, ast.Continue, ast.Break))
+    )
+
+
+def _unjustified_skip(node: ast.AST, ctx) -> ast.AST | None:
+    """The first condition that can skip ``node`` without a disarmed or
+    golden-CRC justification, or ``None`` when every skip is justified."""
+    child: ast.AST = node
+    parent = _parent(node)
+    while parent is not None:
+        if isinstance(parent, (ast.If, ast.IfExp)) and child is not parent.test:
+            in_body = (
+                child in parent.body
+                if isinstance(parent, ast.If)
+                else child is parent.body
+            )
+            if not _justified(parent.test, ctx, runs=in_body):
+                return parent.test
+        elif isinstance(parent, ast.BoolOp) and child in parent.values:
+            runs = isinstance(parent.op, ast.And)
+            for earlier in parent.values[: parent.values.index(child)]:
+                if not _justified(earlier, ctx, runs):
+                    return earlier
+        for field in ("body", "orelse", "finalbody"):
+            stmts = getattr(parent, field, None)
+            if isinstance(stmts, list) and child in stmts:
+                for prior in stmts[: stmts.index(child)]:
+                    if _exits_quietly(prior) and not _justified(
+                        prior.test, ctx, runs=False
+                    ):
+                        return prior.test
+        if isinstance(
+            parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            break
+        child, parent = parent, _parent(parent)
+    return None
+
+
+def _check_integrity_skips(
+    tree: ast.AST, rel: str, findings: list[Finding]
+) -> None:
+    alias_map = _collect_aliases(tree)
+    for node in ast.walk(tree):
+        if _is_crc_call(node):
+            what = "crc32_array call"
+            assign = _parent(node)
+            memo = (
+                ast.unparse(assign.targets[0])
+                if isinstance(assign, ast.Assign) and len(assign.targets) == 1
+                else None
+            )
+            arg = ast.unparse(node.args[0]) if node.args else None
+        elif _is_mirror_store(node):
+            what, memo, arg = "host-mirror store", None, None
+        else:
+            continue
+        aliases = alias_map.get(_enclosing_function(node), set())
+        test = _unjustified_skip(node, (aliases, memo, arg))
+        if test is None:
+            continue
+        findings.append(
+            Finding(
+                rule="H404",
+                message=f"{what} skipped under `{ast.unparse(test)}`, which "
+                "is not a disarmed or golden-CRC guard",
+                locus=f"{rel}:{getattr(test, 'lineno', node.lineno)}",
+                hint="skip integrity checks only where no fault can enter: "
+                "under `inj is None` (inj = fault_hooks.ACTIVE) or "
+                "`expected_crc is None`",
+            )
+        )
+
+
 def _check_id_keys(
     tree: ast.AST, rel: str, findings: list[Finding]
 ) -> None:
@@ -302,6 +456,7 @@ def lint_source(text: str, filename: str) -> list[Finding]:
         ]
     _annotate_parents(tree)
     _check_hooks(tree, filename, findings)
+    _check_integrity_skips(tree, filename, findings)
     _check_id_keys(tree, filename, findings)
     _check_rng(tree, filename, findings)
     return findings

@@ -53,11 +53,20 @@ POWER_SAMPLE_INTERVAL_S = 0.010
 class Buffer:
     """A device-resident buffer with CRC-tracked contents.
 
-    ``write`` is the only sanctioned mutation path: it stores a copy of
-    the payload and records its CRC32 — the ECC the memory controller
-    keeps alongside the data.  ``verify`` re-checks that CRC (a DRAM
-    scrub), and ``view`` hands out the live storage for callers that
-    model hardware-level corruption (the fault injector).
+    ``write`` stores a copy of the payload, so the buffer never aliases
+    the caller's array; ``adopt`` takes over an array the caller hands
+    off (the kernel's output) without copying.  The CRC32 — the ECC the
+    memory controller keeps alongside the data — is recorded lazily, on
+    the first ``crc`` / ``verify`` / ``view`` after the contents change,
+    so a run that never checks never pays for it.
+
+    ``view`` hands out the live storage for callers that model
+    hardware-level corruption (the fault injector) — the only path that
+    mutates stored data in place.  It records the CRC *before* handing
+    the storage out, so ``verify`` (a DRAM scrub) catches whatever is
+    done through it.  Storage a host mirror holds (:meth:`share`) is
+    copied on the next ``view``, so the mirror keeps the written bytes.
+    ``data`` is for reading only.
     """
 
     def __init__(self, nbytes: int):
@@ -66,6 +75,7 @@ class Buffer:
         self.nbytes = nbytes
         self._data: np.ndarray | None = None
         self._crc: int | None = None
+        self._shared = False
 
     @property
     def data(self) -> np.ndarray:
@@ -75,37 +85,62 @@ class Buffer:
 
     @property
     def crc(self) -> int | None:
-        """CRC32 recorded at the last :meth:`write` (``None`` if unwritten)."""
+        """CRC32 of the contents as last stored (``None`` if unwritten)."""
+        if self._crc is None and self._data is not None:
+            self._crc = crc32_array(self._data)
         return self._crc
 
     def write(self, array: np.ndarray) -> None:
-        """Store a copy of ``array`` and record its CRC32."""
-        data = np.ascontiguousarray(array, dtype=np.float32)
-        if data.nbytes != self.nbytes:
+        """Store a float32 copy of ``array``."""
+        self.adopt(np.array(array, dtype=np.float32, order="C"))
+
+    def adopt(self, array: np.ndarray) -> None:
+        """Make ``array`` (C-contiguous float32) the contents, uncopied.
+
+        The caller hands the array over and must not write it again.
+        """
+        if array.nbytes != self.nbytes:
             raise ConfigurationError(
-                f"buffer is {self.nbytes} B but payload is {data.nbytes} B"
+                f"buffer is {self.nbytes} B but payload is {array.nbytes} B"
             )
-        self._data = data.copy()
-        self._crc = crc32_array(self._data)
+        self._data = array
+        self._crc = None
+        self._shared = False
+
+    def share(self) -> np.ndarray:
+        """The storage, for a host mirror to keep: the next ``view``
+        copies it first, so nothing written through the view reaches
+        the mirror."""
+        self._shared = True
+        return self.data
 
     def invalidate(self) -> None:
         """Discard contents and CRC (e.g. after an aborted transfer)."""
         self._data = None
         self._crc = None
+        self._shared = False
 
     def view(self) -> np.ndarray:
         """Live storage array — mutations bypass the CRC tracking.
 
         Exists for hardware-level corruption modeling (DRAM SEUs); the
-        host runtime itself never writes through it.
+        host runtime itself never writes through it.  The CRC of the
+        contents is recorded first, so a later :meth:`verify` detects
+        any mutation.
         """
-        return self.data
+        data = self.data
+        if self._crc is None:
+            self._crc = crc32_array(data)  # before the storage escapes
+        if self._shared:
+            self._data = data = data.copy()
+            self._shared = False
+        return data
 
     def verify(self) -> bool:
         """DRAM scrub: does the stored CRC still match the contents?"""
-        if self._data is None or self._crc is None:
+        if self._data is None:
             return False
-        return crc32_array(self._data) == self._crc
+        return crc32_array(self._data) == self.crc
 
 
 @dataclass(frozen=True)
@@ -306,13 +341,19 @@ class StencilProgram:
             self.spec, self.config, grid_shape, iterations, fmax_mhz=fmax
         ).time_s
 
-    def execute(self, grid: np.ndarray, iterations: int, checkpoint=None):
+    def execute(
+        self, grid: np.ndarray, iterations: int, checkpoint=None, out=None
+    ):
         """Numerically execute the kernel (functional simulator).
 
-        ``checkpoint`` is forwarded to :meth:`FPGAAccelerator.run`
-        (pass-granular recovery; ``None`` keeps the zero-overhead path).
+        ``checkpoint`` and ``out`` are forwarded to
+        :meth:`FPGAAccelerator.run` (pass-granular recovery, ``None``
+        keeping the zero-overhead path; the array the result is written
+        into).
         """
-        return self._engine.run(grid, iterations, checkpoint=checkpoint)
+        return self._engine.run(
+            grid, iterations, checkpoint=checkpoint, out=out
+        )
 
     def batch_kernel_time_s(
         self, grid_shape: tuple[int, ...], iterations: int, n_grids: int
@@ -334,14 +375,17 @@ class StencilProgram:
             fmax_mhz=fmax,
         ).time_s
 
-    def execute_batch(self, grids, iterations: int, checkpoint=None):
+    def execute_batch(self, grids, iterations: int, checkpoint=None, out=None):
         """Numerically execute one batched launch over many grids.
 
-        Forwards to :meth:`FPGAAccelerator.run_batch`; returns its
+        Forwards to :meth:`FPGAAccelerator.run_batch` (``out`` is the
+        slab the outputs are written into); returns its
         :class:`~repro.core.batch.BatchResult` (per-grid outputs and
         per-grid typed errors — one grid's fault fails only that entry).
         """
-        return self._engine.run_batch(grids, iterations, checkpoint=checkpoint)
+        return self._engine.run_batch(
+            grids, iterations, checkpoint=checkpoint, out=out
+        )
 
     def power_watts(self) -> float:
         """Modeled board power while this kernel runs."""
@@ -422,26 +466,33 @@ class CommandQueue:
     def enqueue_write_buffer(self, buffer: Buffer, host_array: np.ndarray) -> Event:
         """Host -> device transfer (charged to the clock, not the kernel).
 
-        The host CRCs the payload before sending; after the (possibly
-        faulty) transfer the device-side CRC must match or the transfer
-        is retried.  The host array is mirrored so a later DRAM scrub
-        failure can re-upload it.
+        Disarmed, the transfer is one copy into the device buffer and
+        nothing else: no fault can enter it, so there is nothing to
+        check.  While a fault plan is armed the host CRCs the payload
+        before sending; after the (possibly faulty) transfer the
+        device-side CRC must match or the transfer is retried.  Either
+        way the queue mirrors the written contents — a reference to the
+        buffer's own storage, which :meth:`Buffer.view` copies before
+        anything can corrupt it — so a later DRAM scrub failure can
+        re-upload them.
         """
         data = np.ascontiguousarray(host_array, dtype=np.float32)
         if data.nbytes != buffer.nbytes:
             raise ConfigurationError(
                 f"buffer is {buffer.nbytes} B but host array is {data.nbytes} B"
             )
-        golden = crc32_array(data)
         inj = fault_hooks.ACTIVE
+        golden = crc32_array(data) if inj is not None else None
         attempts = 0
         wait_s = 0.0
         while True:
             attempts += 1
             self.transfer_bytes += data.nbytes
+            if inj is None:
+                buffer.write(data)
+                break
             try:
-                payload = data if inj is None else inj.on_transfer("write", data)
-                buffer.write(payload)
+                buffer.write(inj.on_transfer("write", data))
                 if buffer.crc != golden:
                     buffer.invalidate()
                     raise fault_hooks.report_detection(
@@ -468,7 +519,7 @@ class CommandQueue:
             fault_hooks.report_recovery(
                 f"write-buffer recovered after {attempts} attempts"
             )
-        self._host_mirror[buffer] = data.copy()
+        self._host_mirror[buffer] = buffer.share()
         return self._record(
             "write-buffer",
             attempts * self._transfer_time_s(data.nbytes) + wait_s,
@@ -477,9 +528,14 @@ class CommandQueue:
         )
 
     def enqueue_read_buffer(self, buffer: Buffer) -> tuple[np.ndarray, Event]:
-        """Device -> host transfer, verified against the device-side CRC."""
-        golden = buffer.crc
+        """Device -> host transfer: one copy out, which the caller owns.
+
+        While a fault plan is armed the copy is verified against the
+        device-side CRC and a corrupted transfer is retried; disarmed
+        nothing can corrupt it, so nothing is checked.
+        """
         inj = fault_hooks.ACTIVE
+        golden = buffer.crc if inj is not None else None
         attempts = 0
         wait_s = 0.0
         while True:
@@ -489,13 +545,13 @@ class CommandQueue:
                 data = buffer.data.copy()
                 if inj is not None:
                     data = inj.on_transfer("read", data)
-                if golden is not None and crc32_array(data) != golden:
-                    raise fault_hooks.report_detection(
-                        FaultDetectedError(
-                            "read-transfer CRC mismatch: payload corrupted "
-                            "in flight"
+                    if crc32_array(data) != golden:
+                        raise fault_hooks.report_detection(
+                            FaultDetectedError(
+                                "read-transfer CRC mismatch: payload "
+                                "corrupted in flight"
+                            )
                         )
-                    )
                 break
             except FaultDetectedError:
                 if attempts > self.retry_policy.max_retries:
@@ -567,6 +623,11 @@ class CommandQueue:
         ``replayed_passes`` / ``checkpoint_overhead_s``.  Each queue
         attempt gets a fresh rollback budget.  ``checkpoint=None`` keeps
         the exact pre-checkpoint accounting.
+
+        The kernel's last pass writes straight into fresh storage that
+        ``dst`` then adopts (``out=`` of :meth:`FPGAAccelerator.run`):
+        no result copy and no CRC.  ``dst`` is left untouched when every
+        attempt fails.
         """
         if watchdog_s is not None and watchdog_s <= 0:
             raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
@@ -590,10 +651,11 @@ class CommandQueue:
                             f"> {watchdog_s:.4f} s"
                         )
                     )
-                result, stats = program.execute(
-                    grid, iterations, checkpoint=checkpoint
+                out = np.empty_like(grid)
+                _, stats = program.execute(
+                    grid, iterations, checkpoint=checkpoint, out=out
                 )
-                dst.write(result)
+                dst.adopt(out)
                 break
             except FaultDetectedError as err:
                 if not isinstance(err, WatchdogTimeoutError):
@@ -657,6 +719,9 @@ class CommandQueue:
         grid's fault fails only that entry.  Failed entries keep their
         input state in ``dst``'s slab; callers must consult
         ``batch.errors`` before trusting a grid's output.
+
+        The launch writes its output slab straight into fresh storage
+        that ``dst`` then adopts; ``batch.outputs`` are views of it.
         """
         if watchdog_s is not None and watchdog_s <= 0:
             raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
@@ -689,17 +754,14 @@ class CommandQueue:
                             f"{duration:.4f} s > {watchdog_s:.4f} s"
                         )
                     )
+                # failed entries keep the input state in the slab;
+                # batch.errors marks them invalid for the caller
+                out = np.empty_like(slab)
                 batch = program.execute_batch(
                     [slab[g] for g in range(n_grids)], iterations,
-                    checkpoint=checkpoint,
+                    checkpoint=checkpoint, out=out,
                 )
-                out_slab = np.empty_like(slab)
-                for g in range(n_grids):
-                    out = batch.outputs[g]
-                    # failed entries keep the input state; batch.errors
-                    # marks them invalid for the caller
-                    out_slab[g] = slab[g] if out is None else out
-                dst.write(out_slab)
+                dst.adopt(out)
                 break
             except FaultDetectedError as err:
                 if not isinstance(err, WatchdogTimeoutError):
@@ -780,13 +842,12 @@ def benchmark_kernel(
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     queue = CommandQueue(HostDevice(program.board), retry_policy=retry_policy)
     sensor = queue.device.sensor_for(program)
-    src = Buffer(grid.astype(np.float32).nbytes)
+    src = Buffer(grid.size * np.dtype(np.float32).itemsize)
     dst = Buffer(src.nbytes)
     queue.enqueue_write_buffer(src, grid)
 
     kernel_times = []
     powers = []
-    result: np.ndarray | None = None
     for _ in range(repeats):
         attempts = 0
         while True:
@@ -807,9 +868,7 @@ def benchmark_kernel(
             )
         kernel_times.append(event.duration_s)
         powers.append(power)
-        result = dst.data
     out, _ = queue.enqueue_read_buffer(dst)
-    assert result is not None
 
     mean_t = sum(kernel_times) / repeats
     cells = int(np.prod(grid.shape))

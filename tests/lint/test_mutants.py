@@ -420,6 +420,26 @@ def _h403_stdlib():
     )
 
 
+def _h404_crc_size_threshold():
+    # a CRC skipped for large payloads, armed or not: faults still enter
+    return lint_source(
+        _PREFIX + "from repro.faults.checksum import crc32_array\n"
+        "def send(data):\n    inj = fault_hooks.ACTIVE\n"
+        "    golden = crc32_array(data) if data.nbytes < 1 << 20 else None\n"
+        "    return golden\n",
+        "mutant.py",
+    )
+
+
+def _h404_mirror_early_return():
+    return lint_source(
+        "def write(self, buffer, data):\n"
+        "    if data.nbytes > self.limit:\n        return\n"
+        "    self._host_mirror[buffer] = data.copy()\n",
+        "mutant.py",
+    )
+
+
 def _h401_driver_hook():
     # injection plumbing fused into generated driver C: unguardable
     return lint_driver_source(
@@ -771,6 +791,10 @@ MUTANTS = [
     ("h401-arg", "H401", _h401_arg, "mutant.py:"),
     ("h401-polarity", "H401", _h401_wrong_polarity, "mutant.py:"),
     ("h402-id-key", "H402", _h402, "mutant.py:"),
+    ("h404-crc-size-threshold", "H404", _h404_crc_size_threshold,
+     "mutant.py:"),
+    ("h404-mirror-early-return", "H404", _h404_mirror_early_return,
+     "mutant.py:"),
     ("h403-default-rng", "H403", _h403_default_rng, "mutant.py:"),
     ("h403-legacy-np", "H403", _h403_legacy, "mutant.py:"),
     ("h403-stdlib", "H403", _h403_stdlib, "mutant.py:"),

@@ -132,6 +132,25 @@ GUARD_OK = [
     "def f():\n    return fault_hooks.ACTIVE is not None\n",
     # a parameter named inj is trusted (guarded at the call site)
     "def g(inj):\n    inj.touch_sram(None, site='x')\n",
+    # H404: integrity checks skipped only where no fault can enter
+    "def f(d):\n    inj = fault_hooks.ACTIVE\n"
+    "    return crc32_array(d) if inj is not None else None\n",
+    "def f(d, expected_crc):\n"
+    "    if expected_crc is None and fault_hooks.ACTIVE is None:\n"
+    "        return\n    return crc32_array(d)\n",
+    "def f(outs, expected_crcs):\n    for g, o in enumerate(outs):\n"
+    "        if expected_crcs[g] is None or o is None:\n            continue\n"
+    "        crc32_array(o)\n",
+    "def f(d):\n    inj = fault_hooks.ACTIVE\n"
+    "    if inj is not None and crc32_array(d) != 0:\n        return 1\n",
+    # a cache fill and an absent argument skip nothing
+    "def f(self):\n    if self._crc is None and self._data is not None:\n"
+    "        self._crc = crc32_array(self._data)\n",
+    "def f(self):\n    if self._data is None:\n        return False\n"
+    "    return crc32_array(self._data) == self._crc\n",
+    # a raise fails loudly, it does not skip
+    "def f(self, buf, d):\n    if d.nbytes != buf.nbytes:\n"
+    "        raise ValueError(d)\n    self._host_mirror[buf] = d\n",
 ]
 
 

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, StencilSpec, make_grid, reference_run
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, FaultDetectedError, SimulationError
+from repro.faults import FaultPlan, SEUFault, arm
+from repro.runtime import StencilJob, StencilScheduler, host
 from repro.runtime.host import (
     POWER_SAMPLE_INTERVAL_S,
     Buffer,
     CommandQueue,
     HostDevice,
     PowerSensor,
+    RetryPolicy,
     StencilProgram,
     benchmark_kernel,
 )
+from repro.runtime.scheduler import BatchStencilJob
 
 
 def make_program(radius: int = 2, partime: int = 4) -> StencilProgram:
@@ -233,3 +239,122 @@ def test_batch_kernel_validates_inputs() -> None:
     with pytest.raises(ConfigurationError):
         # slab leading axis disagrees with n_grids
         queue.enqueue_batch_kernel(program, src, dst, 4, n_grids=5)
+
+
+# -- disarmed vs armed host path -------------------------------------------- #
+
+
+def _round_trip(program, grid, iterations):
+    queue = CommandQueue(HostDevice(program.board))
+    src, dst = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    queue.enqueue_write_buffer(src, grid)
+    queue.enqueue_kernel(program, src, dst, iterations)
+    out, _ = queue.enqueue_read_buffer(dst)
+    return queue, src, dst, out
+
+
+def _count_host_crcs(monkeypatch) -> list:
+    calls: list = []
+    real = host.crc32_array
+
+    def counting(array):
+        calls.append(array.nbytes)
+        return real(array)
+
+    monkeypatch.setattr(host, "crc32_array", counting)
+    return calls
+
+
+def test_armed_round_trip_checks_every_transfer(monkeypatch) -> None:
+    """Armed (even with an empty plan) the host path keeps every check:
+    the write's golden and device-side CRCs, the source scrub and the
+    read's CRC against the device buffer's — five, as before the
+    disarmed path lost its CRCs — and a mirror of the written buffer."""
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=3)
+    calls = _count_host_crcs(monkeypatch)
+    with arm(FaultPlan(seed=0)):
+        queue, src, _, out = _round_trip(program, grid, 6)
+    assert len(calls) == 5
+    assert set(calls) == {grid.nbytes}
+    assert queue._host_mirror.get(src) is not None
+    assert np.array_equal(out, reference_run(grid, program.spec, 6))
+
+
+def test_disarmed_round_trip_makes_no_crc_and_no_alias(monkeypatch) -> None:
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=3)
+    caller = grid.copy()
+    calls = _count_host_crcs(monkeypatch)
+    queue, src, dst, out = _round_trip(program, caller, 6)
+    assert calls == []
+    expected = reference_run(grid, program.spec, 6)
+    assert np.array_equal(out, expected)
+    # the device buffer never aliases the caller's array ...
+    caller[:] = -1.0
+    assert np.array_equal(src.data, grid)
+    # ... and the returned array never aliases the device buffer
+    out[:] = -2.0
+    assert np.array_equal(dst.data, expected)
+    assert not np.shares_memory(out, dst.data)
+
+
+def test_disarmed_batch_round_trip_makes_no_crc(monkeypatch) -> None:
+    program, grids, slab = _batch_setup()
+    calls = _count_host_crcs(monkeypatch)
+    queue = CommandQueue()
+    src, dst = Buffer(slab.nbytes), Buffer(slab.nbytes)
+    queue.enqueue_write_buffer(src, slab)
+    _, batch = queue.enqueue_batch_kernel(program, src, dst, 4, len(grids))
+    out, _ = queue.enqueue_read_buffer(dst)
+    assert calls == []
+    for g, grid in enumerate(grids):
+        assert np.array_equal(out[g], reference_run(grid, program.spec, 4))
+        assert np.shares_memory(batch.outputs[g], dst.data)
+
+
+def test_failed_kernel_leaves_destination_untouched() -> None:
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=3)
+    queue = CommandQueue(HostDevice(program.board), RetryPolicy(max_retries=0))
+    src, dst = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    queue.enqueue_write_buffer(src, grid)
+    queue.enqueue_write_buffer(dst, grid + 1.0)
+    before = dst.data
+    plan = FaultPlan(seed=1, faults=(SEUFault(site="block-buffer", at_touch=2),))
+    with arm(plan), pytest.raises(FaultDetectedError):
+        queue.enqueue_kernel(program, src, dst, 6)
+    assert dst.data is before and dst.verify()
+
+
+# -- the simulated clock does not see the wall-clock saving ------------------ #
+
+
+def _scheduled_queue_trace(armed: bool):
+    spec = StencilSpec.star(2, 1)
+    cfg = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
+    grids = tuple(make_grid((12, 20), "mixed", seed=70 + i) for i in range(3))
+    sched = StencilScheduler(devices=1)
+    try:
+        with arm(FaultPlan(seed=0)) if armed else contextlib.nullcontext():
+            single = sched.execute_job(
+                StencilJob("one", spec, cfg, grids[0], iterations=5)
+            )
+            batch = sched.execute_batch(
+                BatchStencilJob("many", spec, cfg, grids, iterations=5)
+            )
+        assert single.status == "completed" and batch.status == "completed"
+        queue = sched.workers[0].queue
+        events = [(e.name, e.start_s, e.end_s) for e in queue.events]
+        return events, queue.transfer_bytes, queue.clock_s
+    finally:
+        sched.close()
+
+
+def test_disarmed_and_armed_empty_runs_share_the_simulated_clock() -> None:
+    """Skipping CRCs and copies saves wall time only: the event log, the
+    byte count and the clock are identical disarmed and armed-empty."""
+    disarmed = _scheduled_queue_trace(armed=False)
+    armed = _scheduled_queue_trace(armed=True)
+    assert disarmed[0] and [e[0] for e in disarmed[0]].count("write-buffer") == 2
+    assert disarmed == armed
