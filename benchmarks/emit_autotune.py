@@ -5,10 +5,14 @@ Exercises the empirical autotuner end to end against a *fresh* plan-
 selection cache directory:
 
 1. **cold resolve** — model shortlist, per-candidate bit-exactness
-   audit, micro-benchmark, winner persisted (``source == "measured"``);
-2. **warm resolve** — a second resolution of the same workload must
-   reload the persisted winner (``source == "cache"``, identical
-   config) in well under the cold cost;
+   audit, micro-benchmark, winner persisted (``source == "measured"``).
+   It runs in a fresh Python process with its own empty ``TMPDIR`` (as
+   ``perfbench`` does), so ``cold_resolve_s`` includes compiling the
+   pass driver, and ``cold_compiles`` counts the libraries it built;
+2. **warm resolve** — a second resolution of the same workload, in this
+   process against the same directory, must reload the persisted winner
+   (``source == "cache"``, identical config) in well under the cold
+   cost;
 3. **serve latency** — N requests served through
    :meth:`~repro.runtime.artifacts.ArtifactCache.get_tuned` (config
    resolved from the warm selection cache on every request) are timed
@@ -33,15 +37,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.core import FPGAAccelerator, StencilSpec, make_grid
+from repro.core import StencilSpec, make_grid
 from repro.runtime.artifacts import ArtifactCache
 from repro.runtime.autotune import (
+    CACHE_DIR_ENV,
     Autotuner,
     PlanSelectionCache,
     cpu_fingerprint,
@@ -49,6 +55,18 @@ from repro.runtime.autotune import (
 
 #: serve-phase request count (min-of over these)
 SERVE_REQUESTS = 9
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: name -> (spec, grid shape, iterations).  The first is the smoke case;
+#: it matches emit_bench's quick-case geometry, since a toy grid would
+#: let fixed tens-of-microseconds timing jitter dominate the percentage
+#: the gate is about.
+CASES = {
+    "3d-radius4": (StencilSpec.star(3, 4), (24, 96, 96), 4),
+    "2d-radius2": (StencilSpec.star(2, 2), (512, 1024), 8),
+    "3d-radius4-small": (StencilSpec.star(3, 4), (16, 64, 64), 4),
+}
 
 
 def _serve_latencies(paths, grid, iterations, requests) -> dict:
@@ -71,20 +89,72 @@ def _serve_latencies(paths, grid, iterations, requests) -> dict:
     return best
 
 
-def run_case(name, spec, shape, iterations, cache_dir) -> dict:
-    cold_tuner = Autotuner(cache=PlanSelectionCache(cache_dir))
+def _winner(config) -> dict:
+    return {
+        "bsize_x": config.bsize_x,
+        "bsize_y": config.bsize_y,
+        "parvec": config.parvec,
+        "partime": config.partime,
+    }
+
+
+def cold_child(name: str) -> None:
+    """The cold resolve, run as the whole of a fresh process.
+
+    Resolves case ``name`` against the autotune directory in the
+    environment and prints one JSON line: the resolve's seconds, its
+    provenance, the winner and the candidates' timings.
+    """
+    spec, shape, iterations = CASES[name]
     t0 = time.perf_counter()
-    cold = cold_tuner.resolve(spec, shape, iterations=iterations)
-    cold_s = time.perf_counter() - t0
-    # a *fresh* tuner against the same directory: the warm resolution
-    # must come from the persisted selection, not in-process state —
-    # that is the cross-process round trip the cache exists for.
+    plan = Autotuner().resolve(spec, shape, iterations=iterations)
+    print(json.dumps({
+        "cold_s": time.perf_counter() - t0,
+        "source": plan.source,
+        "winner": _winner(plan.config),
+        "measured_ms": plan.measured_ms,
+    }))
+
+
+def cold_resolve(name: str, cache_dir: str) -> dict:
+    """Run :func:`cold_child` in a fresh process with an empty ``TMPDIR``.
+
+    No compiled driver library or tuned plan is inherited, so the resolve
+    pays every compile it needs; the ``repro_native_*.so`` files left in
+    its ``TMPDIR`` (content-addressed, one per build) count them.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-autotune-tmp") as tmp:
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        env["TMPDIR"] = tmp
+        env[CACHE_DIR_ENV] = cache_dir
+        proc = subprocess.run(
+            [sys.executable, __file__, "--cold-child", name],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"cold resolve of {name} failed:\n{proc.stderr}")
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        result["compiles"] = len(list(Path(tmp).glob("repro_native_*.so")))
+    return result
+
+
+def run_case(name, cache_dir) -> dict:
+    spec, shape, iterations = CASES[name]
+    cold = cold_resolve(name, cache_dir)
+    cold_s = cold["cold_s"]
+    # a *fresh* tuner in this process against the same directory: the
+    # warm resolution must come from the persisted selection — the
+    # cross-process round trip the cache exists for.
     warm_tuner = Autotuner(cache=PlanSelectionCache(cache_dir))
     t0 = time.perf_counter()
     warm = warm_tuner.resolve(spec, shape, iterations=iterations)
     warm_s = time.perf_counter() - t0
-    print(f"  {name}: cold resolve {cold_s:.3f}s [{cold.source}] -> "
-          f"{cold.describe()}")
+    print(f"  {name}: cold resolve {cold_s:.3f}s [{cold['source']}], "
+          f"{cold['compiles']} compile(s) -> {warm.describe()}")
     print(f"  {name}: warm resolve {warm_s*1e3:.3f}ms [{warm.source}]")
 
     grid = make_grid(shape, "random", seed=7)
@@ -116,21 +186,17 @@ def run_case(name, spec, shape, iterations, cache_dir) -> dict:
         "dims": spec.dims,
         "radius": spec.radius,
         "iterations": iterations,
-        "winner": {
-            "bsize_x": warm.config.bsize_x,
-            "bsize_y": warm.config.bsize_y,
-            "parvec": warm.config.parvec,
-            "partime": warm.config.partime,
-        },
-        "candidates_measured_ms": cold.measured_ms,
+        "winner": _winner(warm.config),
+        "candidates_measured_ms": cold["measured_ms"],
         "cold_resolve_s": round(cold_s, 4),
-        "cold_source": cold.source,
+        "cold_compiles": cold["compiles"],
+        "cold_source": cold["source"],
         "warm_resolve_s": round(warm_s, 6),
         "warm_source": warm.source,
         "round_trip_ok": bool(
-            cold.source == "measured"
+            cold["source"] == "measured"
             and warm.source == "cache"
-            and warm.config == cold.config
+            and _winner(warm.config) == cold["winner"]
         ),
         "serve_pinned_s": round(pinned_s, 6),
         "serve_tuned_s": round(tuned_s, 6),
@@ -171,17 +237,14 @@ def main() -> None:
                     / "BENCH_autotune.json")
     ap.add_argument("--gate", action="store_true",
                     help="fail on round-trip or cache-hit-latency breaches")
+    ap.add_argument("--cold-child", choices=sorted(CASES),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.cold_child:
+        cold_child(args.cold_child)
+        return
 
-    # the 3D case matches emit_bench's quick-case geometry; a toy grid
-    # would let fixed tens-of-microseconds timing jitter dominate the
-    # percentage the gate is about.
-    cases = [("3d-radius4", StencilSpec.star(3, 4), (24, 96, 96), 4)]
-    if not args.smoke:
-        cases += [
-            ("2d-radius2", StencilSpec.star(2, 2), (512, 1024), 8),
-            ("3d-radius4-small", StencilSpec.star(3, 4), (16, 64, 64), 4),
-        ]
+    names = list(CASES)[:1] if args.smoke else list(CASES)
 
     with tempfile.TemporaryDirectory(prefix="repro-autotune-bench") as tmp:
         payload = {
@@ -189,10 +252,7 @@ def main() -> None:
             "smoke": args.smoke,
             "cpu": cpu_fingerprint(),
             "serve_requests": SERVE_REQUESTS,
-            "cases": [
-                run_case(name, spec, shape, iters, tmp)
-                for name, spec, shape, iters in cases
-            ],
+            "cases": [run_case(name, tmp) for name in names],
         }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

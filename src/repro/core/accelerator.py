@@ -75,8 +75,9 @@ ENGINES: tuple[str, ...] = ("auto", "native", "numpy")
 FLOOR_ENGINE = "numpy"
 
 #: :class:`FPGAAccelerator` also accepts ``"native-scalar"``: the same
-#: driver source at ``VEC=1`` built with vectorization off — the SIMD
-#: benchmarking baseline, which nothing selects on its own.
+#: driver source, run on width-1 tables and built with vectorization
+#: off — the SIMD benchmarking baseline, which nothing selects on its
+#: own.
 ACCELERATOR_ENGINES: tuple[str, ...] = ENGINES + ("native-scalar",)
 
 
@@ -263,9 +264,9 @@ class FPGAAccelerator:
         output grid) when a C compiler is available, else through the
         serial NumPy pass.  ``"native"`` pins the driver and
         ``"numpy"`` the NumPy pass; ``"native-scalar"`` pins the same
-        driver source at ``VEC=1`` *compiled with vectorization off* —
-        the baseline SIMD speedups are measured against, never selected
-        by ``"auto"``.  Pinned native engines raise
+        driver source on width-1 tables *compiled with vectorization
+        off* — the baseline SIMD speedups are measured against, never
+        selected by ``"auto"``.  Pinned native engines raise
         :class:`ConfigurationError` when they cannot be built.  All
         engines are bit-identical (tested); the knob exists for
         benchmarking and for environments without a toolchain.
@@ -341,12 +342,15 @@ class FPGAAccelerator:
         self._terms = stencil_terms(spec, spec.dims)
         self.engine = engine
         self._driver = None
+        #: SIMD lanes the driver tables of this accelerator pad scratch
+        #: rows to; the compiled driver has no width of its own.
+        self._vector_width = (
+            1 if engine == "native-scalar" else vector_width_for(config.parvec)
+        )
         if engine == "native-scalar":
-            self._driver = native_driver(spec, workers, 1, SCALAR_FLAGS)
+            self._driver = native_driver(spec, workers, SCALAR_FLAGS)
         elif engine != "numpy":
-            self._driver = native_driver(
-                spec, workers, vector_width_for(config.parvec)
-            )
+            self._driver = native_driver(spec, workers)
         if engine not in ("auto", "numpy") and self._driver is None:
             raise ConfigurationError(
                 f"engine={engine!r} but no native pass driver could be "
@@ -838,7 +842,7 @@ class FPGAAccelerator:
         Grows the shared aligned scratch buffer (ping and pong per pool
         worker) when these tables need more than the last ones did.
         """
-        tables = plan.to_driver_tables(steps, self._driver.vector_width)
+        tables = plan.to_driver_tables(steps, self._vector_width)
         need = self._driver.workers * 2 * tables.scratch_floats
         if self._driver_scratch is None or self._driver_scratch.size < need:
             self._driver_scratch = _aligned_f32(need)

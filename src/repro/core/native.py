@@ -4,11 +4,14 @@ The paper's host program *generates* the OpenCL device code from the
 stencil parameters (radius, dimensionality, coefficients, ``parvec``)
 and compiles it offline; the FPGA then executes a fixed-function
 pipeline.  This module mirrors that structure for the functional
-simulator: from a :class:`~repro.core.stencil.StencilSpec` and a SIMD
-width it generates one C translation unit — the fused pass driver,
-with the coefficients baked in as exact float literals — compiles it
-once with the system C compiler, and executes whole passes through
-``ctypes`` on a persistent pthread pool.
+simulator: from a :class:`~repro.core.stencil.StencilSpec` it
+generates one C translation unit — the fused pass driver, with the
+coefficients baked in as exact float literals — compiles it once with
+the system C compiler, and executes whole passes through ``ctypes`` on
+a persistent pthread pool.  Unlike the FPGA, where every ``parvec`` is
+its own bitstream, the SIMD width is not compiled in: it travels with
+each pass's :class:`~repro.core.plan.DriverTables`, so every
+configuration of one stencil runs the same library.
 
 Bit-exactness is preserved by construction:
 
@@ -27,8 +30,8 @@ Everything is best-effort: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` in the environment simply yields ``None`` and the
 engine falls back to the pure-NumPy path (same bits, more wall-clock).
 Compiled libraries are content-addressed by source and flags and cached
-in the user's temp directory, so each ``(spec, vector width, flags)``
-compiles at most once per machine.
+in the user's temp directory, so each ``(spec, flags)`` compiles at
+most once per machine.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ typedef struct {
   int periodic;
   float *scratch;
   i64 scratch_half;
+  i64 vec;          /* SIMD lanes each scratch row is padded to */
   i64 n_grids;      /* batched grids sharing these tables (1 = plain pass) */
   i64 grid_stride;  /* float offset between consecutive grids in the slab */
 } job_t;
@@ -236,13 +240,13 @@ void driver_run_pass(void *handle, const float *src, float *out,
                      const i64 *blocks, i64 n_blocks, const i64 *segs,
                      const i64 *wins, i64 steps, i64 gs0, i64 gs1,
                      int periodic, float *scratch, i64 scratch_half,
-                     i64 n_grids, i64 grid_stride) {
+                     i64 vec, i64 n_grids, i64 grid_stride) {
   pool_t *p = (pool_t *)handle;
   const job_t job = {
       .src = src, .out = out, .blocks = blocks, .segs = segs, .wins = wins,
       .n_blocks = n_blocks, .steps = steps, .gs0 = gs0, .gs1 = gs1,
       .periodic = periodic, .scratch = scratch, .scratch_half = scratch_half,
-      .n_grids = n_grids, .grid_stride = grid_stride};
+      .vec = vec, .n_grids = n_grids, .grid_stride = grid_stride};
   const i64 total = n_grids * n_blocks;
   if (p->n_workers == 1 || total <= 1) {
     /* nothing to share: run inline on the calling thread (worker 0's
@@ -282,7 +286,7 @@ void driver_destroy(void *handle) {
 """
 
 
-def driver_source(spec: StencilSpec, vector_width: int) -> str:
+def driver_source(spec: StencilSpec) -> str:
     """C source of the fused pass driver for ``spec``.
 
     One translation unit executes an *entire pass*: for every block, the
@@ -292,9 +296,11 @@ def driver_source(spec: StencilSpec, vector_width: int) -> str:
     overlapped-blocking shrink invariant (lint rule P302) guarantees
     every neighbor read at stage ``s`` lands inside stage ``s-1``'s
     window or in a clamp duplicate refreshed from it, so cells left
-    stale outside the window are never read.  ``vector_width`` is the
-    paper's ``parvec`` mapped onto CPU SIMD lanes (see
-    :func:`vector_width_for`; 1 is the scalar case):
+    stale outside the window are never read.  The SIMD width — the
+    paper's ``parvec`` mapped onto CPU lanes (see
+    :func:`vector_width_for`; 1 is the scalar case) — is a runtime
+    argument taken from ``DriverTables.vector_width``, so one source
+    serves every configuration of ``spec``:
 
     * **fused read kernel**: stage 0 reads the source grid *directly*
       through per-axis index maps decoded from the gather segments —
@@ -305,12 +311,12 @@ def driver_source(spec: StencilSpec, vector_width: int) -> str:
       and impure (clamped/wrapped) runs — the map is row-invariant, so
       the decomposition is too — and pure runs take contiguous vector
       loads while impure runs vectorize through gathered loads;
-    * every scratch row is padded to ``vector_width`` floats
-      (``roundup(nx, VEC)``), so consecutive rows start on lane
-      boundaries and the compiler keeps one steady-state vector loop
-      per row instead of re-peeling at every row;
+    * every scratch row is padded to the tables' width (``roundup(nx,
+      J->vec)``), so consecutive rows start on lane boundaries and the
+      compiler keeps one steady-state vector loop per row instead of
+      re-peeling at every row;
     * the inner x loops carry ``#pragma omp simd`` + ``restrict``,
-      batching ``VEC`` independent per-element accumulation chains per
+      batching independent per-element accumulation chains per
       instruction — lanes never reassociate *within* a chain, so the
       bits match the reference exactly (``-ffp-contract=off`` still
       forbids FMA fusion);
@@ -328,7 +334,6 @@ def driver_source(spec: StencilSpec, vector_width: int) -> str:
     head = [
         f"#define RAD {rad}",
         f"#define REC {rec}",
-        f"#define VEC {int(vector_width)}",
         _DRIVER_PRELUDE,
     ]
     axis_offs: dict[int, list[int]] = {}
@@ -470,7 +475,7 @@ def driver_source(spec: StencilSpec, vector_width: int) -> str:
             "  const i64 wx = R[4], cx = R[5], rx = R[6];",
             "  const i64 *segx = J->segs + 4 * R[7];",
             "  const i64 nsx = R[8];",
-            "  const i64 s0 = (nx + VEC - 1) / VEC * VEC;",
+            "  const i64 s0 = (nx + J->vec - 1) / J->vec * J->vec;",
             "  /* read maps: footprint coordinate -> source element index",
             "   * (the gather segments encode exactly this mapping, P304) */",
             "  i64 zim[n0 + 2 * RAD];",
@@ -724,7 +729,7 @@ def driver_source(spec: StencilSpec, vector_width: int) -> str:
             "  const i64 nsy = R[14];",
             "  const i64 *segx = J->segs + 4 * R[15];",
             "  const i64 nsx = R[16];",
-            "  const i64 s1 = (nx + VEC - 1) / VEC * VEC;",
+            "  const i64 s1 = (nx + J->vec - 1) / J->vec * J->vec;",
             "  const i64 s0 = ny * s1;",
             "  /* read maps: footprint coordinate -> source element index",
             "   * (the gather segments encode exactly this mapping, P304) */",
@@ -829,7 +834,9 @@ def vector_width_for(parvec: int) -> int:
 
     The largest power of two dividing ``parvec`` (``parvec & -parvec``):
     every power-of-two ``parvec`` keeps its own width, and an odd one
-    runs the same source at ``VEC=1``.
+    runs unpadded rows (width 1).  The width only shapes the tables
+    (:meth:`~repro.core.plan.PassPlan.to_driver_tables`); the compiled
+    driver is the same for every width.
     """
     return parvec & -parvec
 
@@ -841,7 +848,7 @@ def vector_width_for(parvec: int) -> int:
 VECTOR_FLAGS = ("-fopenmp-simd", "-funroll-loops")
 
 #: Flags of the scalar SIMD baseline (engine ``"native-scalar"``): the
-#: same source at ``VEC=1`` with every vectorizer off.  Dropping only
+#: same source, run on width-1 tables, with every vectorizer off.  Dropping only
 #: ``-ftree-vectorize`` is not enough — the ``omp simd`` loops would
 #: still vectorize under ``-fopenmp-simd``.
 SCALAR_FLAGS = (
@@ -934,18 +941,10 @@ class NativeDriver:
     (or an explicit :meth:`close`), so pools never leak across runs.
     """
 
-    def __init__(
-        self,
-        spec: StencilSpec,
-        workers: int,
-        lib_path: str,
-        vector_width: int,
-    ):
+    def __init__(self, spec: StencilSpec, workers: int, lib_path: str):
         self.spec = spec
         self.workers = max(1, int(workers))
         self.lib_path = lib_path
-        #: SIMD lane count the compiled ``do_block`` pads rows to.
-        self.vector_width = max(1, int(vector_width))
         lib = ctypes.CDLL(lib_path)
         lib.driver_create.argtypes = [ctypes.c_longlong]
         lib.driver_create.restype = ctypes.c_void_p
@@ -963,6 +962,7 @@ class NativeDriver:
             ctypes.c_int,  # periodic
             ctypes.c_void_p,  # scratch
             ctypes.c_longlong,  # scratch_half (floats per ping buffer)
+            ctypes.c_longlong,  # vec (lanes each scratch row is padded to)
             ctypes.c_longlong,  # n_grids (batched grids; 1 for a plain pass)
             ctypes.c_longlong,  # grid_stride (floats between slab grids)
         ]
@@ -992,8 +992,10 @@ class NativeDriver:
 
         ``src``/``out`` must be distinct C-contiguous float32 grids of
         the plan's shape; ``scratch`` a C-contiguous float32 array with
-        at least ``workers * 2 * tables.scratch_floats`` elements.  The
-        ctypes call releases the GIL for the whole pass.
+        at least ``workers * 2 * tables.scratch_floats`` elements.  Rows
+        are padded to ``tables.vector_width`` lanes, the same width the
+        scratch was sized for.  The ctypes call releases the GIL for
+        the whole pass.
         """
         self._dispatch(src, out, tables, periodic, scratch, 1, 0)
 
@@ -1053,13 +1055,14 @@ class NativeDriver:
             1 if periodic else 0,
             scratch.ctypes.data,
             tables.scratch_floats,
+            tables.vector_width,
             n_grids,
             grid_stride,
         )
 
 
-#: Compiled driver library path per ``(stencil key, vector width,
-#: flags)``; ``None`` caches failures.  Pool handles are *not* shared —
+#: Compiled driver library path per ``(stencil key, flags)``; ``None``
+#: caches failures.  Pool handles are *not* shared —
 #: each accelerator gets its own :class:`NativeDriver` so concurrent
 #: runs never contend for a job slot.
 _LIBS: dict[tuple, str | None] = {}
@@ -1068,18 +1071,18 @@ _LIBS: dict[tuple, str | None] = {}
 def native_driver(
     spec: StencilSpec,
     workers: int,
-    vector_width: int,
     flags: tuple[str, ...] = VECTOR_FLAGS,
 ) -> NativeDriver | None:
     """A fresh pass driver (own pool) for ``spec``, or ``None``.
 
-    ``vector_width`` is the SIMD lane count rows are padded to; it must
-    match the ``vector_width`` the accelerator passes to
-    :meth:`PassPlan.to_driver_tables` so the Python-side scratch sizing
-    covers the padded rows the C code derives per block.  The compiled
-    library is content-addressed and shared across calls; the pthread
-    pool is per returned instance, created once and reused for every
-    pass of every run of the owning accelerator.
+    One library per ``(spec, flags)``: the SIMD width is not part of
+    the build.  Each pass reads it from the
+    :class:`~repro.core.plan.DriverTables` it runs, the same object the
+    scratch was sized from, so every ``parvec`` of one stencil shares a
+    single compile.  The compiled library is content-addressed and
+    shared across calls; the pthread pool is per returned instance,
+    created once and reused for every pass of every run of the owning
+    accelerator.
     """
     if os.environ.get(DISABLE_ENV):
         return None
@@ -1088,15 +1091,14 @@ def native_driver(
         spec.radius,
         float(np.float32(spec.center)),
         spec.coefficients.tobytes(),
-        vector_width,
         flags,
     )
     if key not in _LIBS:
-        _LIBS[key] = _compile(driver_source(spec, vector_width), flags)
+        _LIBS[key] = _compile(driver_source(spec), flags)
     lib_path = _LIBS[key]
     if lib_path is None:
         return None
     try:
-        return NativeDriver(spec, workers, lib_path, vector_width)
+        return NativeDriver(spec, workers, lib_path)
     except OSError:
         return None

@@ -43,9 +43,11 @@ updates or writes a single cell:
   that the sharded runner's exchange reconstructs the single-device
   run's neighborhoods bit-for-bit.
 * P309 — the *vectorized* driver tables (``to_driver_tables(steps,
-  vector_width)``) keep the alignment invariants the simd kernels are
-  compiled against: ``padded_x = roundup(max x footprint, width)``,
-  scratch sized by the exact padded formula and rounded to
+  vector_width)``) keep the alignment invariants the simd kernels rely
+  on.  The tables are the only place the width lives — the compiled
+  driver pads each row to ``tables.vector_width`` at run time — so
+  these invariants are the whole of the alignment contract:
+  ``padded_x = roundup(max x footprint, width)``, scratch sized by the exact padded formula and rounded to
   ``max(width, 16)`` floats (so per-worker ping/pong bases stay 64-byte
   aligned), every block's own padded footprint fitting the shared
   scratch — and the padding is layout-only: the geometry arrays are
@@ -542,9 +544,9 @@ def _check_vector_tables(plan: PassPlan, locus: str) -> list[Finding]:
             bad(
                 f"tables.vector_width is {tables.vector_width}, built "
                 f"for width {vec}",
-                hint="the generated C sizes every row stride from this "
-                "field; a drifted width misaligns every row after the "
-                "first",
+                hint="the driver pads every row stride to this field at "
+                "run time; a width the scratch was not sized for "
+                "misaligns the rows or overruns the scratch",
             )
             continue
         want_padded = -(-max_fp[-1] // vec) * vec

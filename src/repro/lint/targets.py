@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.paper_data import PAPER_TABLE_III
-from repro.core.native import driver_source, vector_width_for
+from repro.core.native import driver_source
 from repro.core.plan import PassPlan
 from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
@@ -117,19 +117,19 @@ def shipped_shard_plans() -> list["ShardPlan"]:
 def shipped_driver_sources() -> list[tuple[str, str]]:
     """Purity-pass targets: the generated pass-driver C per Table III row.
 
-    Each driver is generated at the SIMD width its row's ``parvec`` runs
-    at — exactly the source the ``auto`` engine compiles for that
-    configuration.  Pure codegen — no compiler is needed, so the scan
-    runs everywhere CI does.  Names mirror the kernel and width.
+    One source per ``(dims, radius)`` — exactly what the ``auto``
+    engine compiles for that stencil at any ``parvec``, since the SIMD
+    width travels in the driver tables rather than the source.  Pure
+    codegen — no compiler is needed, so the scan runs everywhere CI
+    does.  Names mirror the kernel.
     """
-    sources = []
-    for (dims, radius), row in sorted(PAPER_TABLE_III.items()):
-        vec = vector_width_for(row["parvec"])
-        sources.append((
-            f"driver<{dims}d-rad{radius}-vec{vec}>.c",
-            driver_source(StencilSpec.star(dims, radius), vec),
-        ))
-    return sources
+    return [
+        (
+            f"driver<{dims}d-rad{radius}>.c",
+            driver_source(StencilSpec.star(dims, radius)),
+        )
+        for dims, radius in sorted(PAPER_TABLE_III)
+    ]
 
 
 def source_root() -> Path:

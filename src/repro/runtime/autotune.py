@@ -5,8 +5,10 @@ models shortlist a handful of design points and only the survivors are
 place-and-routed.  This module closes the same loop for the software
 engines: :class:`repro.models.tuner.Tuner` shortlists candidates by
 predicted runtime, :class:`Autotuner` micro-benchmarks the survivors on
-the real engine ladder (seeded, short, and only after each candidate's
-output is audited bit-identical to the NumPy reference), and the winner
+the real engine ladder (seeded, short, all over the same number of
+time steps, and only after each candidate's output is audited
+bit-identical to one :func:`~repro.core.reference.reference_run`
+golden), and the winner
 is persisted in a content-addressed :class:`PlanSelectionCache` so
 repeated traffic for the same workload runs the tuned plan with zero
 re-search.
@@ -26,6 +28,9 @@ measured on different silicon, and a plan measured with a two-worker
 pool is never served to a process pinned to one CPU.  The driver
 source digest (:func:`source_digest`) does the same for code: an edit
 to the generated driver invalidates every plan measured on the old one.
+The driver is one source per stencil — the SIMD width is a runtime
+field of its tables — so a cold resolve compiles it at most once,
+whatever mix of ``parvec`` the shortlist holds.
 Bumping ``CACHE_VERSION`` invalidates every prior selection at once (the
 old files are simply never looked up again).
 
@@ -61,6 +66,7 @@ import numpy as np
 from repro.core.accelerator import FPGAAccelerator
 from repro.core.blocking import BlockingConfig
 from repro.core.native import driver_source, usable_cpus
+from repro.core.reference import reference_run
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A, Board
@@ -75,8 +81,10 @@ DISABLE_ENV = "REPRO_NO_AUTOTUNE"
 #: Bump to invalidate every persisted selection (schema or semantics
 #: change); part of the content address, so old entries just go cold.
 #: Version 2: candidates are measured with the default, affinity-sized
-#: driver pool instead of one worker.
-CACHE_VERSION = 2
+#: driver pool instead of one worker.  Version 3: every candidate is
+#: timed over the same number of steps (the largest shortlisted
+#: ``partime``, capped by the workload's iterations).
+CACHE_VERSION = 3
 
 
 _CPU_MODEL: str | None = None
@@ -125,7 +133,11 @@ _SOURCE_DIGESTS: dict[tuple, str] = {}
 
 
 def source_digest(spec: StencilSpec) -> str:
-    """sha256 of the generated driver source for ``spec`` at ``VEC=1``."""
+    """sha256 of the generated driver source for ``spec``.
+
+    The one source every configuration of ``spec`` runs: the SIMD width
+    is not compiled in.
+    """
     key = (
         spec.dims,
         spec.radius,
@@ -134,7 +146,7 @@ def source_digest(spec: StencilSpec) -> str:
     )
     digest = _SOURCE_DIGESTS.get(key)
     if digest is None:
-        digest = hashlib.sha256(driver_source(spec, 1).encode()).hexdigest()
+        digest = hashlib.sha256(driver_source(spec).encode()).hexdigest()
         _SOURCE_DIGESTS[key] = digest
     return digest
 
@@ -266,10 +278,12 @@ class PlanSelectionCache:
 class Autotuner:
     """Shortlist by model, measure on the engine ladder, cache the winner.
 
-    ``bench_iterations`` bounds how many time steps each candidate runs
-    during measurement (clamped to cover at least one full pass);
-    ``repeats`` is the min-of-N timing discipline; ``shortlist_k`` caps
-    how many model-ranked candidates are measured.  One instance is
+    Every shortlisted candidate runs the same ``min(iterations, largest
+    shortlisted partime)`` time steps, so the timings compare equal
+    work and the candidate with the deepest pipeline still completes
+    one full pass.  ``repeats`` is the min-of-N timing discipline;
+    ``shortlist_k`` caps how many model-ranked candidates are
+    measured.  One instance is
     thread-safe: concurrent resolutions of the same digest may both
     measure (benign — both persist the same winner modulo timing noise).
     """
@@ -279,7 +293,6 @@ class Autotuner:
         board: Board = NALLATECH_385A,
         cache: PlanSelectionCache | None = None,
         shortlist_k: int = 3,
-        bench_iterations: int = 2,
         repeats: int = 2,
         seed: int = 1234,
     ):
@@ -287,16 +300,11 @@ class Autotuner:
             raise ConfigurationError(
                 f"shortlist_k must be >= 1, got {shortlist_k}"
             )
-        if bench_iterations < 1:
-            raise ConfigurationError(
-                f"bench_iterations must be >= 1, got {bench_iterations}"
-            )
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         self.board = board
         self.cache = cache if cache is not None else PlanSelectionCache()
         self.shortlist_k = shortlist_k
-        self.bench_iterations = bench_iterations
         self.repeats = repeats
         self.seed = seed
         # In-process memo over the persistent store: the serving path
@@ -314,7 +322,6 @@ class Autotuner:
         self,
         spec: StencilSpec,
         design: TunedDesign,
-        shape: tuple[int, ...],
         boundary: str,
         engine: str,
         golden: np.ndarray,
@@ -323,8 +330,8 @@ class Autotuner:
     ) -> float | None:
         """Best-of-N seconds for one candidate, or None if unusable.
 
-        The candidate's output is audited bit-identical to the NumPy
-        golden reference *before* any timing is recorded — a plan that
+        The candidate's output is audited bit-identical to the
+        reference golden *before* any timing is recorded — a plan that
         cannot reproduce the reference bits is never selected, however
         fast it is.
         """
@@ -403,20 +410,18 @@ class Autotuner:
         )
         rng = np.random.default_rng(self.seed)
         grid = rng.standard_normal(shape).astype(np.float32)
+        # equal work: every candidate advances the grid the same steps,
+        # so one golden audits them all
+        iters = min(
+            iterations, max(max(1, d.config.partime) for d in designs)
+        )
+        golden = reference_run(grid, spec, iters, boundary)
         measured: dict[str, float] = {}
         winner: TunedDesign | None = None
         winner_s = float("inf")
         for design in designs:
-            iters = min(iterations, max(1, design.config.partime))
-            ref = FPGAAccelerator(
-                spec, design.config, boundary=boundary, engine="numpy"
-            )
-            try:
-                golden, _ = ref.run(grid, iters)
-            finally:
-                ref.close()
             seconds = self._measure(
-                spec, design, shape, boundary, engine, golden, grid, iters
+                spec, design, boundary, engine, golden, grid, iters
             )
             if seconds is None:
                 continue

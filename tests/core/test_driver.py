@@ -229,7 +229,7 @@ def test_disable_env_blocks_driver(monkeypatch) -> None:
     monkeypatch.setenv(DISABLE_ENV, "1")
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
-    assert native_driver(spec, 2, cfg.parvec) is None
+    assert native_driver(spec, 2) is None
     with pytest.raises(ConfigurationError):
         FPGAAccelerator(spec, cfg, engine="native")
     # auto degrades silently and still computes the right bits

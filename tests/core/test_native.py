@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
+from repro.core.batch import BatchPlan
 from repro.core.native import (
     DISABLE_ENV,
     SCALAR_FLAGS,
@@ -15,6 +16,7 @@ from repro.core.native import (
     vector_width_for,
 )
 from repro.core.pe import pe_step_padded
+from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
 
 needs_native = pytest.mark.skipif(
@@ -24,9 +26,11 @@ needs_native = pytest.mark.skipif(
 
 def test_kernel_source_is_deterministic_and_exact() -> None:
     spec = StencilSpec.star(3, 2)
-    src = driver_source(spec, 4)
-    assert src == driver_source(spec, 4)
-    assert "#define VEC 4" in src
+    src = driver_source(spec)
+    assert src == driver_source(spec)
+    # the SIMD width is a runtime field of the job, not a build constant
+    assert "#define VEC" not in src
+    assert "J->vec" in src
     # coefficients are hex-float literals: exact float32 round-trip
     assert float(np.float32(spec.center)).hex() + "f" in src
     assert "-ffp-contract" not in src  # flags live in the compile step
@@ -72,24 +76,38 @@ def test_native_stage_bit_identical_to_pe_step_padded(
 @needs_native
 def test_native_kernel_cached_per_spec() -> None:
     spec = StencilSpec.star(2, 1)
-    a = native_driver(spec, 1, 4)
-    b = native_driver(StencilSpec.star(2, 1), 1, 4)
-    narrow = native_driver(spec, 1, 1)
-    scalar = native_driver(spec, 1, 1, SCALAR_FLAGS)
+    a = native_driver(spec, 1)
+    b = native_driver(StencilSpec.star(2, 1), 1)
+    scalar = native_driver(spec, 1, SCALAR_FLAGS)
     try:
         assert a is not b  # own pools...
         assert a.lib_path == b.lib_path  # ...one compiled library
-        # the width and the flags are part of the build key
-        assert len({a.lib_path, narrow.lib_path, scalar.lib_path}) == 3
+        # the flags are part of the build key
+        assert scalar.lib_path != a.lib_path
     finally:
-        for d in (a, b, narrow, scalar):
+        for d in (a, b, scalar):
             d.close()
+    # the width is not: every parvec of one stencil runs one library
+    accs = [
+        FPGAAccelerator(
+            spec,
+            BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=pv, partime=2),
+            engine="native",
+        )
+        for pv in (1, 4, 16)
+    ]
+    try:
+        assert len({acc._driver.lib_path for acc in accs}) == 1
+        assert [acc._vector_width for acc in accs] == [1, 4, 16]
+    finally:
+        for acc in accs:
+            acc.close()
 
 
 def test_disable_env_forces_fallback(monkeypatch) -> None:
     monkeypatch.setenv(DISABLE_ENV, "1")
     assert not native_available()
-    assert native_driver(StencilSpec.star(2, 4), 1, 4) is None
+    assert native_driver(StencilSpec.star(2, 4), 1) is None
     spec = StencilSpec.star(2, 1)
     cfg = BlockingConfig(dims=2, radius=1, bsize_x=16, parvec=2, partime=2)
     acc = FPGAAccelerator(spec, cfg)  # auto engine falls back silently
@@ -118,10 +136,66 @@ def test_engine_selection_and_run_equivalence() -> None:
     grid = make_grid((6, 25, 37), "mixed", seed=2)
     fast = FPGAAccelerator(spec, cfg, engine="native")
     slow = FPGAAccelerator(spec, cfg, engine="numpy")
-    assert fast._driver is not None and fast._driver.vector_width == 4
+    assert fast._driver is not None and fast._vector_width == 4
     assert slow.resolved_engine == "numpy"
     for iters in (1, 3, 4):
         out_fast, _ = fast.run(grid, iters)
         out_slow, _ = slow.run(grid, iters)
         assert np.array_equal(out_fast, out_slow)
     fast.close()
+
+
+def _drive(driver, config, grids, iterations, boundary, width):
+    """Step ``grids`` through ``driver`` pass by pass on width-``width``
+    tables: ``run_pass`` for one grid, ``run_batch_pass`` for a slab."""
+    bplan = BatchPlan(config, grids[0].shape, len(grids), boundary)
+    plan = bplan.plan
+    current = bplan.pack(grids)
+    remaining = iterations
+    while remaining > 0:
+        steps = min(config.partime, remaining)
+        tables = plan.to_driver_tables(steps, width)
+        assert tables.vector_width == width
+        scratch = np.empty(
+            driver.workers * 2 * tables.scratch_floats, dtype=np.float32
+        )
+        target = np.empty_like(current)
+        if len(grids) == 1:
+            driver.run_pass(
+                current[0], target[0], tables, plan.periodic, scratch
+            )
+        else:
+            driver.run_batch_pass(
+                current, target, tables, plan.periodic, scratch,
+                len(grids), bplan.grid_stride,
+            )
+        current = target
+        remaining -= steps
+    return bplan.unpack(current)
+
+
+@needs_native
+@pytest.mark.parametrize("dims, radius", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+def test_one_driver_runs_every_vector_width(dims, radius, boundary) -> None:
+    # one compiled driver, one pool: the width comes from each pass's
+    # tables, and every width is bit-exact.  3 iterations at partime 2
+    # is one full pass plus a one-step tail pass.
+    spec = StencilSpec.star(dims, radius)
+    shape = (10, 37) if dims == 2 else (6, 13, 21)
+    cfg = BlockingConfig(
+        dims=dims, radius=radius, bsize_x=16 if dims == 2 else 12,
+        bsize_y=12 if dims == 3 else None, parvec=4, partime=2,
+    )
+    grids = [make_grid(shape, "random", seed=s) for s in (1, 2, 3)]
+    want = [reference_run(g, spec, 3, boundary) for g in grids]
+    driver = native_driver(spec, 2)
+    try:
+        for width in (1, 2, 4, 8, 16):
+            (single,) = _drive(driver, cfg, grids[:1], 3, boundary, width)
+            assert np.array_equal(single, want[0]), width
+            batch = _drive(driver, cfg, grids, 3, boundary, width)
+            for got, ref in zip(batch, want):
+                assert np.array_equal(got, ref), width
+    finally:
+        driver.close()

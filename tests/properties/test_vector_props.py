@@ -52,7 +52,7 @@ def _run_vector(spec, cfg, shape, boundary, iters, seed):
     acc = FPGAAccelerator(spec, cfg, boundary=boundary, engine="native")
     try:
         assert acc.resolved_engine == "native"
-        assert acc._driver.vector_width == vector_width_for(cfg.parvec)
+        assert acc._vector_width == vector_width_for(cfg.parvec)
         out, _ = acc.run(grid, iters)
         batch = acc.run_batch([grid, -grid], iters)
     finally:

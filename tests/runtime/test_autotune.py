@@ -20,6 +20,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ import pytest
 import repro
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
+from repro.core import native
 from repro.core.native import native_available
 from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
@@ -112,8 +114,8 @@ def test_digest_separates_workloads_and_machines() -> None:
 
 def test_digest_changes_with_the_generated_driver_source(monkeypatch) -> None:
     base = plan_digest(SPEC, SHAPE, "clamp", "auto", "cpuA")
-    edited = autotune.driver_source(SPEC, 1) + "/* codegen edit */\n"
-    monkeypatch.setattr(autotune, "driver_source", lambda spec, vec: edited)
+    edited = autotune.driver_source(SPEC) + "/* codegen edit */\n"
+    monkeypatch.setattr(autotune, "driver_source", lambda spec: edited)
     monkeypatch.setattr(autotune, "_SOURCE_DIGESTS", {})
     assert plan_digest(SPEC, SHAPE, "clamp", "auto", "cpuA") != base
 
@@ -202,8 +204,64 @@ def test_resolve_validates_inputs(tmp_path) -> None:
         Autotuner(shortlist_k=0)
     with pytest.raises(ConfigurationError):
         Autotuner(repeats=0)
-    with pytest.raises(ConfigurationError):
-        Autotuner(bench_iterations=0)
+
+
+#: A 3D radius-4 workload whose shortlist mixes parvec 8 and 16 (and
+#: partime 7 and 3): the case that used to compile one driver per width.
+MIXED_SPEC = StencilSpec.star(3, 4)
+MIXED_SHAPE = (8, 32, 32)
+
+
+def _mixed_shortlist() -> list:
+    designs = Tuner(MIXED_SPEC, NALLATECH_385A).shortlist(MIXED_SHAPE, 4, k=3)
+    assert len({d.config.parvec for d in designs}) > 1  # premise
+    assert len({d.config.partime for d in designs}) > 1  # premise
+    return designs
+
+
+def test_every_candidate_is_timed_on_equal_work(tmp_path, monkeypatch) -> None:
+    designs = _mixed_shortlist()
+    calls = []
+
+    class Recording(FPGAAccelerator):
+        def run(self, grid, iterations, *args, **kwargs):
+            calls.append((self.config, iterations))
+            return super().run(grid, iterations, *args, **kwargs)
+
+    monkeypatch.setattr(autotune, "FPGAAccelerator", Recording)
+    plan = tuner(tmp_path, shortlist_k=3, repeats=2).resolve(
+        MIXED_SPEC, MIXED_SHAPE, iterations=4, engine="numpy"
+    )
+    assert plan.source == "measured" and len(plan.measured_ms) == 3
+    # min(iterations, largest shortlisted partime) steps for everyone
+    steps = min(4, max(d.config.partime for d in designs))
+    assert {iters for _, iters in calls} == {steps}
+    # one audit run plus `repeats` timed runs per candidate
+    for design in designs:
+        assert sum(cfg == design.config for cfg, _ in calls) == 3
+
+
+@needs_driver
+def test_cold_mixed_width_resolve_compiles_once(tmp_path, monkeypatch) -> None:
+    _mixed_shortlist()
+    build_dir = tmp_path / "tmp"
+    build_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(build_dir))
+    monkeypatch.setattr(native, "_LIBS", {})
+    compiles = []
+    real_compile = native._compile
+
+    def counting(source, flags):
+        compiles.append(flags)
+        return real_compile(source, flags)
+
+    monkeypatch.setattr(native, "_compile", counting)
+    plan = tuner(tmp_path / "cache", shortlist_k=3).resolve(
+        MIXED_SPEC, MIXED_SHAPE, iterations=4, engine="auto"
+    )
+    assert plan.source == "measured" and len(plan.measured_ms) == 3
+    assert len(compiles) == 1
+    assert len(list(build_dir.glob("repro_native_*.so"))) == 1
 
 
 def test_shortlist_ranks_valid_distinct_designs() -> None:
