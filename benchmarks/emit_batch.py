@@ -18,7 +18,10 @@ would be a silent-corruption machine, not an optimisation.
 
 * **bit-exactness** — zero mismatched grids at any ``B``;
 * **amortization** — the ``B=1024`` batched path must clear ``5x`` the
-  per-job jobs/sec (the ISSUE's acceptance floor; measured ~8-10x).
+  per-job jobs/sec (measured ~8-14x);
+* **no B=1 penalty** — the median per-repeat ``B=1`` speedup must stay
+  at or above ``0.75`` (measured 0.91-0.99): a one-grid batch runs the
+  same pass loop as ``run``.
 
 Usage::
 
@@ -48,11 +51,27 @@ ITERS = 4
 BATCH_SIZES = (1, 32, 1024)
 GATE_B = 1024
 GATE_SPEEDUP = 5.0
+#: Floor on the median per-repeat ``B=1`` speedup: ``run_batch([g])``
+#: is ``run(g)``'s own pass loop, so it may not fall far behind it.
+#: Measured medians read 0.91-0.99 (quartiles down to 0.81), so the
+#: floor sits below the run-to-run spread and only trips on a real
+#: per-batch overhead.
+GATE_B1_SPEEDUP = 0.75
+#: Jobs each timing repeat covers at every batch size.
+JOBS_PER_REPEAT = 1024
 
 
 def _measure(acc: FPGAAccelerator, grids, repeats: int) -> dict:
-    """Min-of-``repeats`` per-job and batched jobs/sec for one batch size."""
+    """Per-job and batched jobs/sec for one batch size.
+
+    Each repeat times both sides on the same ``JOBS_PER_REPEAT`` jobs
+    (``rounds`` back-to-back batches of ``B``), so a small ``B`` is not
+    timed one sub-millisecond call at a time.  ``speedup`` is the ratio
+    of the min-of-repeats times; ``speedup_quartiles`` are the
+    quartiles of the per-repeat ratios, the run-to-run spread.
+    """
     b = len(grids)
+    rounds = max(1, JOBS_PER_REPEAT // b)
 
     # bit-exactness first: the batch must reproduce per-grid bits
     batch = acc.run_batch(grids, ITERS)
@@ -62,26 +81,33 @@ def _measure(acc: FPGAAccelerator, grids, repeats: int) -> dict:
         for g, out in zip(grids, batch.outputs)
     )
 
-    per_job_s = float("inf")
-    batched_s = float("inf")
+    per_job, batched = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        for g in grids:
-            acc.run(g, ITERS)
-        per_job_s = min(per_job_s, time.perf_counter() - start)
+        for _ in range(rounds):
+            for g in grids:
+                acc.run(g, ITERS)
+        per_job.append((time.perf_counter() - start) / rounds)
 
         start = time.perf_counter()
-        acc.run_batch(grids, ITERS)
-        batched_s = min(batched_s, time.perf_counter() - start)
+        for _ in range(rounds):
+            acc.run_batch(grids, ITERS)
+        batched.append((time.perf_counter() - start) / rounds)
 
+    per_job_s, batched_s = min(per_job), min(batched)
+    ratios = [p / q for p, q in zip(per_job, batched)]
     return {
         "batch_size": b,
+        "rounds": rounds,
         "mismatched_grids": mismatched,
         "per_job_s": per_job_s,
         "batched_s": batched_s,
         "per_job_jobs_s": b / per_job_s,
         "batched_jobs_s": b / batched_s,
         "speedup": per_job_s / batched_s,
+        "speedup_quartiles": [
+            float(q) for q in np.percentile(ratios, [25, 50, 75])
+        ],
     }
 
 
@@ -96,7 +122,7 @@ def main() -> None:
                     / "BENCH_batch.json")
     args = ap.parse_args()
 
-    repeats = 3 if args.smoke else 5
+    repeats = 5 if args.smoke else 11
     acc = FPGAAccelerator(SPEC, CONFIG)
     model = PerformanceModel(NALLATECH_385A)
 
@@ -111,9 +137,11 @@ def main() -> None:
                 SPEC, CONFIG, SHAPE, ITERS, n_grids=b
             )
             cells.append(cell)
+            q1, med, q3 = cell["speedup_quartiles"]
             print(f"  B={b:>5d}: per-job {cell['per_job_jobs_s']:>9.0f} "
                   f"jobs/s, batched {cell['batched_jobs_s']:>9.0f} jobs/s, "
                   f"speedup {cell['speedup']:.2f}x "
+                  f"(per-repeat {med:.2f}x, IQR {q1:.2f}-{q3:.2f}) "
                   f"(model {cell['model_amortization']:.2f}x), "
                   f"{cell['mismatched_grids']} mismatched")
     finally:
@@ -121,6 +149,9 @@ def main() -> None:
 
     mismatched = sum(c["mismatched_grids"] for c in cells)
     at_gate = next(c for c in cells if c["batch_size"] == GATE_B)
+    b1_median = next(
+        c for c in cells if c["batch_size"] == 1
+    )["speedup_quartiles"][1]
 
     payload = {
         "generated_by": "benchmarks/emit_batch.py",
@@ -130,10 +161,13 @@ def main() -> None:
         "grid_shape": list(SHAPE),
         "iterations": ITERS,
         "repeats": repeats,
+        "jobs_per_repeat": JOBS_PER_REPEAT,
         "gate_batch_size": GATE_B,
         "gate_speedup": GATE_SPEEDUP,
         "cells": cells,
         "speedup_at_gate": at_gate["speedup"],
+        "gate_b1_speedup": GATE_B1_SPEEDUP,
+        "b1_speedup_median": b1_median,
         "mismatched_grids": mismatched,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -152,6 +186,12 @@ def main() -> None:
                 f"batched dispatch at B={GATE_B} is only "
                 f"{at_gate['speedup']:.2f}x per-job jobs/sec "
                 f"(gate {GATE_SPEEDUP:.0f}x): the amortization regressed"
+            )
+        if b1_median < GATE_B1_SPEEDUP:
+            raise SystemExit(
+                f"a one-grid batch runs at {b1_median:.2f}x of run() "
+                f"(gate {GATE_B1_SPEEDUP:.2f}x): run_batch added per-call "
+                "overhead"
             )
 
 

@@ -10,7 +10,7 @@ from repro.core.stencil import Direction, StencilSpec
 from repro.core.grid import make_grid
 from repro.core.reference import reference_step, reference_run
 from repro.core.blocking import BlockingConfig, BlockDecomposition
-from repro.core.batch import BatchPlan, BatchResult, BatchTables
+from repro.core.batch import BatchPlan, BatchResult
 from repro.core.accelerator import FPGAAccelerator, AcceleratorStats
 from repro.core.sharding import HaloEdge, Shard, ShardPlan
 
@@ -24,7 +24,6 @@ __all__ = [
     "BlockDecomposition",
     "BatchPlan",
     "BatchResult",
-    "BatchTables",
     "FPGAAccelerator",
     "AcceleratorStats",
     "HaloEdge",

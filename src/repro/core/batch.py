@@ -1,25 +1,22 @@
-"""Batched execution of many small same-config grids (ROADMAP item 4).
+"""Batched execution of many small same-config grids.
 
 The paper's pipelines are sized for a handful of large Table-III grids,
-but user-scale traffic is the opposite regime: millions of *small*
-independent grids where per-job overhead (plan lookup, ctypes dispatch,
-event accounting) dominates the actual stencil work.  SASA's hybrid
-spatial parallelism shows many independent PE chains sharing one device;
-this module adopts the software analogue — pack ``B`` grids that share
-one ``(config, grid_shape, boundary)`` triple into a single contiguous
-*slab* and drive the whole batch through one fused-driver call:
+but user-scale traffic is the opposite regime: many *small* independent
+grids where per-job overhead (plan lookup, ctypes dispatch, event
+accounting) dominates the actual stencil work.  SASA's hybrid spatial
+parallelism shows many independent PE chains sharing one device; the
+software analogue is to stack ``B`` grids that share one
+``(config, grid_shape, boundary)`` triple into a single C-contiguous
+``(B, *grid_shape)`` *slab* and drive it through the accelerator's one
+pass loop — the loop every run takes, a single grid being a one-grid
+slab.  The native driver's claim counter then ranges over
+``B * n_blocks`` ``(grid, block)`` units, so idle workers steal across
+grids as well as blocks; lint rule P307 checks the slab layout the
+driver is given (:func:`repro.core.native.slab_layout`).
 
 * :class:`BatchPlan` — the shared per-grid :class:`~repro.core.plan.
-  PassPlan` plus the slab geometry (per-grid float offsets, one stride);
-* :class:`BatchTables` — the driver-facing serialization: the per-grid
-  :class:`~repro.core.plan.DriverTables` *unchanged*, extended only by
-  ``(n_grids, grid_stride)``.  The C pool's atomic claim counter then
-  ranges over ``n_grids * n_blocks`` flat ``(grid, block)`` units, so
-  idle workers steal across grids as well as blocks — a batch of
-  one-block grids still saturates every worker.  Lint rule P307 proves
-  this flat unit space round-trips to the per-grid plans (bijective
-  ``t -> (g, b)`` decomposition, non-overlapping grid offsets, tables
-  byte-identical to the single-grid serialization);
+  PassPlan` plus the slab shape, and :meth:`BatchPlan.pack`, which
+  stacks separate grids into a new slab;
 * :class:`BatchResult` — per-grid outputs *and* per-grid typed errors,
   so one grid's injected SEU fails only that grid's request when the
   batch is split back into responses.
@@ -38,40 +35,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.blocking import BlockingConfig
-from repro.core.plan import DriverTables, PassPlan, get_pass_plan
+from repro.core.plan import PassPlan, get_pass_plan
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.accelerator import AcceleratorStats
-
-
-@dataclass(frozen=True)
-class BatchTables:
-    """Driver tables for one batched pass: per-grid tables + slab layout.
-
-    ``tables`` is byte-identical to what a single-grid pass would use —
-    the batch extension is *only* the two extra scalars.  ``n_units``
-    (= ``n_grids * n_blocks``) is the range of the pool's atomic claim
-    counter; unit ``t`` executes block ``t % n_blocks`` of grid
-    ``t // n_blocks`` at slab offset ``(t // n_blocks) * grid_stride``
-    floats.
-    """
-
-    tables: DriverTables
-    n_grids: int
-    grid_stride: int
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self.tables.blocks.shape[0])
-
-    @property
-    def n_units(self) -> int:
-        return self.n_grids * self.n_blocks
-
-    def unit_to_grid_block(self, t: int) -> tuple[int, int]:
-        """Decode flat claim-counter unit ``t`` — mirrors the C worker."""
-        return t // self.n_blocks, t % self.n_blocks
 
 
 class BatchPlan:
@@ -79,10 +47,10 @@ class BatchPlan:
 
     Construction validates the batch is well-formed (``n_grids >= 1``,
     shape valid for the config) and reuses the cached per-grid
-    :class:`PassPlan`; the only new state is the slab layout.  The slab
+    :class:`PassPlan`; the only new state is the slab shape.  The slab
     is C-contiguous of shape ``(n_grids,) + grid_shape``, so consecutive
-    grids sit exactly ``grid_stride = prod(grid_shape)`` floats apart
-    and per-grid views are themselves contiguous.
+    grids sit exactly ``prod(grid_shape)`` floats apart and per-grid
+    views are themselves contiguous.
     """
 
     def __init__(
@@ -98,30 +66,15 @@ class BatchPlan:
                 param="n_grids", value=n_grids, constraint="n_grids >= 1",
             )
         self.plan: PassPlan = get_pass_plan(config, grid_shape, boundary)
-        self.config = config
         self.grid_shape = self.plan.grid_shape
-        self.boundary = boundary
         self.n_grids = int(n_grids)
-        stride = 1
-        for extent in self.grid_shape:
-            stride *= extent
-        self.grid_stride = stride
         self.slab_shape = (self.n_grids,) + self.grid_shape
 
-    # ------------------------------------------------------------------ #
-
-    def offsets(self) -> tuple[int, ...]:
-        """Per-grid float offset of each grid within the slab."""
-        return tuple(g * self.grid_stride for g in range(self.n_grids))
-
-    def pack(
-        self, grids: Sequence[np.ndarray], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Stack ``n_grids`` grids into one contiguous float32 slab.
+    def pack(self, grids: Sequence[np.ndarray]) -> np.ndarray:
+        """Stack ``n_grids`` grids into a new contiguous float32 slab.
 
         Validates count and shapes; the inputs are copied (the slab is
-        the batch's working memory, callers keep their arrays) into
-        ``out`` when given, else into a new slab.
+        the batch's working memory, callers keep their arrays).
         """
         if len(grids) != self.n_grids:
             raise ConfigurationError(
@@ -129,7 +82,7 @@ class BatchPlan:
                 param="grids", value=len(grids),
                 constraint=f"len(grids) == n_grids ({self.n_grids})",
             )
-        slab = np.empty(self.slab_shape, dtype=np.float32) if out is None else out
+        slab = np.empty(self.slab_shape, dtype=np.float32)
         for g, grid in enumerate(grids):
             if tuple(grid.shape) != self.grid_shape:
                 raise ConfigurationError(
@@ -144,14 +97,6 @@ class BatchPlan:
     def unpack(self, slab: np.ndarray) -> list[np.ndarray]:
         """Split a slab back into ``n_grids`` independent copies."""
         return [np.array(slab[g]) for g in range(self.n_grids)]
-
-    def to_batch_tables(self, steps: int) -> BatchTables:
-        """Serialize for the native driver's batched pass entry point."""
-        return BatchTables(
-            tables=self.plan.to_driver_tables(steps),
-            n_grids=self.n_grids,
-            grid_stride=self.grid_stride,
-        )
 
 
 @dataclass
@@ -180,4 +125,4 @@ class BatchResult:
         return sum(1 for e in self.errors if e is not None)
 
 
-__all__ = ["BatchPlan", "BatchTables", "BatchResult"]
+__all__ = ["BatchPlan", "BatchResult"]

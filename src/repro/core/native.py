@@ -929,13 +929,14 @@ class NativeDriver:
 
     One instance owns one C-side ``pool_t``: ``n_workers - 1`` pthreads
     created at construction and parked on a condition variable between
-    passes, plus the calling thread acting as worker 0.  Each
-    :meth:`run_pass` call executes an *entire pass* — every block's
-    gather, all chained PE stages and the write-back — inside native
-    code, with blocks claimed off one atomic counter (work-stealing).
-    A pass with a single ``(grid, block)`` unit, or any pass of a
-    one-worker pool, runs inline on the calling thread and never
-    touches the pool's mutex or condition variables.
+    passes, plus the calling thread acting as worker 0.  Its one entry
+    point, :meth:`run_pass`, executes an *entire pass* over a
+    ``(n_grids, *grid_shape)`` slab — every block's gather, all chained
+    PE stages and the write-back, for every grid — inside native code,
+    with ``(grid, block)`` units claimed off one atomic counter
+    (work-stealing).  A pass with a single ``(grid, block)`` unit, or
+    any pass of a one-worker pool, runs inline on the calling thread
+    and never touches the pool's mutex or condition variables.
     The handle is not reentrant: one pass at a time per driver, which is
     exactly the accelerator's pass loop.  Freed via ``weakref.finalize``
     (or an explicit :meth:`close`), so pools never leak across runs.
@@ -963,7 +964,7 @@ class NativeDriver:
             ctypes.c_void_p,  # scratch
             ctypes.c_longlong,  # scratch_half (floats per ping buffer)
             ctypes.c_longlong,  # vec (lanes each scratch row is padded to)
-            ctypes.c_longlong,  # n_grids (batched grids; 1 for a plain pass)
+            ctypes.c_longlong,  # n_grids (grids in the slab)
             ctypes.c_longlong,  # grid_stride (floats between slab grids)
         ]
         lib.driver_run_pass.restype = None
@@ -990,57 +991,21 @@ class NativeDriver:
     ) -> None:
         """Execute one full pass of ``tables.steps`` chained stages.
 
-        ``src``/``out`` must be distinct C-contiguous float32 grids of
-        the plan's shape; ``scratch`` a C-contiguous float32 array with
-        at least ``workers * 2 * tables.scratch_floats`` elements.  Rows
-        are padded to ``tables.vector_width`` lanes, the same width the
-        scratch was sized for.  The ctypes call releases the GIL for
-        the whole pass.
-        """
-        self._dispatch(src, out, tables, periodic, scratch, 1, 0)
-
-    def run_batch_pass(
-        self,
-        src: np.ndarray,
-        out: np.ndarray,
-        tables: DriverTables,
-        periodic: bool,
-        scratch: np.ndarray,
-        n_grids: int,
-        grid_stride: int,
-    ) -> None:
-        """Execute one pass over ``n_grids`` grids packed in one slab.
-
         ``src``/``out`` are distinct C-contiguous float32 slabs of shape
-        ``(n_grids,) + grid_shape``; consecutive grids sit
-        ``grid_stride`` floats apart.  The pool's atomic claim counter
-        ranges over ``(grid, block)`` pairs, so one ctypes call (and one
-        scratch allocation) services the entire batch while every worker
-        stays busy even when a single grid has fewer blocks than
-        workers.  Bit-exact versus ``n_grids`` separate :meth:`run_pass`
-        calls by construction: the same ``do_block`` body runs per
-        ``(grid, block)`` unit, and writes to distinct grids never
-        alias.
+        ``(n_grids,) + grid_shape`` (one grid is a ``grid[None]``
+        view); the grid count and strides the C side sees are
+        :func:`slab_layout` of ``src``.  The pool's atomic claim counter
+        ranges over ``(grid, block)`` units, so one call services the
+        whole slab and every worker stays busy even when one grid has
+        fewer blocks than workers; grids never alias, so the result is
+        bit-identical to a pass per grid.  ``scratch`` is a C-contiguous
+        float32 array with at least ``workers * 2 *
+        tables.scratch_floats`` elements.  Rows are padded to
+        ``tables.vector_width`` lanes, the same width the scratch was
+        sized for.  The ctypes call releases the GIL for the whole
+        pass.
         """
-        self._dispatch(src, out, tables, periodic, scratch,
-                       int(n_grids), int(grid_stride))
-
-    def _dispatch(
-        self,
-        src: np.ndarray,
-        out: np.ndarray,
-        tables: DriverTables,
-        periodic: bool,
-        scratch: np.ndarray,
-        n_grids: int,
-        grid_stride: int,
-    ) -> None:
-        itemsize = src.itemsize
-        # Per-grid strides: for a slab, axis 0 of the slab is the grid
-        # index, so the plan axes start at ndim - dims.
-        base = src.ndim - self.spec.dims
-        gs0 = src.strides[base] // itemsize
-        gs1 = src.strides[base + 1] // itemsize if self.spec.dims == 3 else 0
+        n_grids, grid_stride, gs0, gs1 = slab_layout(src, self.spec.dims)
         self._lib.driver_run_pass(
             self._handle,
             src.ctypes.data,
@@ -1059,6 +1024,20 @@ class NativeDriver:
             n_grids,
             grid_stride,
         )
+
+
+def slab_layout(src: np.ndarray, dims: int) -> tuple[int, int, int, int]:
+    """``(n_grids, grid_stride, gs0, gs1)`` of a ``(n_grids, *grid_shape)``
+    slab: the layout :meth:`NativeDriver.run_pass` hands the C driver.
+
+    Strides are in elements: ``grid_stride`` between consecutive grids,
+    ``gs0`` along the streamed axis and ``gs1`` along axis 1 of a 3D
+    grid (0 in 2D).  Lint rule P307 checks this layout against the plan
+    without running a pass.
+    """
+    itemsize = src.itemsize
+    strides = [s // itemsize for s in src.strides]
+    return src.shape[0], strides[0], strides[1], strides[2] if dims == 3 else 0
 
 
 #: Compiled driver library path per ``(stencil key, flags)``; ``None``

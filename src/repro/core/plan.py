@@ -169,7 +169,7 @@ class DriverTables:
     #: sized here always agree.  When > 1 the block buffers' x stride
     #: is padded to a multiple of this width, the padding is folded
     #: into ``scratch_floats``, and the alignment invariants below hold
-    #: (asserted at build time, re-proved by lint rule P309 without
+    #: (asserted at build time, re-proved by lint rule P306 without
     #: executing a pass).
     vector_width: int = 1
     #: Upper bound on any block's padded x stride (== the scalar max x
@@ -349,7 +349,7 @@ class PassPlan:
             # floats preserves the base alignment for every worker.
             unit = max(vec, 16)
             scratch = -(-scratch // unit) * unit
-        # ---- table-build-time alignment assertions (lint P309 re-proves
+        # ---- table-build-time alignment assertions (lint P306 re-proves
         # these from first principles without executing a pass) ----
         if padded_x < self.max_footprint[-1] or padded_x % vec:
             raise ConfigurationError(

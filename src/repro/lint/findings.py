@@ -106,13 +106,11 @@ RULES: dict[str, Rule] = _catalog([
     ("P305", Severity.ERROR, "plan",
      "final-stage window does not equal the compute region"),
     ("P306", Severity.ERROR, "plan",
-     "driver tables do not round-trip the plan's Python geometry"),
+     "driver tables do not round-trip the plan's geometry or padding"),
     ("P307", Severity.ERROR, "plan",
-     "batch driver tables do not round-trip to the per-grid plan"),
+     "slab layout given to the driver overlaps or misindexes grids"),
     ("P308", Severity.ERROR, "plan",
      "shard plan partition or halo-exchange geometry is not exact"),
-    ("P309", Severity.ERROR, "plan",
-     "vectorized driver tables break an alignment or layout invariant"),
     # ---- hot-path purity pass ----------------------------------------- #
     ("H401", Severity.ERROR, "purity",
      "fault-injection hook used outside a disarmed guard"),

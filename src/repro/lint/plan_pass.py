@@ -20,20 +20,27 @@ updates or writes a single cell:
   clamped/wrapped source indices exactly.
 * P305 — the final stage of a full pass lands exactly on the compute
   region the write kernel copies out (``read_sl``).
-* P306 — the flat int64 driver tables (:meth:`PassPlan.to_driver_tables`)
-  decode back to exactly the Python-side geometry: per-block records,
-  gather-segment rows, shrink windows and scratch sizing.  The generated
-  native pass driver executes *only* these tables, so a serialization
-  slip would silently corrupt every fused pass; this check proves the
-  round-trip without executing one.
-* P307 — the *batched* driver tables (:meth:`repro.core.batch.BatchPlan.
-  to_batch_tables`) round-trip to the per-grid plan: the embedded tables
-  are byte-identical to the single-grid serialization, the flat
-  ``(grid, block)`` claim-counter decomposition is bijective over
-  ``n_grids * n_blocks`` units, and consecutive grids sit at disjoint
-  slab offsets (``grid_stride >= prod(grid_shape)``).  Batching must
-  change scheduling, never geometry — this check proves a batched pass
-  executes exactly ``n_grids`` copies of the already-proved plan.
+* P306 — every flat int64 driver table a run can build
+  (:meth:`PassPlan.to_driver_tables` for ``steps in {1, partime}`` and
+  ``vector_width in {1, 2, 8, vector_width_for(parvec)}``) decodes back
+  to exactly the Python-side geometry — per-block records,
+  gather-segment rows, shrink windows — and keeps the padding the
+  driver's alignment relies on: ``padded_x = roundup(max x footprint,
+  width)``, scratch sized by the exact padded formula and rounded to
+  ``max(width, 16)`` floats (so per-worker ping/pong bases stay 64-byte
+  aligned), and every block's own padded footprint fitting it.  The
+  generated native pass driver executes *only* these tables, and they
+  are the only place the width lives, so a serialization slip would
+  silently corrupt every fused pass; this check proves the round-trip
+  without executing one.
+* P307 — the slab layout the driver is given
+  (:func:`repro.core.native.slab_layout` of a
+  ``(n_grids, *grid_shape)`` slab of a :class:`repro.core.batch.
+  BatchPlan`) has one grid per batch entry, C-order grid strides, and a
+  grid stride covering the grid's cells, so no two grids overlap.
+  Batching must change scheduling, never geometry: with P306 this
+  proves a pass over the slab executes exactly ``n_grids`` copies of
+  the already-proved plan.
 * P308 — a :class:`repro.core.sharding.ShardPlan` decomposes exactly:
   shard interiors tile the streamed axis once each, every halo row is
   fed by exactly one exchange edge, every edge ships ``config.halo``
@@ -42,28 +49,16 @@ updates or writes a single cell:
   extent under periodic boundaries).  This is the no-execution proof
   that the sharded runner's exchange reconstructs the single-device
   run's neighborhoods bit-for-bit.
-* P309 — the *vectorized* driver tables (``to_driver_tables(steps,
-  vector_width)``) keep the alignment invariants the simd kernels rely
-  on.  The tables are the only place the width lives — the compiled
-  driver pads each row to ``tables.vector_width`` at run time — so
-  these invariants are the whole of the alignment contract:
-  ``padded_x = roundup(max x footprint, width)``, scratch sized by the exact padded formula and rounded to
-  ``max(width, 16)`` floats (so per-worker ping/pong bases stay 64-byte
-  aligned), every block's own padded footprint fitting the shared
-  scratch — and the padding is layout-only: the geometry arrays are
-  byte-identical to the scalar serialization and no stage window
-  reaches into the padded lanes.  The build-time assertions inside
-  ``to_driver_tables`` prove these at construction; this check re-proves
-  them from first principles against the cached tables object the
-  driver actually executes.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.batch import BatchPlan
-from repro.core.native import vector_width_for
+from repro.core.native import slab_layout, vector_width_for
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
 from repro.core.sharding import ShardPlan
 from repro.lint.findings import Finding
@@ -365,15 +360,35 @@ def _check_windows(plan: PassPlan, locus: str) -> list[Finding]:
 
 
 def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
-    """P306: the flat driver tables decode back to the plan geometry."""
+    """P306: every driver table a run can build decodes to the plan.
+
+    The one compiled driver executes *only* these flat int64 tables —
+    for ``steps in {1, partime}`` (a full and a tail pass), at whatever
+    SIMD width the accelerator pads rows to — so each such table must
+    decode back to exactly the plan's block records, gather-segment
+    rows and shrink windows, and its padding (the only place the width
+    lives) must follow the exact formulas the driver's row strides and
+    per-worker scratch bases are derived from.  The build-time
+    assertions inside ``to_driver_tables`` cannot see a cached tables
+    object tampered after construction; this check re-derives
+    everything from the blocks and the config.
+    """
     findings: list[Finding] = []
     ndim = plan.config.dims
     rad = plan.config.radius
     rec_len = DRIVER_RECORD_LEN[ndim]
     n_blocked = ndim - 1
-    for steps in sorted({1, plan.config.partime}):
-        tables = plan.to_driver_tables(steps)
-        t_locus = f"{locus}/tables(steps={steps})"
+    # per-axis maxima re-derived from the blocks, not the plan's own
+    # cached max_footprint (the point is an independent derivation)
+    max_fp = tuple(
+        max(bp.footprint[ax] for bp in plan.blocks) for ax in range(ndim)
+    )
+    for steps, vec in itertools.product(
+        sorted({1, plan.config.partime}),
+        sorted({1, 2, 8, vector_width_for(plan.config.parvec)}),
+    ):
+        tables = plan.to_driver_tables(steps, vec)
+        t_locus = f"{locus}/tables(steps={steps},vec={vec})"
 
         def bad(message: str, hint: str = "", _loc=t_locus) -> None:
             findings.append(
@@ -398,10 +413,20 @@ def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
         if tables.steps != steps:
             bad(f"tables.steps is {tables.steps}, requested {steps}")
             shapes_ok = False
+        if tables.vector_width != vec:
+            bad(
+                f"tables.vector_width is {tables.vector_width}, built "
+                f"for width {vec}",
+                hint="the driver pads every row stride to this field at "
+                "run time; a width the scratch was not sized for "
+                "misaligns the rows or overruns the scratch",
+            )
+            shapes_ok = False
         if not shapes_ok:
             continue
 
-        # windows must be byte-for-byte the Python shrink schedule
+        # windows must be byte-for-byte the Python shrink schedule, so
+        # no stage window reaches into the padded lanes either
         expected_windows = np.asarray(plan.windows(steps), dtype=np.int64)
         if not np.array_equal(
             tables.windows, expected_windows.reshape(tables.windows.shape)
@@ -410,10 +435,38 @@ def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
                 "windows table differs from PassPlan.windows()",
                 hint="the driver's per-stage bounds come only from this "
                 "table; a drifted window breaks the nesting invariant "
-                "P302 already proved for the Python schedule",
+                "P302 already proved for the Python schedule, and one "
+                "reaching into the padded lanes folds garbage into the "
+                "accumulation",
             )
 
-        max_scratch = 0
+        # padding: the exact roundups the driver derives its row
+        # strides and per-worker ping/pong bases from
+        want_padded = -(-max_fp[-1] // vec) * vec
+        if tables.padded_x != want_padded:
+            bad(
+                f"padded_x {tables.padded_x} != roundup(max x footprint "
+                f"{max_fp[-1]}, {vec}) = {want_padded}",
+                hint="too small truncates the widest block's rows; too "
+                "large silently oversizes every scratch row",
+            )
+        want_scratch = max_fp[0] + 2 * rad
+        for extent in max_fp[1:-1]:
+            want_scratch *= extent
+        want_scratch *= want_padded
+        unit = max(vec, 16) if vec > 1 else 1
+        want_scratch = -(-want_scratch // unit) * unit
+        if tables.scratch_floats != want_scratch:
+            bad(
+                f"scratch_floats {tables.scratch_floats} != "
+                f"roundup((max t-extent + 2*rad) * middle extents * "
+                f"padded_x, {unit}) = {want_scratch}",
+                hint="undersized scratch lets the PE chain write past "
+                "the allocation; worker w's buffers start at w * "
+                "scratch_floats, so the roundup to max(vec, 16) floats "
+                "keeps every worker's bases 64-byte aligned",
+            )
+
         for i, bp in enumerate(plan.blocks):
             rec = [int(v) for v in tables.blocks[i]]
             b_locus = f"{t_locus}/block{i}"
@@ -491,267 +544,62 @@ def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
                         hint="the driver's read kernel replays exactly "
                         "these (dst, src) runs",
                     )
-            need = bp.footprint[0] + 2 * rad
-            for extent in bp.footprint[1:]:
-                need *= extent
-            max_scratch = max(max_scratch, need)
-        if tables.scratch_floats < max_scratch:
-            bad(
-                f"scratch_floats {tables.scratch_floats} < largest padded "
-                f"block footprint {max_scratch}",
-                hint="an undersized scratch buffer lets the PE chain "
-                "write past the allocation",
-            )
-    return findings
-
-
-def _check_vector_tables(plan: PassPlan, locus: str) -> list[Finding]:
-    """P309: vectorized tables keep alignment; padding is layout-only.
-
-    The native driver pads each scratch row's x stride to a multiple
-    of the vector width so every row base stays on a vector boundary,
-    and sizes the ping-pong halves so per-worker bases keep (at least)
-    64-byte alignment.  Those invariants are *asserted* at table-build
-    time inside :meth:`PassPlan.to_driver_tables`; this check re-proves
-    them from first principles — block footprints, the config's radius,
-    the roundup formulas — against the tables object the driver would
-    actually execute (the build-time assertions cannot see a cached
-    tables object tampered after construction).  It also proves the
-    padding is a pure layout change: the geometry arrays must be
-    byte-identical to the scalar serialization, and no stage window may
-    reach into the padded lanes.
-    """
-    findings: list[Finding] = []
-    rad = plan.config.radius
-    steps = plan.config.partime
-    scalar = plan.to_driver_tables(steps)
-    # re-derive the per-axis maxima from the blocks, not the plan's own
-    # cached max_footprint (the point is an independent derivation)
-    ndim = plan.config.dims
-    max_fp = tuple(
-        max(bp.footprint[ax] for bp in plan.blocks) for ax in range(ndim)
-    )
-    for vec in sorted({2, 8, vector_width_for(plan.config.parvec)} - {1}):
-        tables = plan.to_driver_tables(steps, vec)
-        t_locus = f"{locus}/tables(steps={steps},vec={vec})"
-
-        def bad(message: str, hint: str = "", _loc=t_locus) -> None:
-            findings.append(
-                Finding(rule="P309", message=message, locus=_loc, hint=hint)
-            )
-
-        if tables.vector_width != vec:
-            bad(
-                f"tables.vector_width is {tables.vector_width}, built "
-                f"for width {vec}",
-                hint="the driver pads every row stride to this field at "
-                "run time; a width the scratch was not sized for "
-                "misaligns the rows or overruns the scratch",
-            )
-            continue
-        want_padded = -(-max_fp[-1] // vec) * vec
-        if tables.padded_x != want_padded:
-            bad(
-                f"padded_x {tables.padded_x} != roundup(max x footprint "
-                f"{max_fp[-1]}, {vec}) = {want_padded}",
-                hint="too small truncates the widest block's rows; too "
-                "large silently oversizes every scratch row",
-            )
-        if tables.padded_x % vec or tables.padded_x < max_fp[-1]:
-            bad(
-                f"padded_x {tables.padded_x} is not a whole-vector cover "
-                f"of the x footprint {max_fp[-1]}",
-                hint="a misaligned stride breaks the aligned-load "
-                "contract the simd kernels are compiled against",
-            )
-        # scratch capacity: re-derive the exact sizing formula
-        want_scratch = max_fp[0] + 2 * rad
-        for extent in max_fp[1:-1]:
-            want_scratch *= extent
-        want_scratch *= want_padded
-        unit = max(vec, 16)
-        want_scratch = -(-want_scratch // unit) * unit
-        if tables.scratch_floats != want_scratch:
-            bad(
-                f"scratch_floats {tables.scratch_floats} != "
-                f"roundup((max t-extent + 2*rad) * middle extents * "
-                f"padded_x, {unit}) = {want_scratch}",
-                hint="undersized scratch lets a vector store run past "
-                "the allocation; the roundup to max(vec, 16) floats "
-                "keeps per-worker ping/pong bases 64-byte aligned",
-            )
-        if tables.scratch_floats % vec:
-            bad(
-                f"scratch_floats {tables.scratch_floats} is not a "
-                f"multiple of the vector width {vec}",
-                hint="worker w's buffers start at w * scratch_floats; "
-                "an unaligned capacity misaligns every worker but the "
-                "first",
-            )
-        # every block must fit: the C re-derives each block's own row
-        # stride as roundup(nx, vec)
-        for i, bp in enumerate(plan.blocks):
+            # the C re-derives each block's own row stride as
+            # roundup(nx, vec): its padded footprint must fit the scratch
             need = bp.footprint[0] + 2 * rad
             for extent in bp.footprint[1:-1]:
                 need *= extent
             need *= -(-bp.footprint[-1] // vec) * vec
             if need > tables.scratch_floats:
-                bad(
-                    f"block {i} needs {need} floats at width {vec}, "
-                    f"scratch holds {tables.scratch_floats}",
-                    hint="per-block padded footprints must fit the "
-                    "shared scratch sizing",
-                    _loc=f"{t_locus}/block{i}",
+                bbad(
+                    f"block needs {need} floats at width {vec}, scratch "
+                    f"holds {tables.scratch_floats}",
+                    hint="an undersized scratch buffer lets the PE chain "
+                    "write past the allocation",
                 )
-        # layout-only: the padding must not perturb the geometry the
-        # driver decodes — byte-identical to the scalar serialization
-        for name, got, want in (
-            ("blocks", tables.blocks, scalar.blocks),
-            ("segments", tables.segments, scalar.segments),
-            ("windows", tables.windows, scalar.windows),
-        ):
-            if got.shape != want.shape or not np.array_equal(got, want):
-                bad(
-                    f"{name} table differs from the vector_width=1 "
-                    "serialization",
-                    hint="x padding is a pure layout change; geometry "
-                    "drift means the vector engine computes a different "
-                    "stencil than the scalar one it must be bit-exact "
-                    "against",
-                )
-        # the padded lanes are never addressed by a stencil term: every
-        # stage window stays inside the unpadded block footprint
-        if tables.windows.shape == (len(plan.blocks), steps, ndim, 2):
-            for i, bp in enumerate(plan.blocks):
-                x_stops = tables.windows[i, :, -1, 1]
-                if int(x_stops.max(initial=0)) > bp.footprint[-1]:
-                    bad(
-                        f"block {i}: a stage window reaches x="
-                        f"{int(x_stops.max())} past the unpadded "
-                        f"footprint {bp.footprint[-1]}",
-                        hint="padded lanes hold unspecified values; a "
-                        "window covering them folds garbage into the "
-                        "accumulation",
-                        _loc=f"{t_locus}/block{i}",
-                    )
     return findings
 
 
-def _check_batch_tables(bplan: BatchPlan, locus: str) -> list[Finding]:
-    """P307: batch tables round-trip to the per-grid plan."""
+def _check_slab_layout(bplan: BatchPlan, locus: str) -> list[Finding]:
+    """P307: the slab layout the driver is given keeps grids apart.
+
+    Derives ``(n_grids, grid_stride, gs0, gs1)`` exactly as
+    :meth:`~repro.core.native.NativeDriver.run_pass` does — through
+    :func:`~repro.core.native.slab_layout` of a slab of the plan's
+    shape (allocated, never touched) — and checks it against the
+    grid shape: the C driver reaches grid ``g`` at ``g * grid_stride``
+    floats, so that stride must cover a whole grid.
+    """
     findings: list[Finding] = []
-    plan = bplan.plan
-
+    shape = bplan.plan.grid_shape
     cells = 1
-    for extent in bplan.grid_shape:
+    for extent in shape:
         cells *= extent
+    slab = np.empty(bplan.slab_shape, dtype=np.float32)
+    n_grids, grid_stride, gs0, gs1 = slab_layout(slab, len(shape))
+    want_rows = (cells // shape[0], shape[2] if len(shape) == 3 else 0)
 
-    def bad(message: str, hint: str = "", _loc: str | None = None) -> None:
+    def bad(message: str, hint: str = "") -> None:
         findings.append(
-            Finding(
-                rule="P307",
-                message=message,
-                locus=_loc if _loc is not None else locus,
-                hint=hint,
-            )
+            Finding(rule="P307", message=message, locus=locus, hint=hint)
         )
 
-    if bplan.grid_stride < cells:
+    if n_grids != bplan.n_grids:
+        bad(f"the driver sees {n_grids} grids, the batch has {bplan.n_grids}")
+    if grid_stride < cells:
         bad(
-            f"grid_stride {bplan.grid_stride} < grid cells {cells}: "
+            f"grid_stride {grid_stride} < grid cells {cells}: "
             "consecutive grids overlap in the slab",
             hint="workers claiming different grids would scribble on "
             "each other's cells",
         )
-    offsets = bplan.offsets()
-    want_offsets = tuple(
-        g * bplan.grid_stride for g in range(bplan.n_grids)
-    )
-    if offsets != want_offsets:
+    if (gs0, gs1) != want_rows:
         bad(
-            f"slab offsets {offsets[:4]}... are not "
-            "0, stride, 2*stride, ...",
-            hint="the C worker computes g * grid_stride; offsets must "
-            "agree with it",
+            f"grid strides (gs0, gs1) = {(gs0, gs1)} are not the "
+            f"C-order strides {want_rows} of a {shape} grid",
+            hint="the driver's gather and write-back index every grid "
+            "with these strides and the plan's geometry",
         )
-
-    # rebuild the per-grid plan from scratch: comparing against the
-    # bplan's own (cached) tables object would prove nothing
-    fresh = PassPlan(plan.config, plan.grid_shape, plan.boundary)
-    for steps in sorted({1, plan.config.partime}):
-        bt = bplan.to_batch_tables(steps)
-        t_locus = f"{locus}/batch_tables(steps={steps})"
-        single = fresh.to_driver_tables(steps)
-        if bt.n_grids != bplan.n_grids or bt.n_grids < 1:
-            bad(
-                f"tables carry n_grids={bt.n_grids}, plan has "
-                f"{bplan.n_grids}",
-                _loc=t_locus,
-            )
-        if bt.grid_stride != bplan.grid_stride:
-            bad(
-                f"tables carry grid_stride={bt.grid_stride}, plan has "
-                f"{bplan.grid_stride}",
-                _loc=t_locus,
-            )
-        # the batch extension is ONLY the two scalars: the embedded
-        # per-grid tables must be byte-identical to the single-grid
-        # serialization P306 already proved
-        for name, got, want in (
-            ("blocks", bt.tables.blocks, single.blocks),
-            ("segments", bt.tables.segments, single.segments),
-            ("windows", bt.tables.windows, single.windows),
-        ):
-            if got.dtype != want.dtype or not np.array_equal(got, want):
-                bad(
-                    f"embedded {name} table differs from the single-grid "
-                    "serialization",
-                    hint="batching must change scheduling, never the "
-                    "per-grid geometry the driver executes",
-                    _loc=t_locus,
-                )
-        if (
-            bt.tables.steps != single.steps
-            or bt.tables.scratch_floats != single.scratch_floats
-        ):
-            bad(
-                f"embedded scalars (steps={bt.tables.steps}, "
-                f"scratch_floats={bt.tables.scratch_floats}) differ from "
-                f"single-grid ({single.steps}, {single.scratch_floats})",
-                _loc=t_locus,
-            )
-        # the flat claim-counter decomposition must be a bijection onto
-        # (grid, block) pairs — mirrors the C worker's t -> (g, b)
-        n_blocks = bt.n_blocks
-        if bt.n_units != bplan.n_grids * n_blocks:
-            bad(
-                f"n_units {bt.n_units} != n_grids * n_blocks "
-                f"({bplan.n_grids} * {n_blocks})",
-                _loc=t_locus,
-            )
-        else:
-            claimed = [
-                bt.unit_to_grid_block(t) for t in range(bt.n_units)
-            ]
-            want_units = [
-                (g, b)
-                for g in range(bplan.n_grids)
-                for b in range(n_blocks)
-            ]
-            if claimed != want_units:
-                first = next(
-                    (i for i, (c, w) in enumerate(zip(claimed, want_units))
-                     if c != w),
-                    0,
-                )
-                bad(
-                    f"unit decomposition is not the (grid, block) "
-                    f"bijection (first bad unit {first}: "
-                    f"{claimed[first]} != {want_units[first]})",
-                    hint="a skewed decode makes some blocks run twice "
-                    "and others never",
-                    _loc=t_locus,
-                )
     return findings
 
 
@@ -875,14 +723,13 @@ def lint_plan(plan: PassPlan) -> list[Finding]:
     findings.extend(_check_segments(plan, locus))
     findings.extend(_check_windows(plan, locus))
     findings.extend(_check_driver_tables(plan, locus))
-    findings.extend(_check_vector_tables(plan, locus))
     return findings
 
 
 def lint_batch_plan(bplan: BatchPlan) -> list[Finding]:
     """Prove a batch plan: the per-grid invariants plus the P307
-    batched-tables round-trip."""
+    slab layout."""
     findings = lint_plan(bplan.plan)
     locus = f"batch[{bplan.n_grids}x]{_plan_locus(bplan.plan)}"
-    findings.extend(_check_batch_tables(bplan, locus))
+    findings.extend(_check_slab_layout(bplan, locus))
     return findings

@@ -378,8 +378,10 @@ class StencilProgram:
     def execute_batch(self, grids, iterations: int, checkpoint=None, out=None):
         """Numerically execute one batched launch over many grids.
 
-        Forwards to :meth:`FPGAAccelerator.run_batch` (``out`` is the
-        slab the outputs are written into); returns its
+        Forwards to :meth:`FPGAAccelerator.run_batch`: ``grids`` is a
+        sequence of grids or an already-stacked ``(n, *grid_shape)``
+        slab (used without a copy), ``out`` the slab the outputs are
+        written into.  Returns its
         :class:`~repro.core.batch.BatchResult` (per-grid outputs and
         per-grid typed errors — one grid's fault fails only that entry).
         """
@@ -720,8 +722,10 @@ class CommandQueue:
         input state in ``dst``'s slab; callers must consult
         ``batch.errors`` before trusting a grid's output.
 
-        The launch writes its output slab straight into fresh storage
-        that ``dst`` then adopts; ``batch.outputs`` are views of it.
+        The device slab itself is the kernel's input (no per-grid split
+        and repack); the launch writes its output slab straight into
+        fresh storage that ``dst`` then adopts; ``batch.outputs`` are
+        views of it.
         """
         if watchdog_s is not None and watchdog_s <= 0:
             raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
@@ -758,8 +762,7 @@ class CommandQueue:
                 # batch.errors marks them invalid for the caller
                 out = np.empty_like(slab)
                 batch = program.execute_batch(
-                    [slab[g] for g in range(n_grids)], iterations,
-                    checkpoint=checkpoint, out=out,
+                    slab, iterations, checkpoint=checkpoint, out=out
                 )
                 dst.adopt(out)
                 break

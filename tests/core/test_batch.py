@@ -9,6 +9,9 @@ coverage; this file pins the API surface and the accounting.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,9 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.batch import BatchTables
+from repro.core.native import native_available, slab_layout
 from repro.errors import ConfigurationError, FaultDetectedError
-from repro.faults import crc32_array
+from repro.faults import FaultPlan, SEUFault, arm, crc32_array
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
@@ -39,9 +42,11 @@ def grids(n: int, shape=SHAPE) -> list[np.ndarray]:
 def test_batch_plan_layout_and_offsets() -> None:
     bplan = BatchPlan(CONFIG, SHAPE, 5)
     assert bplan.slab_shape == (5,) + SHAPE
+    # the driver reaches grid g at g * grid_stride floats
     stride = SHAPE[0] * SHAPE[1]
-    assert bplan.grid_stride == stride
-    assert bplan.offsets() == tuple(g * stride for g in range(5))
+    slab = bplan.pack(grids(5))
+    assert slab_layout(slab, 2) == (5, stride, SHAPE[1], 0)
+    assert slab_layout(slab[:1], 2) == (1, stride, SHAPE[1], 0)
 
 
 def test_batch_plan_rejects_bad_n_grids() -> None:
@@ -71,17 +76,6 @@ def test_pack_unpack_round_trips_copies() -> None:
         assert np.array_equal(g, o)
     out[0][0, 0] = 99.0  # unpack returns copies, not slab views
     assert slab[0, 0, 0] != 99.0
-
-
-def test_batch_tables_unit_decomposition() -> None:
-    bplan = BatchPlan(CONFIG, SHAPE, 3)
-    bt = bplan.to_batch_tables(CONFIG.partime)
-    assert isinstance(bt, BatchTables)
-    assert bt.n_units == 3 * bt.n_blocks
-    seen = {bt.unit_to_grid_block(t) for t in range(bt.n_units)}
-    assert seen == {
-        (g, b) for g in range(3) for b in range(bt.n_blocks)
-    }
 
 
 # -- run_batch semantics ----------------------------------------------------- #
@@ -125,12 +119,63 @@ def test_run_batch_zero_iterations_copies() -> None:
         acc.close()
 
 
-def test_run_batch_single_grid_degenerates_to_run() -> None:
+def _counters(stats) -> dict:
+    """Every AcceleratorStats counter (the output CRC is not one)."""
+    fields = dataclasses.asdict(stats)
+    fields.pop("output_crc32")
+    return fields
+
+
+def _single(batch):
+    assert batch.ok
+    (out,) = batch.outputs
+    return out, batch.stats
+
+
+@pytest.mark.parametrize("mode", ["numpy", "native", "armed-rollback"])
+def test_run_batch_single_grid_degenerates_to_run(mode: str) -> None:
+    # run(g), run_batch([g]) and run_batch(g[None]) are one pass loop
+    # over a one-grid slab: same bits, same counters
+    if mode == "native" and not native_available():
+        pytest.skip("no C compiler")
+    armed = mode == "armed-rollback"
     (g,) = grids(1)
+    acc = FPGAAccelerator(SPEC, CONFIG, engine="auto" if armed else mode)
+    checkpoint = 1 if armed else None
+    calls = (
+        lambda: acc.run(g, 4, checkpoint=checkpoint),
+        lambda: _single(acc.run_batch([g], 4, checkpoint=checkpoint)),
+        lambda: _single(acc.run_batch(g[None], 4, checkpoint=checkpoint)),
+    )
+    try:
+        results = []
+        for call in calls:
+            # armed: an SEU in the first pass, caught and rolled back
+            seu = FaultPlan(
+                seed=5, faults=(SEUFault(at_touch=1, site="block-buffer"),)
+            )
+            with arm(seu) if armed else contextlib.nullcontext():
+                results.append(call())
+        want = reference_run(g, SPEC, 4)
+        for out, stats in results:
+            assert np.array_equal(out, want)
+            assert _counters(stats) == _counters(results[0][1])
+        assert results[0][1].rollbacks == (1 if armed else 0)
+    finally:
+        acc.close()
+
+
+def test_run_batch_on_a_stacked_slab_leaves_it_unmodified() -> None:
+    slab = np.stack(grids(3))
+    before = slab.copy()
     acc = FPGAAccelerator(SPEC, CONFIG)
     try:
-        batch = acc.run_batch([g], iterations=2)
-        assert np.array_equal(batch.outputs[0], acc.run(g, 2)[0])
+        for iters in (0, 3, 4):  # copy, odd and even pass counts
+            batch = acc.run_batch(slab, iters)
+            assert np.array_equal(slab, before)
+            for g, out in enumerate(batch.outputs):
+                assert not np.may_share_memory(out, slab)
+                assert np.array_equal(out, reference_run(before[g], SPEC, iters))
     finally:
         acc.close()
 

@@ -147,7 +147,7 @@ def test_engine_selection_and_run_equivalence() -> None:
 
 def _drive(driver, config, grids, iterations, boundary, width):
     """Step ``grids`` through ``driver`` pass by pass on width-``width``
-    tables: ``run_pass`` for one grid, ``run_batch_pass`` for a slab."""
+    tables, one ``run_pass`` per pass over their slab."""
     bplan = BatchPlan(config, grids[0].shape, len(grids), boundary)
     plan = bplan.plan
     current = bplan.pack(grids)
@@ -160,15 +160,7 @@ def _drive(driver, config, grids, iterations, boundary, width):
             driver.workers * 2 * tables.scratch_floats, dtype=np.float32
         )
         target = np.empty_like(current)
-        if len(grids) == 1:
-            driver.run_pass(
-                current[0], target[0], tables, plan.periodic, scratch
-            )
-        else:
-            driver.run_batch_pass(
-                current, target, tables, plan.periodic, scratch,
-                len(grids), bplan.grid_stride,
-            )
+        driver.run_pass(current, target, tables, plan.periodic, scratch)
         current = target
         remaining -= steps
     return bplan.unpack(current)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchPlan, BatchTables
+from repro.core.batch import BatchPlan
 from repro.core.blocking import BlockingConfig
 from repro.core.plan import PassPlan
 from repro.core.sharding import ShardPlan
@@ -267,8 +267,8 @@ def _p309_width_drift():
 
 def _p309_window_into_padding():
     # a stage window on the *vector* tables reaches into the padded
-    # lanes (the scalar serialization stays clean, so only the
-    # layout-only proof can catch it)
+    # lanes (the width-1 tables stay clean, so only the decode of the
+    # width-8 tables can catch it)
     plan = _plan()
     tables = plan.to_driver_tables(4, 8)
     tables.windows[0, -1, -1, 1] = tables.padded_x
@@ -281,34 +281,11 @@ def _batch_plan(n_grids=4):
 
 
 def _p307_stride_overlap():
+    # a slab holding half of each grid's rows: the driver's grid stride
+    # no longer covers a grid, so consecutive grids overlap
     bplan = _batch_plan()
-    bplan.grid_stride = bplan.grid_stride // 2  # grids overlap in the slab
-    return lint_batch_plan(bplan)
-
-
-def _p307_table_drift():
-    # the batched serialization drifts from a freshly rebuilt per-grid
-    # plan (same tampering surface as the P306 mutants)
-    bplan = _batch_plan()
-    bplan.plan.to_driver_tables(4).segments[0, 2] += 1
-    return lint_batch_plan(bplan)
-
-
-def _p307_skewed_decode():
-    # transposed t -> (g, b) decode: some blocks run twice, others never
-    bplan = _batch_plan(n_grids=4)  # n_grids != n_blocks
-
-    class Skewed(BatchTables):
-        def unit_to_grid_block(self, t):
-            return t % self.n_grids, t // self.n_grids
-
-    original = bplan.to_batch_tables
-
-    def skewed(steps):
-        bt = original(steps)
-        return Skewed(bt.tables, bt.n_grids, bt.grid_stride)
-
-    bplan.to_batch_tables = skewed
+    n_grids, ny, nx = bplan.slab_shape
+    bplan.slab_shape = (n_grids, ny // 2, nx)
     return lint_batch_plan(bplan)
 
 
@@ -772,14 +749,12 @@ MUTANTS = [
     ("p306-record-drift", "P306", _p306_record_drift, "plan["),
     ("p306-segment-drift", "P306", _p306_segment_drift, "plan["),
     ("p306-scratch", "P306", _p306_scratch_undersized, "plan["),
-    ("p309-padded-x-drift", "P309", _p309_padded_x_drift, "plan["),
-    ("p309-scratch-misaligned", "P309", _p309_scratch_misaligned, "plan["),
-    ("p309-width-drift", "P309", _p309_width_drift, "plan["),
-    ("p309-window-into-padding", "P309", _p309_window_into_padding,
+    ("p309-padded-x-drift", "P306", _p309_padded_x_drift, "plan["),
+    ("p309-scratch-misaligned", "P306", _p309_scratch_misaligned, "plan["),
+    ("p309-width-drift", "P306", _p309_width_drift, "plan["),
+    ("p309-window-into-padding", "P306", _p309_window_into_padding,
      "plan["),
     ("p307-stride-overlap", "P307", _p307_stride_overlap, "batch["),
-    ("p307-table-drift", "P307", _p307_table_drift, "batch["),
-    ("p307-skewed-decode", "P307", _p307_skewed_decode, "batch["),
     ("p308-interior-gap", "P308", _p308_interior_gap, "shards["),
     ("p308-interior-overlap", "P308", _p308_interior_overlap, "shards["),
     ("p308-thin-strip", "P308", _p308_thin_strip, "shards["),

@@ -200,7 +200,7 @@ def test_purity_catches_violations_under_runtime_and_analysis(tmp_path):
     assert any("analysis" in locus for locus in loci)
 
 
-# -- batch plan pass (P307) -------------------------------------------------- #
+# -- batch slab layout (P307) ------------------------------------------------ #
 
 
 def test_clean_batch_plans_lint_empty():

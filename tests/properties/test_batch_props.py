@@ -1,8 +1,9 @@
 """Property-based batch equivalence: run_batch == B separate runs, bit for bit.
 
-The batch engine's contract (DESIGN note in :mod:`repro.core.batch`):
-packing any number of same-shape grids into one slab and driving them
-through one batched call changes *scheduling*, never numerics.  The
+The batch engine's contract (:mod:`repro.core.batch`): packing any
+number of same-shape grids into one slab and driving them through the
+one pass loop changes *scheduling*, never numerics — on the NumPy pass
+and on the native driver, whose claim counter spans the whole slab.  The
 strategies deliberately draw awkward shapes — partial blocks, extent-1
 axes, grids smaller than the halo — because those are where a slab
 off-by-one would first show.
@@ -11,6 +12,7 @@ off-by-one would first show.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from repro.core import (
     make_grid,
     reference_run,
 )
+from repro.core.native import native_available
 
 
 @st.composite
@@ -94,16 +97,28 @@ def test_pack_unpack_round_trip(case) -> None:
         assert np.array_equal(g, o)
 
 
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
 @settings(max_examples=25, deadline=None)
 @given(batch_case())
 def test_unit_decomposition_is_bijective(case) -> None:
-    cfg, shape, n_grids, _, _, boundary = case
-    bplan = BatchPlan(cfg, shape, n_grids, boundary)
-    bt = bplan.to_batch_tables(cfg.partime)
-    decoded = [bt.unit_to_grid_block(t) for t in range(bt.n_units)]
-    assert decoded == [
-        (g, b) for g in range(n_grids) for b in range(bt.n_blocks)
-    ]
-    assert bplan.offsets() == tuple(
-        g * bplan.grid_stride for g in range(n_grids)
+    """The native driver's claim counter decodes ``t -> (g, b)`` onto
+    every ``(grid, block)`` unit of the slab exactly once: one pass
+    into a NaN-filled output slab leaves no cell unwritten and every
+    grid equal to its own reference."""
+    cfg, shape, n_grids, _, seed, boundary = case
+    spec = StencilSpec.star(2, cfg.radius)
+    slab = np.stack(
+        [make_grid(shape, "mixed", seed=seed + i) for i in range(n_grids)]
     )
+    out = np.full_like(slab, np.nan)
+    acc = FPGAAccelerator(
+        spec, cfg, boundary=boundary, engine="native", workers=2
+    )
+    try:
+        acc.run_batch(slab, cfg.partime, out=out)  # one pass, into out
+    finally:
+        acc.close()
+    for g in range(n_grids):
+        assert np.array_equal(
+            out[g], reference_run(slab[g], spec, cfg.partime, boundary=boundary)
+        )

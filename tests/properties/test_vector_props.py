@@ -129,9 +129,10 @@ def test_vector_engine_non_multiple_tail_2d(tail) -> None:
 def test_vector_tables_lint_clean(
     radius, partime, parvec, ny, nx, boundary
 ) -> None:
-    """Every honestly built plan passes P309 (and the whole plan pass):
-    padded_x/scratch alignment and the layout-only property hold for
-    arbitrary valid geometries, not just the benchmarked ones."""
+    """Every honestly built plan passes P306 (and the whole plan pass):
+    padded_x/scratch alignment and the geometry decode hold at every
+    width for arbitrary valid geometries, not just the benchmarked
+    ones."""
     from repro.core.plan import PassPlan
 
     cfg = _vec_cfg(2, radius, partime, parvec)
