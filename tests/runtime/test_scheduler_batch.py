@@ -12,8 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BlockingConfig, StencilSpec, make_grid, reference_run
+from repro.core import (
+    BlockingConfig,
+    FPGAAccelerator,
+    StencilSpec,
+    make_grid,
+    reference_run,
+)
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, SEUFault, arm
 from repro.runtime import StencilJob, StencilScheduler
 from repro.runtime.scheduler import BatchStencilJob
 
@@ -134,5 +141,73 @@ def test_batch_checkpoint_runs_clean() -> None:
         assert result.status == "completed"
         for g, out in zip(GRIDS, result.results):
             assert np.array_equal(out, reference_run(g, SPEC, 4))
+    finally:
+        sched.close()
+
+
+# -- failure domains under an SEU --------------------------------------------- #
+
+# One pass per grid (partime=2); armed grids run one after another, so the
+# block-buffer touch counter addresses them by range (as in
+# tests/faults/test_batch_faults.py).
+SEU_ITERS = 2
+_BLOCKS = (
+    FPGAAccelerator(SPEC, CONFIG, engine="numpy")
+    .run(GRIDS[0], SEU_ITERS)[1].blocks_per_pass
+)
+TOUCHES_PER_GRID = _BLOCKS * (1 + SEU_ITERS)
+
+
+def seu_in_grid(g: int) -> FaultPlan:
+    return FaultPlan(
+        seed=21,
+        faults=(
+            SEUFault(at_touch=g * TOUCHES_PER_GRID + 1, site="block-buffer"),
+        ),
+    )
+
+
+def test_one_grid_seu_is_retried_by_the_queue_on_its_device() -> None:
+    sched = StencilScheduler(devices=2, engine="numpy")
+    try:
+        job = StencilJob(
+            job_id="seu-1", spec=SPEC, config=CONFIG,
+            grid=GRIDS[0], iterations=SEU_ITERS,
+        )
+        with arm(seu_in_grid(0)) as inj:
+            result = sched.execute_job(job)
+        assert len(inj.fired) == 1
+        assert result.status == "completed"
+        assert result.attempts == 2 and result.dispatches == 1
+        assert result.device == 0
+        assert np.array_equal(
+            result.result, reference_run(GRIDS[0], SPEC, SEU_ITERS)
+        )
+    finally:
+        sched.close()
+
+
+def test_hit_grid_fails_alone_and_the_batch_is_not_redispatched() -> None:
+    sched = StencilScheduler(devices=2, engine="numpy")
+    try:
+        job = BatchStencilJob(
+            job_id="seu-3", spec=SPEC, config=CONFIG,
+            grids=GRIDS[:3], iterations=SEU_ITERS,
+        )
+        with arm(seu_in_grid(1)) as inj:
+            result = sched.execute_batch(job)
+        assert len(inj.fired) == 1
+        assert result.status == "partial"
+        assert result.dispatches == 1 and result.attempts == 1
+        assert result.error_types == (None, "FaultDetectedError", None)
+        assert result.results[1] is None
+        for g in (0, 2):
+            assert np.array_equal(
+                result.results[g], reference_run(GRIDS[g], SPEC, SEU_ITERS)
+            )
+        kernels = [e for e in sched.workers[result.device].queue.events
+                   if e.name.endswith("kernel")]
+        assert len(kernels) == 1
+        assert sched.workers[1 - result.device].queue.events == []
     finally:
         sched.close()

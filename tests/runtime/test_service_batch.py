@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import BlockingConfig, StencilSpec, make_grid, reference_run
+from repro.core import (
+    BlockingConfig,
+    FPGAAccelerator,
+    StencilSpec,
+    make_grid,
+    reference_run,
+)
+from repro.faults import FaultPlan, SEUFault, arm
 from repro.runtime import (
     ServicePolicy,
     StencilScheduler,
@@ -205,4 +212,53 @@ def test_equal_but_distinct_specs_coalesce() -> None:
     assert r1.batched and r2.batched and r1.batch_size == 2
     assert np.array_equal(r1.result, reference_run(g1, SPEC, 4))
     assert np.array_equal(r2.result, reference_run(g2, SPEC, 4))
+    svc.close()
+
+
+# -- a per-grid fault inside a coalesced batch -------------------------------- #
+
+# One pass per grid (partime=2); armed grids run one after another, so the
+# block-buffer touch counter addresses them by range (as in
+# tests/faults/test_batch_faults.py).
+SEU_ITERS = 2
+_BLOCKS = (
+    FPGAAccelerator(SPEC, CONFIG, engine="numpy")
+    .run(GRID, SEU_ITERS)[1].blocks_per_pass
+)
+TOUCHES_PER_GRID = _BLOCKS * (1 + SEU_ITERS)
+
+
+def test_seu_in_one_grid_reruns_only_that_request() -> None:
+    svc = numpy_service(devices=2)
+    grids = [make_grid(SHAPE, "mixed", seed=50 + i) for i in range(3)]
+    tickets = [
+        svc.submit(**request(tenant=t, grid=g, iterations=SEU_ITERS))
+        for t, g in zip("abc", grids)
+    ]
+    plan = FaultPlan(
+        seed=21,
+        faults=(SEUFault(at_touch=TOUCHES_PER_GRID + 1, site="block-buffer"),),
+    )
+    with arm(plan) as inj:
+        assert svc.run_pending() == 3
+    assert len(inj.fired) == 1
+    results = [t.result(0) for t in tickets]
+    for g, r in zip(grids, results):
+        assert r.status == "completed"
+        assert np.array_equal(r.result, reference_run(g, SPEC, SEU_ITERS))
+    hit = results[1]
+    # the hit request re-ran alone, through a second launch
+    assert not hit.batched and hit.batch_size == 0 and hit.retries == 0
+    for sibling in (results[0], results[2]):
+        assert sibling.batched and sibling.batch_size == 3
+        assert sibling.retries == 0
+    launches = [
+        e for w in svc.scheduler.workers for e in w.queue.events
+        if e.name.endswith("kernel")
+    ]
+    assert len(launches) == 2
+    snap = svc.metrics.snapshot()
+    assert sum(e["completed"] for e in snap.values()) == 3
+    assert sum(e["batched"] for e in snap.values()) == 2
+    assert sum(e["failed"] for e in snap.values()) == 0
     svc.close()
