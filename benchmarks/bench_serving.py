@@ -34,7 +34,7 @@ def _scheduler_once(tag: str) -> np.ndarray:
             job_id=f"direct-{tag}",
             spec=SPEC,
             config=CONFIG,
-            grid=GRID,
+            grids=(GRID,),
             iterations=ITERS,
         )
     )

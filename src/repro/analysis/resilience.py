@@ -345,7 +345,7 @@ def run_chaos_campaign(
                     job_id=f"b{b}-j{j}",
                     spec=CHAOS_SPEC,
                     config=CHAOS_CONFIG,
-                    grid=grid,
+                    grids=(grid,),
                     iterations=n,
                 )
             )
@@ -564,7 +564,7 @@ def _overload_policy(max_queue_depth: int) -> "ServicePolicy":
         degraded_checkpoint=2,
         # the campaign pins the *per-job* backpressure ladder; batched
         # dispatch would drain the chaos queue before pressure builds
-        coalesce=False,
+        coalesce_max_batch=1,
     )
 
 

@@ -341,14 +341,13 @@ class PassPlan:
         for extent in self.max_footprint[1:-1]:
             scratch *= extent
         scratch *= padded_x
-        if vec > 1:
-            # Keep per-worker ping/pong bases on (at least) 64-byte
-            # boundaries when the allocator hands us a 64-byte-aligned
-            # base: worker w's buffers start at multiples of
-            # scratch_floats, so rounding the capacity itself up to 16
-            # floats preserves the base alignment for every worker.
-            unit = max(vec, 16)
-            scratch = -(-scratch // unit) * unit
+        # Keep per-worker ping/pong bases on (at least) 64-byte
+        # boundaries when the allocator hands us a 64-byte-aligned base:
+        # worker w's buffers start at multiples of scratch_floats, so
+        # rounding the capacity itself up to 16 floats preserves the
+        # base alignment for every worker, at every vector width.
+        unit = max(vec, 16)
+        scratch = -(-scratch // unit) * unit
         # ---- table-build-time alignment assertions (lint P306 re-proves
         # these from first principles without executing a pass) ----
         if padded_x < self.max_footprint[-1] or padded_x % vec:

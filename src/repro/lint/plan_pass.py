@@ -454,7 +454,7 @@ def _check_driver_tables(plan: PassPlan, locus: str) -> list[Finding]:
         for extent in max_fp[1:-1]:
             want_scratch *= extent
         want_scratch *= want_padded
-        unit = max(vec, 16) if vec > 1 else 1
+        unit = max(vec, 16)
         want_scratch = -(-want_scratch // unit) * unit
         if tables.scratch_floats != want_scratch:
             bad(

@@ -604,94 +604,22 @@ class CommandQueue:
         watchdog_s: float | None = None,
         checkpoint=None,
     ) -> Event:
-        """Run the stencil kernel: real numerics, modeled duration.
+        """Run the stencil kernel over one grid: real numerics, modeled
+        duration.
 
-        Before each attempt the source buffer is scrubbed (CRC check,
-        re-uploading from the host mirror on mismatch).  A detected
-        fault inside the kernel — or a modeled duration beyond
-        ``watchdog_s`` — is retried under the queue's policy; failed
-        attempts still charge their wall time, capped at the watchdog.
-        Retry exhaustion records a terminal ``stencil-kernel-failed``
-        event (the burned time stays on the clock) before raising.
-
-        ``checkpoint`` (a :class:`~repro.runtime.checkpoint
-        .CheckpointPolicy` or int ``k``) arms pass-granular recovery
-        *inside* the kernel: mid-run faults roll back to the last
-        snapshot and replay only the tail, so the queue-level retry only
-        sees faults the rollback budget could not absorb.  The clock is
-        charged for the replayed passes (at the modeled per-pass time)
-        plus the snapshot traffic (``grid bytes / PCIe bandwidth`` per
-        checkpoint), surfaced on the event as ``rollbacks`` /
-        ``replayed_passes`` / ``checkpoint_overhead_s``.  Each queue
-        attempt gets a fresh rollback budget.  ``checkpoint=None`` keeps
-        the exact pre-checkpoint accounting.
-
-        The kernel's last pass writes straight into fresh storage that
-        ``dst`` then adopts (``out=`` of :meth:`FPGAAccelerator.run`):
-        no result copy and no CRC.  ``dst`` is left untouched when every
-        attempt fails.
+        The clock is charged kernel time only
+        (:meth:`StencilProgram.kernel_time_s`, no launch overhead) —
+        the paper's measurement (§IV.B-C), which
+        :func:`benchmark_kernel` repeats.  Everything else is the
+        launch loop of :meth:`enqueue_batch_kernel` over a one-grid
+        slab: a detected fault in the grid is a launch fault, retried
+        under the queue's policy.  Returns the completion
+        :class:`Event`.
         """
-        if watchdog_s is not None and watchdog_s <= 0:
-            raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
-        inj = fault_hooks.ACTIVE
-        attempts = 0
-        wait_s = 0.0
-        charged_s = 0.0
-        while True:
-            attempts += 1
-            try:
-                if inj is not None:
-                    inj.touch_sram(src.view(), site="dram")
-                    self._scrub(src)
-                grid = src.data
-                duration = program.kernel_time_s(grid.shape, iterations)
-                if watchdog_s is not None and duration > watchdog_s:
-                    charged_s += watchdog_s  # killed at the deadline
-                    raise fault_hooks.report_detection(
-                        WatchdogTimeoutError(
-                            f"kernel exceeded watchdog: modeled {duration:.4f} s "
-                            f"> {watchdog_s:.4f} s"
-                        )
-                    )
-                out = np.empty_like(grid)
-                _, stats = program.execute(
-                    grid, iterations, checkpoint=checkpoint, out=out
-                )
-                dst.adopt(out)
-                break
-            except FaultDetectedError as err:
-                if not isinstance(err, WatchdogTimeoutError):
-                    # detection mid-run: the attempt burned kernel time
-                    charged_s += program.kernel_time_s(src.data.shape, iterations)
-                if attempts > self.retry_policy.max_retries:
-                    self._record(
-                        "stencil-kernel-failed",
-                        charged_s + wait_s,
-                        attempts=attempts,
-                        retry_wait_s=wait_s,
-                    )
-                    raise
-                wait_s += self.retry_policy.backoff_for(attempts)
-        if attempts > 1:
-            fault_hooks.report_recovery(
-                f"stencil-kernel recovered after {attempts} attempts"
-            )
-        replay_s = ckpt_s = 0.0
-        if checkpoint is not None:
-            # Tail replay at the modeled per-pass time, snapshots at PCIe
-            # cost: recovery charges scale with the tail, not the run.
-            per_pass_s = duration / max(1, stats.passes)
-            replay_s = stats.replayed_passes * per_pass_s
-            ckpt_s = stats.checkpoints * self._transfer_time_s(grid.nbytes)
-        return self._record(
-            "stencil-kernel",
-            charged_s + wait_s + duration + replay_s + ckpt_s,
-            attempts=attempts,
-            retry_wait_s=wait_s,
-            rollbacks=stats.rollbacks if checkpoint is not None else 0,
-            replayed_passes=stats.replayed_passes if checkpoint is not None else 0,
-            checkpoint_overhead_s=ckpt_s,
+        event, _ = self._launch(
+            program, src, dst, iterations, None, watchdog_s, checkpoint
         )
+        return event
 
     def enqueue_batch_kernel(
         self,
@@ -703,34 +631,79 @@ class CommandQueue:
         watchdog_s: float | None = None,
         checkpoint=None,
     ):
-        """Run one *batched* kernel launch over a packed slab.
+        """Run one kernel launch over a slab of ``n_grids`` grids.
 
         ``src`` holds the slab — ``n_grids`` same-shape grids stacked on
         axis 0 — and is transferred, scrubbed and CRC-verified as one
         buffer (the transfer amortization is real: one write, one read
-        per batch).  Duration on the simulated clock comes from
+        per launch).  Duration on the simulated clock comes from
         :meth:`StencilProgram.batch_kernel_time_s` (launch overhead paid
         once).  Returns ``(event, batch)`` where ``batch`` is the
         :class:`~repro.core.batch.BatchResult`.
 
-        Failure domains: *slab-level* faults (transfer CRC, DRAM scrub,
-        watchdog expiry) retry the whole batch under the queue's policy
-        exactly like :meth:`enqueue_kernel`; *per-grid* faults (an SEU
-        detected inside one grid of an armed batch) are captured in
-        ``batch.errors`` and never trigger a whole-batch retry — one
-        grid's fault fails only that entry.  Failed entries keep their
-        input state in ``dst``'s slab; callers must consult
-        ``batch.errors`` before trusting a grid's output.
+        Before each attempt the source buffer is scrubbed (CRC check,
+        re-uploading from the host mirror on mismatch).  Failure
+        domains: *launch* faults (DRAM scrub, a modeled duration beyond
+        ``watchdog_s``, or a launch in which no grid completed) retry
+        the whole launch under the queue's policy; failed attempts
+        still charge their time, capped at the watchdog, and retry
+        exhaustion records a terminal ``*-kernel-failed`` event (the
+        burned time stays on the clock) before raising.  *Per-grid*
+        faults in a launch where some grid completed (an SEU detected
+        inside one grid of an armed slab) are captured in
+        ``batch.errors`` and never retried here — one grid's fault
+        fails only that entry.  Failed entries keep their input state
+        in ``dst``'s slab; callers must consult ``batch.errors`` before
+        trusting a grid's output.
 
-        The device slab itself is the kernel's input (no per-grid split
-        and repack); the launch writes its output slab straight into
-        fresh storage that ``dst`` then adopts; ``batch.outputs`` are
-        views of it.
+        ``checkpoint`` (a :class:`~repro.runtime.checkpoint
+        .CheckpointPolicy` or int ``k``) arms pass-granular recovery
+        *inside* the kernel: mid-run faults roll back to the last
+        snapshot and replay only the tail, so the queue-level retry only
+        sees faults the rollback budget could not absorb.  The clock is
+        charged for the replayed passes (at the modeled per-pass time)
+        plus the snapshot traffic (slab bytes / PCIe bandwidth per
+        checkpoint), surfaced on the event as ``rollbacks`` /
+        ``replayed_passes`` / ``checkpoint_overhead_s``.  Each queue
+        attempt gets a fresh rollback budget.  ``checkpoint=None`` keeps
+        the exact pre-checkpoint accounting.
+
+        The device slab itself is the kernel's input; the launch writes
+        its output slab straight into fresh storage that ``dst`` then
+        adopts (no result copy, no CRC); ``batch.outputs`` are views of
+        it.  ``dst`` is left untouched when every attempt fails.
+        """
+        if n_grids < 1:
+            raise ConfigurationError(f"n_grids must be >= 1, got {n_grids}")
+        return self._launch(
+            program, src, dst, iterations, n_grids, watchdog_s, checkpoint
+        )
+
+    def _launch(
+        self,
+        program: StencilProgram,
+        src: Buffer,
+        dst: Buffer,
+        iterations: int,
+        n_grids: int | None,
+        watchdog_s: float | None,
+        checkpoint,
+    ):
+        """The scrub/watchdog/retry/charge loop of every kernel launch.
+
+        ``n_grids=None`` is :meth:`enqueue_kernel`: ``src`` holds one
+        grid, run as a ``[None]`` slab view and charged kernel time
+        only.
         """
         if watchdog_s is not None and watchdog_s <= 0:
             raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
-        if n_grids < 1:
-            raise ConfigurationError(f"n_grids must be >= 1, got {n_grids}")
+        name = "stencil-kernel" if n_grids is None else "batch-kernel"
+
+        def modeled_s(data: np.ndarray) -> float:
+            if n_grids is None:
+                return program.kernel_time_s(data.shape, iterations)
+            return program.batch_kernel_time_s(data.shape[1:], iterations, n_grids)
+
         inj = fault_hooks.ACTIVE
         attempts = 0
         wait_s = 0.0
@@ -741,39 +714,36 @@ class CommandQueue:
                 if inj is not None:
                     inj.touch_sram(src.view(), site="dram")
                     self._scrub(src)
-                slab = src.data
-                if slab.shape[0] != n_grids:
+                data = src.data
+                slab = data[None] if n_grids is None else data
+                if n_grids is not None and len(slab) != n_grids:
                     raise ConfigurationError(
-                        f"slab has {slab.shape[0]} grids, expected {n_grids}"
+                        f"slab has {len(slab)} grids, expected {n_grids}"
                     )
-                grid_shape = slab.shape[1:]
-                duration = program.batch_kernel_time_s(
-                    grid_shape, iterations, n_grids
-                )
+                duration = modeled_s(data)
                 if watchdog_s is not None and duration > watchdog_s:
                     charged_s += watchdog_s  # killed at the deadline
                     raise fault_hooks.report_detection(
                         WatchdogTimeoutError(
-                            f"batched kernel exceeded watchdog: modeled "
+                            f"{name} exceeded watchdog: modeled "
                             f"{duration:.4f} s > {watchdog_s:.4f} s"
                         )
                     )
-                # failed entries keep the input state in the slab;
-                # batch.errors marks them invalid for the caller
                 out = np.empty_like(slab)
                 batch = program.execute_batch(
                     slab, iterations, checkpoint=checkpoint, out=out
                 )
-                dst.adopt(out)
+                if batch.n_failed == len(slab):
+                    raise batch.errors[0]  # no grid completed: a launch fault
+                dst.adopt(out if n_grids is not None else out[0])
                 break
             except FaultDetectedError as err:
                 if not isinstance(err, WatchdogTimeoutError):
-                    charged_s += program.batch_kernel_time_s(
-                        src.data.shape[1:], iterations, n_grids
-                    )
+                    # detection mid-run: the attempt burned kernel time
+                    charged_s += modeled_s(src.data)
                 if attempts > self.retry_policy.max_retries:
                     self._record(
-                        "batch-kernel-failed",
+                        f"{name}-failed",
                         charged_s + wait_s,
                         attempts=attempts,
                         retry_wait_s=wait_s,
@@ -782,16 +752,18 @@ class CommandQueue:
                 wait_s += self.retry_policy.backoff_for(attempts)
         if attempts > 1:
             fault_hooks.report_recovery(
-                f"batch-kernel recovered after {attempts} attempts"
+                f"{name} recovered after {attempts} attempts"
             )
         stats = batch.stats
         replay_s = ckpt_s = 0.0
         if checkpoint is not None:
+            # Tail replay at the modeled per-pass time, snapshots at PCIe
+            # cost: recovery charges scale with the tail, not the run.
             per_pass_s = duration / max(1, stats.passes)
             replay_s = stats.replayed_passes * per_pass_s
-            ckpt_s = stats.checkpoints * self._transfer_time_s(slab.nbytes)
+            ckpt_s = stats.checkpoints * self._transfer_time_s(data.nbytes)
         event = self._record(
-            "batch-kernel",
+            name,
             charged_s + wait_s + duration + replay_s + ckpt_s,
             attempts=attempts,
             retry_wait_s=wait_s,

@@ -7,9 +7,16 @@ should be a pass or a device — never the whole job queue.  This module
 puts a resilient scheduler in front of a fleet of simulated
 :class:`~repro.runtime.host.HostDevice` boards:
 
-* **dispatch** — a FIFO of :class:`StencilJob`\\ s is drained onto the
-  healthy device with the smallest simulated clock (deterministic
-  load-balancing; ties break by device index);
+* **dispatch** — a FIFO of jobs is drained onto the healthy device with
+  the smallest simulated clock (deterministic load-balancing; ties
+  break by device index).  There are two job types.  A
+  :class:`StencilJob` is one or more same-shape grids that run as one
+  launch over one slab; a single grid is a batch of one, so every such
+  job takes one path (:meth:`StencilScheduler.execute_job`) and
+  returns one :class:`JobResult` with a slot per grid.  A
+  :class:`ShardedJob` decomposes one grid across several devices and
+  returns a :class:`ShardedJobResult`.  Both share one SLO validator,
+  one admission check and one breaker/health settle step;
 * **admission control** — the pending queue is bounded:
   :meth:`StencilScheduler.submit` raises
   :class:`~repro.errors.SchedulerSaturatedError` instead of growing
@@ -31,7 +38,10 @@ puts a resilient scheduler in front of a fleet of simulated
   changes results;
 * **re-dispatch** — a job that fails with a transient fault on one
   device is retried once on a different device before its typed failure
-  is reported.
+  is reported.  Fault isolation inside a job is per grid: an SEU in one
+  grid fails only that slot (status ``"partial"``, never re-dispatched),
+  and a launch in which no grid completed is a launch fault that the
+  device's command queue retries.
 
 The end-to-end invariant (pinned by the chaos harness,
 ``tests/faults/test_chaos.py``): every admitted job either completes
@@ -73,98 +83,52 @@ from repro.runtime.host import (
 from repro.runtime.sharded import ShardedRunner, ShardedStats
 
 
+def _check_slos(job) -> None:
+    """The SLO checks every job type shares: engine, iterations, deadline."""
+    if job.engine is not None:
+        check_engine(job.engine)
+    if job.iterations < 1:
+        raise ConfigurationError(f"iterations must be >= 1, got {job.iterations}")
+    if job.deadline_s is not None and not (
+        math.isfinite(job.deadline_s) and job.deadline_s > 0
+    ):
+        raise ConfigurationError(
+            f"deadline_s must be finite and > 0, got {job.deadline_s}",
+            param="deadline_s", value=job.deadline_s,
+            constraint="math.isfinite(deadline_s) and deadline_s > 0",
+        )
+
+
 @dataclass(frozen=True)
 class StencilJob:
-    """One unit of scheduled work: a stencil workload plus its SLOs.
+    """One unit of scheduled work: same-shape grids plus their SLOs.
 
-    ``deadline_s`` is a per-job time budget on the executing device's
-    simulated clock (transfers + kernel + recovery overheads).
-    ``checkpoint`` arms pass-granular recovery for the kernel (a
-    :class:`~repro.runtime.checkpoint.CheckpointPolicy` or int ``k``);
-    ``watchdog_factor`` sets the kernel watchdog to
+    All ``grids`` (one or more) share one ``(spec, config, shape,
+    iterations)`` workload and run as one launch over one slab, so the
+    device pays one launch for the lot; a single grid is a batch of one
+    (a ``grid[None]`` view, no copy).  SLO semantics are per *job*:
+    ``deadline_s`` is a time budget for the whole job on the executing
+    device's simulated clock (transfers + kernel + recovery overheads;
+    a job is never partially late); ``checkpoint`` arms pass-granular
+    recovery for the kernel (a
+    :class:`~repro.runtime.checkpoint.CheckpointPolicy` or int ``k``),
+    snapshotting the whole slab, so a rollback replays every grid of the
+    affected passes; ``watchdog_factor`` sets the kernel watchdog to
     ``factor * modeled_time``.  ``engine`` overrides the scheduler's
     preferred engine for this job only (the serving layer's graceful-
     degradation ladder pins hard-overloaded jobs to ``"numpy"``); a
     tripped device breaker still wins and forces ``"numpy"``.
     ``config=None`` defers the blocking config to the empirical
     autotuner's persistent plan-selection cache (resolved once at
-    admission; see :mod:`repro.runtime.autotune`).
+    admission; see :mod:`repro.runtime.autotune`).  Fault isolation is
+    per *grid*: an SEU detected inside one grid fails only that entry of
+    the :class:`JobResult` (a launch in which no grid completed is a
+    launch fault, retried by the device's command queue).
     """
 
     job_id: str
     spec: StencilSpec
     config: BlockingConfig | None
-    grid: np.ndarray = field(repr=False)
-    iterations: int = 1
-    deadline_s: float | None = None
-    checkpoint: CheckpointPolicy | int | None = None
-    watchdog_factor: float | None = None
-    engine: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine is not None:
-            check_engine(self.engine)
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
-            )
-        if self.watchdog_factor is not None and self.watchdog_factor <= 0:
-            raise ConfigurationError(
-                f"watchdog_factor must be > 0, got {self.watchdog_factor}"
-            )
-
-
-@dataclass(frozen=True)
-class JobResult:
-    """Outcome of one admitted job.
-
-    ``status`` is ``"completed"`` (result present, bit-exact) or
-    ``"failed"`` (``error_type``/``error`` name the typed failure; the
-    result is ``None``).  ``engine`` records what the executing device
-    actually ran (``"numpy"`` once its circuit breaker tripped);
-    ``dispatches`` counts devices tried.
-    """
-
-    job_id: str
-    status: str
-    device: int | None
-    engine: str | None
-    result: np.ndarray | None = field(repr=False, default=None)
-    error_type: str | None = None
-    error: str | None = None
-    elapsed_s: float = 0.0
-    attempts: int = 0
-    dispatches: int = 1
-    rollbacks: int = 0
-    replayed_passes: int = 0
-
-
-@dataclass(frozen=True)
-class BatchStencilJob:
-    """A batch of same-shape small grids executed as *one* scheduled unit.
-
-    All grids share one ``(spec, config, shape, iterations)`` workload —
-    the batch engine packs them into a single slab and the device pays
-    one launch for the lot.  SLO semantics are per *batch*:
-    ``deadline_s`` budgets the whole batch on the executing device's
-    clock (one job, one deadline — a batch is never partially late);
-    ``checkpoint`` snapshots the whole slab per ``k`` passes, so a
-    rollback replays every grid of the affected passes.  Fault isolation
-    stays per *grid*: an SEU detected inside one grid fails only that
-    entry of the :class:`BatchJobResult`.
-    """
-
-    job_id: str
-    spec: StencilSpec
-    config: BlockingConfig
     grids: tuple[np.ndarray, ...] = field(repr=False)
     iterations: int = 1
     deadline_s: float | None = None
@@ -173,34 +137,21 @@ class BatchStencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            check_engine(self.engine)
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
-            )
+        _check_slos(self)
         if self.watchdog_factor is not None and self.watchdog_factor <= 0:
             raise ConfigurationError(
                 f"watchdog_factor must be > 0, got {self.watchdog_factor}"
             )
         if len(self.grids) < 1:
             raise ConfigurationError(
-                "batch needs at least one grid",
+                "a job needs at least one grid",
                 param="grids", value=0, constraint="len(grids) >= 1",
             )
         shape = tuple(self.grids[0].shape)
         for g, grid in enumerate(self.grids):
             if tuple(grid.shape) != shape:
                 raise ConfigurationError(
-                    f"grid {g} has shape {tuple(grid.shape)}, batch is "
+                    f"grid {g} has shape {tuple(grid.shape)}, job is "
                     f"{shape}",
                     param="grids", value=tuple(grid.shape),
                     constraint=f"every grid shape == {shape}",
@@ -208,16 +159,21 @@ class BatchStencilJob:
 
 
 @dataclass(frozen=True)
-class BatchJobResult:
-    """Outcome of one admitted batch.
+class JobResult:
+    """Outcome of one admitted job, one slot per grid.
 
-    ``status`` is ``"completed"`` (every grid present), ``"partial"``
-    (some grids failed per-grid — their ``results`` slot is ``None`` and
-    ``error_types``/``errors`` name the typed per-grid failure) or
-    ``"failed"`` (the whole batch failed: every slot carries the same
-    batch-level error).  Partial batches are final — the scheduler never
-    re-dispatches a batch for per-grid faults; callers retry individual
-    failed entries as single jobs if they want another attempt.
+    ``status`` is ``"completed"`` (every grid's bit-exact result
+    present), ``"partial"`` (some grids failed per-grid: their
+    ``results`` slot is ``None`` and ``error_types``/``errors`` name the
+    typed per-grid failure) or ``"failed"`` (the whole job failed: every
+    slot carries the same job-level error).  Partial jobs are final: the
+    scheduler never re-dispatches a job for per-grid faults; callers
+    retry failed entries as jobs of their own if they want another
+    attempt.  A one-grid job is completed or failed, never partial, and
+    reads as one result through :attr:`result`, :attr:`error_type` and
+    :attr:`error`.  ``engine`` records what the executing device
+    actually ran (``"numpy"`` once its circuit breaker tripped);
+    ``dispatches`` counts devices tried.
     """
 
     job_id: str
@@ -240,6 +196,30 @@ class BatchJobResult:
     @property
     def n_failed(self) -> int:
         return sum(1 for e in self.error_types if e is not None)
+
+    def _only(self, slots: tuple):
+        if len(slots) != 1:
+            raise ConfigurationError(
+                f"job {self.job_id!r} has {len(slots)} grids; read its "
+                "per-grid results, error_types and errors",
+                param="n_grids", value=len(slots), constraint="n_grids == 1",
+            )
+        return slots[0]
+
+    @property
+    def result(self) -> np.ndarray | None:
+        """A one-grid job's result (``None`` unless completed)."""
+        return self._only(self.results)
+
+    @property
+    def error_type(self) -> str | None:
+        """A one-grid job's typed failure (``None`` when completed)."""
+        return self._only(self.error_types)
+
+    @property
+    def error(self) -> str | None:
+        """A one-grid job's failure message (``None`` when completed)."""
+        return self._only(self.errors)
 
 
 @dataclass(frozen=True)
@@ -271,12 +251,7 @@ class ShardedJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            check_engine(self.engine)
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
+        _check_slos(self)
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}",
@@ -287,14 +262,6 @@ class ShardedJob:
                 f"boundary must be 'clamp' or 'periodic', got {self.boundary!r}",
                 param="boundary", value=self.boundary,
                 constraint="boundary in ('clamp', 'periodic')",
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
             )
 
 
@@ -489,7 +456,7 @@ class StencilScheduler:
             _Worker(i, dev, retry_policy, breaker_threshold, health_window)
             for i, dev in enumerate(devices)
         ]
-        self._pending: deque[tuple[StencilJob, int, frozenset[int]]] = deque()
+        self._pending: deque[StencilJob] = deque()
         self._submitted: set[str] = set()
         self._jobs_completed = 0
         self._probe_grid = make_grid(_PROBE_SHAPE, "mixed", seed=3)
@@ -503,15 +470,22 @@ class StencilScheduler:
 
     # -- admission --------------------------------------------------------- #
 
-    def submit(self, job: StencilJob) -> None:
-        """Admit a job, or raise :class:`SchedulerSaturatedError`."""
+    def _admit(self, job: StencilJob | ShardedJob, method: str) -> None:
+        """The admission check of every entry point: an open scheduler
+        and a job id never seen before."""
         if self._closed:
             raise ConfigurationError(
                 "scheduler is closed",
                 param="closed",
                 value=True,
-                constraint="submit() requires an open scheduler",
+                constraint=f"{method}() requires an open scheduler",
             )
+        if job.job_id in self._submitted:
+            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
+
+    def submit(self, job: StencilJob) -> None:
+        """Admit a job, or raise :class:`SchedulerSaturatedError`."""
+        self._admit(job, "submit")
         if len(self._pending) >= self.max_pending:
             raise SchedulerSaturatedError(
                 f"pending queue is full ({self.max_pending} jobs); "
@@ -519,11 +493,9 @@ class StencilScheduler:
                 queued=len(self._pending),
                 capacity=self.max_pending,
             )
-        if job.job_id in self._submitted:
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
         job = self._resolve_config(job)
         self._submitted.add(job.job_id)
-        self._pending.append((job, 0, frozenset()))
+        self._pending.append(job)
 
     def _resolve_config(self, job: StencilJob) -> StencilJob:
         """Fill in ``config=None`` from the plan-selection cache.
@@ -541,7 +513,7 @@ class StencilScheduler:
 
         config = resolve_config(
             job.spec,
-            job.grid.shape,
+            job.grids[0].shape,
             iterations=job.iterations,
             engine=job.engine or self.engine,
         )
@@ -557,13 +529,7 @@ class StencilScheduler:
         """Drain the pending queue; returns one result per admitted job."""
         results: list[JobResult] = []
         while self._pending:
-            job, dispatches, tried = self._pending.popleft()
-            result, retryable, tried_now = self._attempt(job, dispatches, tried)
-            if retryable:
-                self._pending.appendleft((job, result.dispatches, tried_now))
-                continue
-            results.append(result)
-            self._jobs_completed += 1
+            results.append(self._dispatch(self._pending.popleft()))
         return results
 
     def execute_job(self, job: StencilJob) -> JobResult:
@@ -573,63 +539,40 @@ class StencilScheduler:
         fair-queueing and wall-clock deadlines live in the service,
         while device choice, re-dispatch, health, quarantine and
         breakers stay here with exactly the :meth:`run_until_idle`
-        semantics (same re-dispatch predicate, same health accounting).
+        semantics (same re-dispatch loop, same health accounting).
         """
-        if self._closed:
-            raise ConfigurationError(
-                "scheduler is closed",
-                param="closed",
-                value=True,
-                constraint="execute_job() requires an open scheduler",
-            )
+        self._admit(job, "execute_job")
         job = self._resolve_config(job)
-        if job.job_id in self._submitted:
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
         self._submitted.add(job.job_id)
-        dispatches = 0
-        tried: frozenset[int] = frozenset()
-        while True:
-            result, retryable, tried = self._attempt(job, dispatches, tried)
-            if not retryable:
-                self._jobs_completed += 1
-                return result
-            dispatches = result.dispatches
+        return self._dispatch(job)
 
-    def execute_batch(self, job: BatchStencilJob) -> BatchJobResult:
-        """Run one batch to completion now, bypassing the pending queue.
+    #: Alias of :meth:`execute_job`, kept because ``perfbench/ledger.py``
+    #: wraps both names.
+    execute_batch = execute_job
 
-        Same dispatch machinery as :meth:`execute_job` — device choice,
-        health accounting, breakers, re-dispatch on a *whole-batch*
-        transient fault (never on per-grid faults or a missed batch
-        deadline).  The serving layer coalesces compatible queued
-        requests into these.
+    def _dispatch(self, job: StencilJob) -> JobResult:
+        """Place a job, re-dispatching a whole-job transient failure.
+
+        A failed job is tried on another device until it completes or
+        has used ``max_dispatches`` devices; a missed deadline is never
+        re-dispatched (an identical board models the identical time),
+        and neither is a partial job (its per-grid failures are final).
         """
-        if self._closed:
-            raise ConfigurationError(
-                "scheduler is closed",
-                param="closed",
-                value=True,
-                constraint="execute_batch() requires an open scheduler",
-            )
-        if job.job_id in self._submitted:
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
-        self._submitted.add(job.job_id)
         dispatches = 0
         tried: frozenset[int] = frozenset()
         while True:
             worker = self._pick_worker(tried)
-            result = self._execute_batch(worker, job, dispatches + 1)
+            result = self._execute(worker, job, dispatches + 1)
             tried = tried | {worker.index}
-            retryable = (
+            dispatches = result.dispatches
+            if not (
                 result.status == "failed"
                 and result.error_types[0] != "DeadlineExceededError"
-                and result.dispatches < self.max_dispatches
+                and dispatches < self.max_dispatches
                 and any(w.index not in tried for w in self.workers)
-            )
-            if not retryable:
+            ):
                 self._jobs_completed += 1
                 return result
-            dispatches = result.dispatches
 
     def execute_sharded(self, job: ShardedJob) -> ShardedJobResult:
         """Run one sharded job across ``job.shards`` fleet devices now.
@@ -647,15 +590,7 @@ class StencilScheduler:
         per-device fault counts, and every participating worker's
         clock advances by the lockstep simulated time.
         """
-        if self._closed:
-            raise ConfigurationError(
-                "scheduler is closed",
-                param="closed",
-                value=True,
-                constraint="execute_sharded() requires an open scheduler",
-            )
-        if job.job_id in self._submitted:
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
+        self._admit(job, "execute_sharded")
         if job.shards > len(self.workers):
             raise ConfigurationError(
                 f"job {job.job_id!r} wants {job.shards} shards but the "
@@ -732,19 +667,11 @@ class StencilScheduler:
             self._jobs_completed += 1
             return _failed(err)
 
-        def _settle(fault_counts: tuple[int, ...]) -> None:
-            for w, n_faults in zip(workers, fault_counts):
-                if n_faults > 0:
-                    w.breaker.record_fault()
-                    self._audit_degraded_pools()
-                else:
-                    w.breaker.record_success()
-                self._record_health(w, faulty=n_faults > 0)
-
         try:
             sharded = runner.run(grid, job.iterations)
         except (FaultDetectedError, DeviceLostError, ConfigurationError) as err:
-            _settle(runner.device_faults)
+            for w, n_faults in zip(workers, runner.device_faults):
+                self._settle(w, faulty=n_faults > 0)
             engines_now = runner.engines
             runner.close()
             for w in workers:
@@ -756,7 +683,8 @@ class StencilScheduler:
         runner.close()
 
         stats = sharded.stats
-        _settle(stats.device_faults)
+        for w, n_faults in zip(workers, stats.device_faults):
+            self._settle(w, faulty=n_faults > 0)
         elapsed_s = stats.sim_time_s
         for w in workers:
             w.queue.clock_s += elapsed_s  # lockstep: every board is held
@@ -795,21 +723,6 @@ class StencilScheduler:
             stats=stats,
         )
 
-    def _attempt(
-        self, job: StencilJob, dispatches: int, tried: frozenset[int]
-    ) -> tuple[JobResult, bool, frozenset[int]]:
-        """One dispatch attempt plus the shared re-dispatch predicate."""
-        worker = self._pick_worker(tried)
-        result = self._execute(worker, job, dispatches + 1)
-        tried_now = tried | {worker.index}
-        retryable = (
-            result.status == "failed"
-            and result.error_type != "DeadlineExceededError"
-            and result.dispatches < self.max_dispatches
-            and any(w.index not in tried_now for w in self.workers)
-        )
-        return result, retryable, tried_now
-
     def _pick_worker(self, excluded: frozenset[int]) -> _Worker:
         """Healthy device with the smallest clock; probes quarantined ones.
 
@@ -837,6 +750,15 @@ class StencilScheduler:
         return min(candidates, key=lambda w: (w.queue.clock_s, w.index))
 
     # -- health / quarantine ----------------------------------------------- #
+
+    def _settle(self, worker: _Worker, faulty: bool) -> None:
+        """Charge one finished job to its device's breaker and health."""
+        if faulty:
+            worker.breaker.record_fault()
+            self._audit_degraded_pools()
+        else:
+            worker.breaker.record_success()
+        self._record_health(worker, faulty=faulty)
 
     def _record_health(self, worker: _Worker, faulty: bool) -> None:
         worker.window.append(faulty)
@@ -956,24 +878,28 @@ class StencilScheduler:
     def _execute(
         self, worker: _Worker, job: StencilJob, dispatches: int
     ) -> JobResult:
+        """One dispatch of ``job`` on ``worker``: one slab launch."""
         inj = fault_hooks.ACTIVE
         detections_before = len(inj.detections) if inj is not None else 0
         queue = worker.queue
         start_s = queue.clock_s
         preferred = job.engine or self.engine
         engine_used = worker.engine(preferred)
+        n_grids = len(job.grids)
 
-        def _failed(err: BaseException, attempts: int = 0) -> JobResult:
+        def _failed(err: BaseException, **counts) -> JobResult:
+            # whole-job failure: every slot carries the same typed error
             return JobResult(
                 job_id=job.job_id,
                 status="failed",
                 device=worker.index,
                 engine=engine_used,
-                error_type=type(err).__name__,
-                error=str(err),
+                results=(None,) * n_grids,
+                error_types=(type(err).__name__,) * n_grids,
+                errors=(str(err),) * n_grids,
                 elapsed_s=queue.clock_s - start_s,
-                attempts=attempts,
                 dispatches=dispatches,
+                **counts,
             )
 
         try:
@@ -985,140 +911,18 @@ class StencilScheduler:
             # device's fault: no health penalty
             return _failed(err)
 
-        grid = np.ascontiguousarray(job.grid, dtype=np.float32)
-        nominal_s = program.kernel_time_s(grid.shape, job.iterations)
-        estimate_s = nominal_s + 2 * queue._transfer_time_s(grid.nbytes)
-        if job.deadline_s is not None and estimate_s > job.deadline_s:
-            return _failed(
-                DeadlineExceededError(
-                    f"job {job.job_id!r}: modeled time {estimate_s:.4f} s "
-                    f"exceeds deadline {job.deadline_s:.4f} s; not dispatched"
-                )
-            )
-        watchdog_s = (
-            job.watchdog_factor * nominal_s
-            if job.watchdog_factor is not None
-            else None
-        )
-        checkpoint = (
-            job.checkpoint if job.checkpoint is not None else self.default_checkpoint
-        )
-
-        try:
-            src = Buffer(grid.nbytes)
-            dst = Buffer(grid.nbytes)
-            queue.enqueue_write_buffer(src, grid)
-            event = queue.enqueue_kernel(
-                program,
-                src,
-                dst,
-                job.iterations,
-                watchdog_s=watchdog_s,
-                checkpoint=checkpoint,
-            )
-            out, _ = queue.enqueue_read_buffer(dst)
-        except FaultDetectedError as err:
-            worker.breaker.record_fault()
-            self._audit_degraded_pools()
-            self._record_health(worker, faulty=True)
-            worker.log(f"job {job.job_id!r} failed: {type(err).__name__}")
-            return _failed(err, attempts=queue.retry_policy.max_retries + 1)
-
-        detections_after = len(inj.detections) if inj is not None else 0
-        faulty = (
-            detections_after > detections_before
-            or event.attempts > 1
-            or event.rollbacks > 0
-        )
-        if faulty:
-            worker.breaker.record_fault()
-            self._audit_degraded_pools()
+        if n_grids == 1:
+            slab = np.ascontiguousarray(job.grids[0], dtype=np.float32)[None]
         else:
-            worker.breaker.record_success()
-        self._record_health(worker, faulty=faulty)
-
-        elapsed_s = queue.clock_s - start_s
-        if job.deadline_s is not None and elapsed_s > job.deadline_s:
-            worker.log(
-                f"job {job.job_id!r} missed deadline "
-                f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
-            )
-            return JobResult(
-                job_id=job.job_id,
-                status="failed",
-                device=worker.index,
-                engine=engine_used,
-                error_type="DeadlineExceededError",
-                error=(
-                    f"job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
-                    f"exceeds deadline {job.deadline_s:.4f} s"
-                ),
-                elapsed_s=elapsed_s,
-                attempts=event.attempts,
-                dispatches=dispatches,
-                rollbacks=event.rollbacks,
-                replayed_passes=event.replayed_passes,
-            )
-        return JobResult(
-            job_id=job.job_id,
-            status="completed",
-            device=worker.index,
-            engine=engine_used,
-            result=out,
-            elapsed_s=elapsed_s,
-            attempts=event.attempts,
-            dispatches=dispatches,
-            rollbacks=event.rollbacks,
-            replayed_passes=event.replayed_passes,
-        )
-
-    def _execute_batch(
-        self, worker: _Worker, job: BatchStencilJob, dispatches: int
-    ) -> BatchJobResult:
-        inj = fault_hooks.ACTIVE
-        detections_before = len(inj.detections) if inj is not None else 0
-        queue = worker.queue
-        start_s = queue.clock_s
-        preferred = job.engine or self.engine
-        engine_used = worker.engine(preferred)
-        n_grids = len(job.grids)
-
-        def _failed(err: BaseException, attempts: int = 0) -> BatchJobResult:
-            # whole-batch failure: every slot carries the same typed error
-            return BatchJobResult(
-                job_id=job.job_id,
-                status="failed",
-                device=worker.index,
-                engine=engine_used,
-                results=(None,) * n_grids,
-                error_types=(type(err).__name__,) * n_grids,
-                errors=(str(err),) * n_grids,
-                elapsed_s=queue.clock_s - start_s,
-                attempts=attempts,
-                dispatches=dispatches,
-            )
-
-        try:
-            program = self._build_program(
-                worker, job.spec, job.config, preferred
-            )
-        except ConfigurationError as err:
-            # a misconfigured batch is rejected typed, and is not the
-            # device's fault: no health penalty
-            return _failed(err)
-
-        slab = np.stack(
-            [np.asarray(g, dtype=np.float32) for g in job.grids]
-        ).astype(np.float32, copy=False)
-        grid_shape = slab.shape[1:]
+            slab = np.stack([np.asarray(g, dtype=np.float32) for g in job.grids])
         nominal_s = program.batch_kernel_time_s(
-            grid_shape, job.iterations, n_grids
+            slab.shape[1:], job.iterations, n_grids
         )
         estimate_s = nominal_s + 2 * queue._transfer_time_s(slab.nbytes)
         if job.deadline_s is not None and estimate_s > job.deadline_s:
             return _failed(
                 DeadlineExceededError(
-                    f"batch {job.job_id!r}: modeled time {estimate_s:.4f} s "
+                    f"job {job.job_id!r}: modeled time {estimate_s:.4f} s "
                     f"exceeds deadline {job.deadline_s:.4f} s; not dispatched"
                 )
             )
@@ -1146,77 +950,56 @@ class StencilScheduler:
             )
             out_slab, _ = queue.enqueue_read_buffer(dst)
         except FaultDetectedError as err:
-            worker.breaker.record_fault()
-            self._audit_degraded_pools()
-            self._record_health(worker, faulty=True)
-            worker.log(f"batch {job.job_id!r} failed: {type(err).__name__}")
+            self._settle(worker, faulty=True)
+            worker.log(f"job {job.job_id!r} failed: {type(err).__name__}")
             return _failed(err, attempts=queue.retry_policy.max_retries + 1)
 
         detections_after = len(inj.detections) if inj is not None else 0
-        faulty = (
-            detections_after > detections_before
-            or event.attempts > 1
-            or event.rollbacks > 0
-            or not batch.ok
+        self._settle(
+            worker,
+            faulty=(
+                detections_after > detections_before
+                or event.attempts > 1
+                or event.rollbacks > 0
+                or not batch.ok
+            ),
         )
-        if faulty:
-            worker.breaker.record_fault()
-            self._audit_degraded_pools()
-        else:
-            worker.breaker.record_success()
-        self._record_health(worker, faulty=faulty)
-
+        counts = dict(
+            attempts=event.attempts,
+            rollbacks=event.rollbacks,
+            replayed_passes=event.replayed_passes,
+        )
         elapsed_s = queue.clock_s - start_s
         if job.deadline_s is not None and elapsed_s > job.deadline_s:
             worker.log(
-                f"batch {job.job_id!r} missed deadline "
+                f"job {job.job_id!r} missed deadline "
                 f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
             )
-            err_msg = (
-                f"batch {job.job_id!r}: elapsed {elapsed_s:.4f} s "
-                f"exceeds deadline {job.deadline_s:.4f} s"
+            return _failed(
+                DeadlineExceededError(
+                    f"job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
+                    f"exceeds deadline {job.deadline_s:.4f} s"
+                ),
+                **counts,
             )
-            return BatchJobResult(
-                job_id=job.job_id,
-                status="failed",
-                device=worker.index,
-                engine=engine_used,
-                results=(None,) * n_grids,
-                error_types=("DeadlineExceededError",) * n_grids,
-                errors=(err_msg,) * n_grids,
-                elapsed_s=elapsed_s,
-                attempts=event.attempts,
-                dispatches=dispatches,
-                rollbacks=event.rollbacks,
-                replayed_passes=event.replayed_passes,
-            )
-
-        results: list[np.ndarray | None] = []
-        error_types: list[str | None] = []
-        errors: list[str | None] = []
-        for g in range(n_grids):
-            err = batch.errors[g]
-            if err is None:
-                results.append(np.array(out_slab[g]))
-                error_types.append(None)
-                errors.append(None)
-            else:
-                results.append(None)
-                error_types.append(type(err).__name__)
-                errors.append(str(err))
-        return BatchJobResult(
+        return JobResult(
             job_id=job.job_id,
             status="completed" if batch.ok else "partial",
             device=worker.index,
             engine=engine_used,
-            results=tuple(results),
-            error_types=tuple(error_types),
-            errors=tuple(errors),
+            # views of the one read-back slab: no per-grid copy
+            results=tuple(
+                out_slab[g] if err is None else None
+                for g, err in enumerate(batch.errors)
+            ),
+            error_types=tuple(
+                None if err is None else type(err).__name__
+                for err in batch.errors
+            ),
+            errors=tuple(None if err is None else str(err) for err in batch.errors),
             elapsed_s=elapsed_s,
-            attempts=event.attempts,
             dispatches=dispatches,
-            rollbacks=event.rollbacks,
-            replayed_passes=event.replayed_passes,
+            **counts,
         )
 
     # -- lifecycle ---------------------------------------------------------- #
@@ -1244,7 +1027,8 @@ class StencilScheduler:
             settled = self.run_until_idle()
         self._closed = True
         while self._pending:
-            job, dispatches, _tried = self._pending.popleft()
+            job = self._pending.popleft()
+            n_grids = len(job.grids)
             err = SchedulerShutdownError(
                 f"scheduler closed with job {job.job_id!r} still pending; "
                 "resubmit to a live scheduler or use close(drain=True)"
@@ -1255,9 +1039,10 @@ class StencilScheduler:
                     status="failed",
                     device=None,
                     engine=None,
-                    error_type=type(err).__name__,
-                    error=str(err),
-                    dispatches=dispatches,
+                    results=(None,) * n_grids,
+                    error_types=(type(err).__name__,) * n_grids,
+                    errors=(str(err),) * n_grids,
+                    dispatches=0,
                 )
             )
             self._jobs_completed += 1

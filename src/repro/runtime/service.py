@@ -34,16 +34,19 @@ shared installation needs on the *wall* clock:
   :class:`~repro.runtime.artifacts.ArtifactCache` (single-flight
   compilation, LRU-bounded pools); results record whether they rode a
   warm artifact (``coalesced``).
-* **batched dispatch** — when the popped request is a *small* grid and
-  compatible requests (same spec/config/shape/iterations/checkpoint/
-  deadline knobs) are waiting behind it, dispatch pulls up to
-  ``coalesce_max_batch`` of them out of the queue and runs the lot as
-  one :class:`~repro.runtime.scheduler.BatchStencilJob` — one launch,
-  one slab transfer, per-job overhead paid once (``repro.core.batch``).
-  Results and typed errors are split back per request (``batched``
-  marker); a per-grid transient failure inside an otherwise-healthy
-  batch falls back to the single-job retry ladder for that request
-  only, so batching never *reduces* anyone's retry budget.
+* **batched dispatch** — every dispatch runs one scheduler
+  :class:`~repro.runtime.scheduler.StencilJob`: the popped request
+  alone, or — when it is a *small* grid and compatible requests (same
+  spec/config/shape/iterations/checkpoint/deadline knobs) are waiting
+  behind it — the request plus up to ``coalesce_max_batch - 1`` of
+  them, as one launch with one slab transfer and the per-job overhead
+  paid once (``repro.core.batch``).  The job's
+  :class:`~repro.runtime.scheduler.JobResult` has a slot per grid;
+  results and typed errors are split back per request (coalesced
+  requests carry the ``batched`` marker), and a per-grid transient
+  failure inside an otherwise-healthy launch sends that request alone
+  back through the retry ladder, so batching never *reduces* anyone's
+  retry budget.
 
 Every admitted request terminates with a :class:`ServiceResult` that is
 either bit-exact or carries a typed error — the overload chaos campaign
@@ -79,12 +82,7 @@ from repro.runtime.admission import (
 )
 from repro.runtime.artifacts import ArtifactCache, artifact_key
 from repro.runtime.checkpoint import CheckpointPolicy
-from repro.runtime.scheduler import (
-    BatchStencilJob,
-    JobResult,
-    StencilJob,
-    StencilScheduler,
-)
+from repro.runtime.scheduler import JobResult, StencilJob, StencilScheduler
 
 #: Engine pinned at each degrade level.  ``None`` defers to the
 #: scheduler's preference: level 1 only shrinks the checkpoint cadence,
@@ -133,8 +131,8 @@ class ServicePolicy:
     (``retry_backoff_s * 2**attempt``, +/- ``retry_jitter``), bounded
     by ``max_retries`` and by the request's remaining deadline budget.
 
-    ``coalesce`` enables batched dispatch: up to ``coalesce_max_batch``
-    compatible queued requests ride one batched launch, but only for
+    Batched dispatch: up to ``coalesce_max_batch`` compatible queued
+    requests ride one launch (``1`` turns batching off), but only for
     grids of at most ``coalesce_max_cells`` cells — batching exists to
     amortize per-launch overhead, which only dominates small grids.
     ``metrics_window`` bounds the per-tenant latency reservoir (ring of
@@ -152,7 +150,6 @@ class ServicePolicy:
     degrade_hard_at: float = 0.875
     degraded_checkpoint: int = 2
     artifact_capacity: int = 8
-    coalesce: bool = True
     coalesce_max_batch: int = 32
     coalesce_max_cells: int = 32**3
     metrics_window: int = 1024
@@ -220,9 +217,7 @@ class ServiceResult:
     tenant: str
     status: str
     result: np.ndarray | None = field(repr=False, default=None)
-    job_result: "JobResult | BatchJobResult | None" = field(
-        repr=False, default=None
-    )
+    job_result: JobResult | None = field(repr=False, default=None)
     error_type: str | None = None
     error: str | None = None
     retry_after_s: float | None = None
@@ -725,16 +720,11 @@ class StencilService:
             with self._work:
                 self._sweep_locked(time.monotonic())
                 entry = self._queue.pop()
-                siblings = (
-                    self._collect_batch_locked(entry.item) if entry else []
-                )
-            if entry is None:
-                return processed
-            if siblings:
-                self._process_batch([entry.item, *siblings])
-            else:
-                self._process(entry.item)
-            processed += 1 + len(siblings)
+                if entry is None:
+                    return processed
+                batch = [entry.item, *self._collect_batch_locked(entry.item)]
+            self._process(batch)
+            processed += len(batch)
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -746,16 +736,12 @@ class StencilService:
                         return
                     self._work.wait(timeout=0.05)
                     continue
-                siblings = self._collect_batch_locked(entry.item)
-                batch = [entry.item, *siblings]
+                batch = [entry.item, *self._collect_batch_locked(entry.item)]
                 for req in batch:
                     self._inflight_reqs[req.request_id] = req
                 self._inflight += len(batch)
             try:
-                if siblings:
-                    self._process_batch(batch)
-                else:
-                    self._process(batch[0])
+                self._process(batch)
             except BaseException as err:  # noqa: BLE001 - tickets must terminate
                 # a dispatch-loop crash (or a close() racing an in-flight
                 # coalesced batch) must never strand a ticket: fail every
@@ -836,8 +822,7 @@ class StencilService:
         """
         limit = self.policy.coalesce_max_batch - 1
         if (
-            not self.policy.coalesce
-            or limit < 1
+            limit < 1
             or head.grid.size > self.policy.coalesce_max_cells
             or self._queue.depth == 0
         ):
@@ -893,126 +878,33 @@ class StencilService:
                 ),
             )
 
-    def _process(self, req: _Request) -> None:
-        """Run one admitted request to termination (dispatch thread only)."""
-        started = time.monotonic()
-        queue_wait = started - req.admitted_s
-        level = self._degrade_level()
-        engine = ENGINE_LADDER[level]
-        checkpoint = self._checkpoint_for(req, level)
-        retries = 0
-        last: JobResult | None = None
-        coalesced = False
-        while True:
-            remaining = self._remaining_budget(req)
-            if remaining is not None and remaining <= 0.0:
-                self._fail_deadline(req, retries, queue_wait)
-                return
-            flights_before = self.artifacts.stats["flights"]
-            job = StencilJob(
-                job_id=f"{req.request_id}.r{retries}",
-                spec=req.spec,
-                config=req.config,
-                grid=req.grid,
-                iterations=req.iterations,
-                deadline_s=req.sim_deadline_s,
-                checkpoint=checkpoint,
-                watchdog_factor=req.watchdog_factor,
-                engine=engine,
-            )
-            try:
-                result = self.scheduler.execute_job(job)
-            except ConfigurationError as err:
-                self._finish(
-                    req,
-                    ServiceResult(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        status="failed",
-                        error_type=type(err).__name__,
-                        error=str(err),
-                        retries=retries,
-                        queue_wait_s=queue_wait,
-                        wall_elapsed_s=time.monotonic() - req.admitted_s,
-                    ),
-                )
-                return
-            coalesced = coalesced or (
-                self.artifacts.stats["flights"] == flights_before
-            )
-            last = result
-            if result.status == "completed":
-                break
-            if result.error_type not in RETRYABLE_ERRORS:
-                break
-            if retries >= self.policy.max_retries:
-                break
-            delay = self._backoff_s(retries)
-            remaining = self._remaining_budget(req)
-            if remaining is not None and delay >= remaining:
-                break  # the retry could not land inside the budget
-            retries += 1
-            self.metrics.count(req.tenant, "retries")
-            time.sleep(delay)
-            # renewed pressure reading: a retry may degrade further
-            level = max(level, self._degrade_level())
-            engine = ENGINE_LADDER[level]
-            checkpoint = self._checkpoint_for(req, level)
+    def _process(self, reqs: list[_Request]) -> None:
+        """Run admitted requests to termination as one job (dispatch
+        thread only).
 
-        elapsed = time.monotonic() - req.admitted_s
-        if req.deadline_s is not None and elapsed > req.deadline_s:
-            # late result discarded at the service layer too
-            self._fail_deadline(req, retries, queue_wait, late=True)
-            return
-        degraded = level > 0 or (
-            last.engine is not None
-            and last.status == "completed"
-            and last.engine == FLOOR_ENGINE
-            and self.scheduler.engine != FLOOR_ENGINE
-            and engine != FLOOR_ENGINE
-        )
-        self._finish(
-            req,
-            ServiceResult(
-                request_id=req.request_id,
-                tenant=req.tenant,
-                status=last.status,
-                result=last.result,
-                job_result=last,
-                error_type=last.error_type,
-                error=last.error,
-                degraded=degraded,
-                degraded_engine=last.engine if degraded else None,
-                coalesced=coalesced,
-                retries=retries,
-                queue_wait_s=queue_wait,
-                wall_elapsed_s=elapsed,
-            ),
-        )
-
-    def _process_batch(self, reqs: list[_Request]) -> None:
-        """Run coalesced requests as one batched launch; split results.
-
-        Per-batch SLOs ride the scheduler's :class:`BatchStencilJob`
-        semantics (one simulated-clock deadline, whole-slab
-        checkpoints); wall-clock deadlines stay *per request* — an
-        expired request is failed typed before dispatch and a late
-        result is discarded for that request only.  Whole-batch
-        transient failures retry under the service ladder exactly like
-        single jobs; a *per-grid* transient inside a partial batch
-        drops that request back onto the single-job retry ladder, so
-        batching never shrinks a request's retry budget.
+        ``reqs`` is one request, or a head plus its coalesced siblings;
+        their grids ride one scheduler :class:`StencilJob` (one launch,
+        one simulated-clock deadline, whole-slab checkpoints).
+        Wall-clock deadlines stay *per request*: an expired request is
+        failed typed before dispatch and a late result is discarded for
+        that request only.  Whole-job transient failures retry under the
+        service ladder; a *per-grid* transient inside a partial job
+        sends that request alone back through this ladder, so batching
+        never shrinks a request's retry budget.
         """
         started = time.monotonic()
-        batch_size = len(reqs)
-        self.metrics.observe_batch(self._bucket_label(reqs[0]), batch_size)
+        batched = len(reqs) > 1
+        # the batched marker and per-bucket stats count coalesced
+        # launches only; a lone request is not a batch of one to callers
+        markers = dict(batched=batched, batch_size=len(reqs) if batched else 0)
+        if batched:
+            self.metrics.observe_batch(self._bucket_label(reqs[0]), len(reqs))
         level = self._degrade_level()
         engine = ENGINE_LADDER[level]
         checkpoint = self._checkpoint_for(reqs[0], level)
         retries = 0
         coalesced = False
         live = list(reqs)
-        result = None
         while True:
             still: list[_Request] = []
             for req in live:
@@ -1027,19 +919,22 @@ class StencilService:
             if not live:
                 return
             flights_before = self.artifacts.stats["flights"]
-            job = BatchStencilJob(
-                job_id=f"{live[0].request_id}.b{retries}",
-                spec=live[0].spec,
-                config=live[0].config,
-                grids=tuple(np.asarray(r.grid) for r in live),
-                iterations=live[0].iterations,
-                deadline_s=live[0].sim_deadline_s,
+            head = live[0]
+            job = StencilJob(
+                # a request re-run alone after a partial batch gets a
+                # fresh id: ".b" for coalesced launches, ".r" otherwise
+                job_id=f"{head.request_id}.{'b' if batched else 'r'}{retries}",
+                spec=head.spec,
+                config=head.config,
+                grids=tuple(r.grid for r in live),
+                iterations=head.iterations,
+                deadline_s=head.sim_deadline_s,
                 checkpoint=checkpoint,
-                watchdog_factor=live[0].watchdog_factor,
+                watchdog_factor=head.watchdog_factor,
                 engine=engine,
             )
             try:
-                result = self.scheduler.execute_batch(job)
+                result = self.scheduler.execute_job(job)
             except ConfigurationError as err:
                 for req in live:
                     self._finish(
@@ -1050,8 +945,7 @@ class StencilService:
                             status="failed",
                             error_type=type(err).__name__,
                             error=str(err),
-                            batched=True,
-                            batch_size=batch_size,
+                            **markers,
                             retries=retries,
                             queue_wait_s=started - req.admitted_s,
                             wall_elapsed_s=time.monotonic() - req.admitted_s,
@@ -1084,60 +978,45 @@ class StencilService:
             engine = ENGINE_LADDER[level]
             checkpoint = self._checkpoint_for(live[0], level)
 
-        for i, req in enumerate(live):
+        for req, out, error_type, error in zip(
+            live, result.results, result.error_types, result.errors
+        ):
             queue_wait = started - req.admitted_s
             elapsed = time.monotonic() - req.admitted_s
-            out = result.results[i]
-            err_type = result.error_types[i]
-            if out is not None:
-                if req.deadline_s is not None and elapsed > req.deadline_s:
-                    self._fail_deadline(req, retries, queue_wait, late=True)
-                    continue
-                degraded = level > 0 or (
-                    result.engine == FLOOR_ENGINE
-                    and self.scheduler.engine != FLOOR_ENGINE
-                    and engine != FLOOR_ENGINE
-                )
-                self._finish(
-                    req,
-                    ServiceResult(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        status="completed",
-                        result=out,
-                        job_result=result,
-                        degraded=degraded,
-                        degraded_engine=result.engine if degraded else None,
-                        coalesced=coalesced,
-                        batched=True,
-                        batch_size=batch_size,
-                        retries=retries,
-                        queue_wait_s=queue_wait,
-                        wall_elapsed_s=elapsed,
-                    ),
-                )
-            elif err_type in RETRYABLE_ERRORS and result.status == "partial":
-                # per-grid transient inside a healthy batch: this request
-                # alone re-enters the single-job retry ladder
-                self._process(req)
-            else:
-                self._finish(
-                    req,
-                    ServiceResult(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        status="failed",
-                        job_result=result,
-                        error_type=err_type,
-                        error=result.errors[i],
-                        coalesced=coalesced,
-                        batched=True,
-                        batch_size=batch_size,
-                        retries=retries,
-                        queue_wait_s=queue_wait,
-                        wall_elapsed_s=elapsed,
-                    ),
-                )
+            if req.deadline_s is not None and elapsed > req.deadline_s:
+                # late result discarded at the service layer too
+                self._fail_deadline(req, retries, queue_wait, late=True)
+                continue
+            if error_type in RETRYABLE_ERRORS and result.status == "partial":
+                # per-grid transient inside a healthy job: this request
+                # alone re-enters the retry ladder
+                self._process([req])
+                continue
+            degraded = level > 0 or (
+                out is not None
+                and result.engine == FLOOR_ENGINE
+                and self.scheduler.engine != FLOOR_ENGINE
+                and engine != FLOOR_ENGINE
+            )
+            self._finish(
+                req,
+                ServiceResult(
+                    request_id=req.request_id,
+                    tenant=req.tenant,
+                    status="completed" if out is not None else "failed",
+                    result=out,
+                    job_result=result,
+                    error_type=error_type,
+                    error=error,
+                    degraded=degraded,
+                    degraded_engine=result.engine if degraded else None,
+                    coalesced=coalesced,
+                    **markers,
+                    retries=retries,
+                    queue_wait_s=queue_wait,
+                    wall_elapsed_s=elapsed,
+                ),
+            )
 
     # -- helpers ------------------------------------------------------------- #
 

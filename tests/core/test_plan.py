@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
+from repro.core.accelerator import _aligned_f32
 from repro.core.plan import (
     PassPlan,
     Segment,
@@ -196,3 +197,19 @@ def test_accelerator_uses_cached_plan() -> None:
     plan_a = get_pass_plan(cfg, grid.shape, "clamp")
     acc.run(grid, 4)
     assert get_pass_plan(cfg, grid.shape, "clamp") is plan_a
+
+
+@pytest.mark.parametrize("vec", [1, 2, 8, 16])
+def test_every_worker_scratch_base_is_64_byte_aligned(vec: int) -> None:
+    """Worker ``w`` ping-pongs between ``scratch + (2w + {0, 1}) *
+    scratch_floats``; a 29-float-wide footprint makes the unrounded
+    capacity odd, so only the table-build roundup keeps those bases on
+    cache lines at every vector width."""
+    plan = get_pass_plan(cfg2d(parvec=16), (13, 21))
+    tables = plan.to_driver_tables(2, vec)
+    workers = 3
+    scratch = _aligned_f32(workers * 2 * tables.scratch_floats)
+    for w in range(workers):
+        for half in (0, 1):
+            offset = (2 * w + half) * tables.scratch_floats * 4
+            assert (scratch.ctypes.data + offset) % 64 == 0, (w, half)

@@ -307,7 +307,7 @@ def test_scheduler_resolves_job_with_no_config(monkeypatch) -> None:
     monkeypatch.setenv(DISABLE_ENV, "1")
     sched = StencilScheduler(devices=1, engine="numpy")
     grid = make_grid(SHAPE, "mixed", seed=5)
-    job = StencilJob(job_id="untuned", spec=SPEC, config=None, grid=grid,
+    job = StencilJob(job_id="untuned", spec=SPEC, config=None, grids=(grid,),
                      iterations=4)
     try:
         sched.submit(job)

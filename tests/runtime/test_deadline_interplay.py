@@ -40,7 +40,7 @@ LATE_SEU = SEUFault(at_touch=91, site="block-buffer")
 
 def job(job_id: str, **kwargs) -> StencilJob:
     kwargs.setdefault("iterations", 4)
-    return StencilJob(job_id=job_id, spec=SPEC, config=CONFIG, grid=GRID, **kwargs)
+    return StencilJob(job_id=job_id, spec=SPEC, config=CONFIG, grids=(GRID,), **kwargs)
 
 
 def run_one(sched: StencilScheduler, j: StencilJob, plan: FaultPlan | None):

@@ -28,7 +28,7 @@ REF_4 = reference_run(GRID, SPEC, 4)
 
 def job(job_id: str, **kwargs) -> StencilJob:
     kwargs.setdefault("iterations", 4)
-    return StencilJob(job_id=job_id, spec=SPEC, config=CONFIG, grid=GRID, **kwargs)
+    return StencilJob(job_id=job_id, spec=SPEC, config=CONFIG, grids=(GRID,), **kwargs)
 
 
 # -- validation ------------------------------------------------------------- #

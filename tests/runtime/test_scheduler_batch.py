@@ -1,4 +1,4 @@
-"""Batched jobs through the scheduler (BatchStencilJob / execute_batch).
+"""Batched jobs through the scheduler (StencilJob / execute_batch).
 
 The scheduler treats a batch as *one* job for placement, deadline and
 retry purposes; results split per grid only at the very end.  Partial
@@ -22,7 +22,6 @@ from repro.core import (
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SEUFault, arm
 from repro.runtime import StencilJob, StencilScheduler
-from repro.runtime.scheduler import BatchStencilJob
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
@@ -30,10 +29,10 @@ SHAPE = (12, 20)
 GRIDS = tuple(make_grid(SHAPE, "mixed", seed=60 + i) for i in range(4))
 
 
-def batch_job(job_id: str, **kwargs) -> BatchStencilJob:
+def batch_job(job_id: str, **kwargs) -> StencilJob:
     kwargs.setdefault("iterations", 4)
     kwargs.setdefault("grids", GRIDS)
-    return BatchStencilJob(job_id=job_id, spec=SPEC, config=CONFIG, **kwargs)
+    return StencilJob(job_id=job_id, spec=SPEC, config=CONFIG, **kwargs)
 
 
 def test_batch_job_validation() -> None:
@@ -69,7 +68,7 @@ def test_execute_batch_matches_single_jobs() -> None:
             single = sched.execute_job(
                 StencilJob(
                     job_id=f"s{i}", spec=SPEC, config=CONFIG,
-                    grid=g, iterations=4,
+                    grids=(g,), iterations=4,
                 )
             )
             assert single.status == "completed"
@@ -107,7 +106,7 @@ def test_batch_of_one_equals_single_job() -> None:
         single = sched.execute_job(
             StencilJob(
                 job_id="one-s", spec=SPEC, config=CONFIG,
-                grid=GRIDS[0], iterations=4,
+                grids=GRIDS[:1], iterations=4,
             )
         )
         assert batch.status == "completed"
@@ -120,7 +119,7 @@ def test_bad_config_rejected_without_health_penalty() -> None:
     bad = BlockingConfig(dims=2, radius=1, bsize_x=64, parvec=4, partime=2)
     sched = StencilScheduler(devices=1)
     try:
-        job = BatchStencilJob(
+        job = StencilJob(
             job_id="3d", spec=StencilSpec.star(3, 1), config=bad,
             grids=GRIDS, iterations=2,
         )
@@ -172,7 +171,7 @@ def test_one_grid_seu_is_retried_by_the_queue_on_its_device() -> None:
     try:
         job = StencilJob(
             job_id="seu-1", spec=SPEC, config=CONFIG,
-            grid=GRIDS[0], iterations=SEU_ITERS,
+            grids=GRIDS[:1], iterations=SEU_ITERS,
         )
         with arm(seu_in_grid(0)) as inj:
             result = sched.execute_job(job)
@@ -190,7 +189,7 @@ def test_one_grid_seu_is_retried_by_the_queue_on_its_device() -> None:
 def test_hit_grid_fails_alone_and_the_batch_is_not_redispatched() -> None:
     sched = StencilScheduler(devices=2, engine="numpy")
     try:
-        job = BatchStencilJob(
+        job = StencilJob(
             job_id="seu-3", spec=SPEC, config=CONFIG,
             grids=GRIDS[:3], iterations=SEU_ITERS,
         )
@@ -209,5 +208,32 @@ def test_hit_grid_fails_alone_and_the_batch_is_not_redispatched() -> None:
                    if e.name.endswith("kernel")]
         assert len(kernels) == 1
         assert sched.workers[1 - result.device].queue.events == []
+    finally:
+        sched.close()
+
+
+def test_launch_in_which_no_grid_completed_is_retried_by_the_queue() -> None:
+    sched = StencilScheduler(devices=2, engine="numpy")
+    try:
+        job = StencilJob(
+            job_id="seu-all", spec=SPEC, config=CONFIG,
+            grids=GRIDS[:2], iterations=SEU_ITERS,
+        )
+        plan = FaultPlan(
+            seed=21,
+            faults=tuple(
+                SEUFault(at_touch=g * TOUCHES_PER_GRID + 1, site="block-buffer")
+                for g in range(2)
+            ),
+        )
+        with arm(plan) as inj:
+            result = sched.execute_batch(job)
+        assert len(inj.fired) == 2
+        assert result.status == "completed"
+        assert result.attempts == 2 and result.dispatches == 1
+        for g in range(2):
+            assert np.array_equal(
+                result.results[g], reference_run(GRIDS[g], SPEC, SEU_ITERS)
+            )
     finally:
         sched.close()

@@ -68,9 +68,9 @@ def test_single_request_is_bit_exact() -> None:
 
 
 def test_identical_requests_coalesce_on_one_artifact() -> None:
-    # coalesce=False pins the *warm-artifact* marker across separate
+    # coalesce_max_batch=1 pins the *warm-artifact* marker across separate
     # dispatches; batched dispatch has its own suite (test_service_batch)
-    svc = numpy_service(devices=2, policy=ServicePolicy(coalesce=False))
+    svc = numpy_service(devices=2, policy=ServicePolicy(coalesce_max_batch=1))
     tickets = [svc.submit(**request(tenant=t)) for t in ("a", "b", "c", "d")]
     svc.run_pending()
     results = [t.result(0) for t in tickets]
@@ -275,14 +275,14 @@ def test_non_transient_failures_are_not_retried() -> None:
 
 
 def test_pressure_degrades_engine_with_explicit_marker() -> None:
-    # coalesce=False: the test pins the per-job pressure ladder easing
+    # coalesce_max_batch=1: the test pins the per-job pressure ladder easing
     # as the queue drains; one batched launch would see one pressure
     # reading for all eight requests
     svc = numpy_service(
         devices=1,
         policy=ServicePolicy(
             max_queue_depth=8, degrade_at=0.25, degrade_hard_at=0.75,
-            coalesce=False,
+            coalesce_max_batch=1,
         ),
     )
     tickets = [svc.submit(**request(tenant=f"t{i}")) for i in range(8)]
@@ -323,7 +323,7 @@ def _serve_at_level(monkeypatch, engine: str, level: int):
     returns the result and the job the scheduler was handed."""
     svc = StencilService(
         StencilScheduler(devices=1, engine=engine),
-        policy=ServicePolicy(coalesce=False, degraded_checkpoint=2),
+        policy=ServicePolicy(coalesce_max_batch=1, degraded_checkpoint=2),
         start=False,
     )
     jobs = []

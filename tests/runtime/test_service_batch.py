@@ -73,7 +73,7 @@ def test_batched_results_match_unbatched() -> None:
     outs = [t.result(0).result for t in tickets]
     batched.close()
 
-    plain = numpy_service(policy=ServicePolicy(coalesce=False))
+    plain = numpy_service(policy=ServicePolicy(coalesce_max_batch=1))
     for g, out in zip(grids, outs):
         t = plain.submit(**request(grid=g))
         plain.run_pending()
@@ -110,7 +110,7 @@ def test_mixed_queue_batches_only_the_compatible_run() -> None:
 
 
 def test_coalesce_false_disables_batching() -> None:
-    svc = numpy_service(policy=ServicePolicy(coalesce=False))
+    svc = numpy_service(policy=ServicePolicy(coalesce_max_batch=1))
     tickets = [svc.submit(**request(tenant=t)) for t in "ab"]
     assert svc.run_pending() == 2
     assert all(not t.result(0).batched for t in tickets)

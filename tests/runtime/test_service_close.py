@@ -90,7 +90,7 @@ def test_close_mid_coalesced_batch_yields_typed_errors() -> None:
     svc = StencilService(
         StencilScheduler(devices=1, engine="numpy"),
         policy=ServicePolicy(
-            max_queue_depth=64, coalesce=True, coalesce_max_batch=8
+            max_queue_depth=64, coalesce_max_batch=8
         ),
         start=False,
     )
