@@ -597,6 +597,58 @@ def test_sharded_deadline_fails_fast_on_model() -> None:
     sched.close()
 
 
+def test_sharded_deadline_missed_after_replay_discards_result() -> None:
+    # the deadline fits a clean run; an SEU in shard 0's second pass
+    # rolls it back to pass 0, and the replay pushes it past the budget
+    from repro.fpga.board import NALLATECH_385A
+    from repro.models.performance import PerformanceModel
+
+    estimate_s = PerformanceModel(NALLATECH_385A).predict_sharded(
+        SPEC, CONFIG, SHARD_GRID.shape, 6, shards=2
+    ).time_s
+    sched = StencilScheduler(devices=2, engine="numpy")
+    plan = FaultPlan(
+        seed=3, faults=(SEUFault(site="block-buffer", at_touch=12),)
+    )
+    with arm(plan):
+        result = sched.execute_sharded(
+            sharded_job("late", shards=2, deadline_s=estimate_s * 1.000001)
+        )
+    assert result.status == "failed"
+    assert result.error_type == "DeadlineExceededError"
+    assert "not dispatched" not in result.error
+    assert result.result is None
+    assert result.stats is not None
+    assert result.stats.replayed_passes >= 1
+    assert result.elapsed_s == result.stats.sim_time_s > estimate_s
+    # lockstep: every backing board was held for the whole late run...
+    assert [w.queue.clock_s for w in sched.workers] == [result.elapsed_s] * 2
+    # ...and each one's health was settled from its own fault count
+    for w, n_faults in zip(sched.workers, result.stats.device_faults):
+        assert w.jobs_run == 1
+        assert list(w.window) == [n_faults > 0]
+    assert sorted(result.stats.device_faults) == [0, 1]
+    assert any("missed deadline" in e for e in sched.workers[0].events)
+    sched.close()
+
+
+def test_sharded_placement_skips_quarantined_board() -> None:
+    sched = StencilScheduler(devices=3, engine="numpy")
+    sick = sched.workers[0]
+    sick.quarantined = True
+    sick.quarantined_at_job = 0  # probe not due yet
+    sched.workers[1].queue.clock_s = 5.0
+    sched.workers[2].queue.clock_s = 1.0
+    result = sched.execute_sharded(sharded_job("skip", shards=2))
+    assert result.status == "completed"
+    assert np.array_equal(result.result, SHARD_REF)
+    # the two healthy boards back the shards, least-loaded first
+    assert result.devices == (2, 1)
+    assert sick.queue.clock_s == 0.0 and sick.jobs_run == 0
+    assert sick.quarantined
+    sched.close()
+
+
 def test_sharded_fault_charges_only_faulty_worker() -> None:
     sched = StencilScheduler(devices=2, engine="numpy")
     plan = FaultPlan(
