@@ -212,6 +212,26 @@ class _PassTargets:
         return self._other
 
 
+def golden_check(result: np.ndarray, expected_crc: int | None, stats) -> None:
+    """Verify ``result`` against a caller-supplied golden CRC.
+
+    While a fault plan is armed, or when ``expected_crc`` is given, the
+    result's CRC32 is recorded in ``stats.output_crc32``; a mismatch
+    raises :class:`~repro.errors.FaultDetectedError`.  Every run — one
+    device or sharded — ends in this check.
+    """
+    if expected_crc is None and fault_hooks.ACTIVE is None:
+        return
+    stats.output_crc32 = crc32_array(result)
+    if expected_crc is not None and stats.output_crc32 != expected_crc:
+        raise fault_hooks.report_detection(
+            FaultDetectedError(
+                f"golden-CRC mismatch: result CRC {stats.output_crc32:#010x} "
+                f"!= expected {expected_crc:#010x}"
+            )
+        )
+
+
 def _check_out(out: np.ndarray, shape: tuple[int, ...], inputs) -> None:
     """Raise :class:`ConfigurationError` unless ``out`` can take a result
     of ``shape``: float32, C-contiguous, writeable and sharing no memory
@@ -514,22 +534,6 @@ class FPGAAccelerator:
         )
         return out, stats
 
-    @staticmethod
-    def _golden_check(
-        result: np.ndarray, expected_crc: int | None, stats: AcceleratorStats
-    ) -> None:
-        """Verify the result against a caller-supplied golden CRC."""
-        if expected_crc is None and fault_hooks.ACTIVE is None:
-            return
-        stats.output_crc32 = crc32_array(result)
-        if expected_crc is not None and stats.output_crc32 != expected_crc:
-            raise fault_hooks.report_detection(
-                FaultDetectedError(
-                    f"golden-CRC mismatch: result CRC {stats.output_crc32:#010x} "
-                    f"!= expected {expected_crc:#010x}"
-                )
-            )
-
     # ------------------------------------------------------------------ #
 
     def run_batch(
@@ -660,7 +664,7 @@ class FPGAAccelerator:
         """
         if iterations == 0:
             np.copyto(out, slab)
-            self._golden_check(out, expected_crc, stats)
+            golden_check(out, expected_crc, stats)
             return
         config = self.config
         mgr = None
@@ -689,7 +693,7 @@ class FPGAAccelerator:
                     stats.steps_executed += steps
                     if mgr is not None:
                         mgr.maybe_snapshot(current, stats, remaining)
-                self._golden_check(current, expected_crc, stats)
+                golden_check(current, expected_crc, stats)
                 return
             except FaultDetectedError as err:
                 # WatchdogTimeoutError is a FaultDetectedError, so a
@@ -717,17 +721,11 @@ class FPGAAccelerator:
         never consumes another's.  A detected fault fails only the
         affected entry; counters of completed grids still aggregate.
         """
+        from repro.runtime.checkpoint import as_manager, merge_counters
+
         outputs: list[np.ndarray | None] = []
         errors: list[Exception | None] = []
-        policy = None
-        if checkpoint is not None:
-            from repro.runtime.checkpoint import CheckpointManager, as_manager
-
-            policy = (
-                checkpoint.policy
-                if isinstance(checkpoint, CheckpointManager)
-                else as_manager(checkpoint).policy
-            )
+        policy = None if checkpoint is None else as_manager(checkpoint).policy
         for g, grid in enumerate(slab):
             crc = expected_crcs[g] if expected_crcs is not None else None
             try:
@@ -742,13 +740,7 @@ class FPGAAccelerator:
                 continue
             outputs.append(output)
             errors.append(None)
-            for name in (
-                "passes", "steps_executed", "cells_written",
-                "cells_processed", "words_read", "words_written",
-                "vector_ops", "pe_invocations", "rollbacks",
-                "replayed_passes", "checkpoints",
-            ):
-                setattr(stats, name, getattr(stats, name) + getattr(s, name))
+            merge_counters(stats, s)
         return BatchResult(outputs, errors, stats)
 
     @staticmethod
@@ -957,29 +949,7 @@ class FPGAAccelerator:
         injected since the checksum was encoded) raises
         :class:`~repro.errors.FaultDetectedError`.
         """
-        spins = 0
-        while not chan.try_write(payload):
-            spins += 1
-            if spins > self.stall_watchdog:
-                raise fault_hooks.report_detection(
-                    WatchdogTimeoutError(
-                        f"channel {chan.name!r} write stalled for {spins} "
-                        f"attempts (watchdog {self.stall_watchdog})"
-                    )
-                )
-        spins = 0
-        while True:
-            ok, item = chan.try_read()
-            if ok:
-                break
-            spins += 1
-            if spins > self.stall_watchdog:
-                raise fault_hooks.report_detection(
-                    WatchdogTimeoutError(
-                        f"channel {chan.name!r} read stalled for {spins} "
-                        f"attempts (watchdog {self.stall_watchdog})"
-                    )
-                )
+        item = chan.hop(payload, self.stall_watchdog, WatchdogTimeoutError)
         if crc32_array(item) != crc:
             raise fault_hooks.report_detection(
                 FaultDetectedError(

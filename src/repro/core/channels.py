@@ -10,7 +10,7 @@ to model stalls; the functional path uses the blocking helpers).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import hooks as fault_hooks
@@ -79,6 +79,38 @@ class Channel:
             return False, None
         self.reads += 1
         return True, self._queue.popleft()
+
+    def hop(
+        self, item: Any, watchdog: int, error: Callable[[str], Exception]
+    ) -> Any:
+        """Move ``item`` through the FIFO: write it, then read it back out.
+
+        Each port spins while it is held (back-pressure, or a
+        :class:`repro.faults.ChannelStallFault`); spinning past
+        ``watchdog`` attempts raises ``error(message)`` as a reported
+        detection, so each caller keeps its own typed error.
+        """
+        def stalled(op: str, spins: int) -> Exception:
+            return fault_hooks.report_detection(
+                error(
+                    f"channel {self.name!r} {op} stalled for {spins} "
+                    f"attempts (watchdog {watchdog})"
+                )
+            )
+
+        spins = 0
+        while not self.try_write(item):
+            spins += 1
+            if spins > watchdog:
+                raise stalled("write", spins)
+        spins = 0
+        while True:
+            ok, out = self.try_read()
+            if ok:
+                return out
+            spins += 1
+            if spins > watchdog:
+                raise stalled("read", spins)
 
     def write(self, item: Any) -> None:
         """Write that must succeed; raises if the FIFO is full.

@@ -976,6 +976,10 @@ class NativeDriver:
         self._lib = lib
         self._handle = handle
         self._finalizer = weakref.finalize(self, lib.driver_destroy, handle)
+        # The last scratch buffer and its base address, looked up once
+        # per allocation rather than once per pass.
+        self._scratch: np.ndarray | None = None
+        self._scratch_ptr = 0
 
     def close(self) -> None:
         """Shut down and join the worker pool (idempotent)."""
@@ -1006,19 +1010,22 @@ class NativeDriver:
         pass.
         """
         n_grids, grid_stride, gs0, gs1 = slab_layout(src, self.spec.dims)
+        if scratch is not self._scratch:
+            self._scratch, self._scratch_ptr = scratch, scratch.ctypes.data
+        blocks, segments, windows = tables.pointers
         self._lib.driver_run_pass(
             self._handle,
             src.ctypes.data,
             out.ctypes.data,
-            tables.blocks.ctypes.data,
+            blocks,
             tables.blocks.shape[0],
-            tables.segments.ctypes.data,
-            tables.windows.ctypes.data,
+            segments,
+            windows,
             tables.steps,
             gs0,
             gs1,
             1 if periodic else 0,
-            scratch.ctypes.data,
+            self._scratch_ptr,
             tables.scratch_floats,
             tables.vector_width,
             n_grids,

@@ -27,7 +27,7 @@ plan can be shared by concurrent block workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,6 +177,19 @@ class DriverTables:
     #: each block's own stride as ``roundup(nx, vector_width)``; this
     #: bound sizes the scratch.
     padded_x: int = 0
+
+    @cached_property
+    def pointers(self) -> tuple[int, int, int]:
+        """Base addresses of ``blocks``, ``segments`` and ``windows``.
+
+        Looked up once per tables object: the arrays never change, and
+        each ``ndarray.ctypes`` lookup costs microseconds per pass.
+        """
+        return (
+            self.blocks.ctypes.data,
+            self.segments.ctypes.data,
+            self.windows.ctypes.data,
+        )
 
 
 class PassPlan:

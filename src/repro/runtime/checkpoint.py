@@ -55,6 +55,16 @@ CURSOR_FIELDS = (
 )
 
 
+def merge_counters(total, part) -> None:
+    """Add ``part``'s cursor counters and recovery tallies into ``total``.
+
+    Both are :class:`~repro.core.AcceleratorStats`-shaped; the one way
+    a caller sums the counters of several runs into one total.
+    """
+    for name in CURSOR_FIELDS + ("rollbacks", "replayed_passes", "checkpoints"):
+        setattr(total, name, getattr(total, name) + getattr(part, name))
+
+
 @dataclass(frozen=True)
 class CheckpointPolicy:
     """Knobs of the pass-granular recovery protocol.

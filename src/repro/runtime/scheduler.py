@@ -16,7 +16,9 @@ puts a resilient scheduler in front of a fleet of simulated
   returns one :class:`JobResult` with a slot per grid.  A
   :class:`ShardedJob` decomposes one grid across several devices and
   returns a :class:`ShardedJobResult`.  Both share one SLO validator,
-  one admission check and one breaker/health settle step;
+  one admission check, one placement (a sharded job takes the first
+  ``shards`` devices a single-device job would be offered), one pair
+  of deadline checks and one breaker/health settle step;
 * **admission control** — the pending queue is bounded:
   :meth:`StencilScheduler.submit` raises
   :class:`~repro.errors.SchedulerSaturatedError` instead of growing
@@ -80,7 +82,7 @@ from repro.runtime.host import (
     RetryPolicy,
     StencilProgram,
 )
-from repro.runtime.sharded import ShardedRunner, ShardedStats
+from repro.runtime.sharded import ShardedResult, ShardedRunner, ShardedStats
 
 
 def _check_slos(job) -> None:
@@ -360,6 +362,11 @@ class _Worker:
         self.events.append(f"device {self.index}: {message}")
 
 
+def _by_load(worker: _Worker) -> tuple[float, int]:
+    """Placement order: smallest simulated clock first, ties by index."""
+    return worker.queue.clock_s, worker.index
+
+
 #: Probe workload for re-admission: tiny, known-good, fast.
 _PROBE_SPEC_ARGS = (2, 1)
 _PROBE_CONFIG = dict(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
@@ -561,7 +568,7 @@ class StencilScheduler:
         dispatches = 0
         tried: frozenset[int] = frozenset()
         while True:
-            worker = self._pick_worker(tried)
+            (worker,) = self._pick_workers(1, tried)
             result = self._execute(worker, job, dispatches + 1)
             tried = tried | {worker.index}
             dispatches = result.dispatches
@@ -577,18 +584,18 @@ class StencilScheduler:
     def execute_sharded(self, job: ShardedJob) -> ShardedJobResult:
         """Run one sharded job across ``job.shards`` fleet devices now.
 
-        Device choice mirrors :meth:`_pick_worker`: the ``shards``
-        non-quarantined workers with the smallest clocks back the
-        shards, in shard order (quarantined boards fill in only when
-        there are not enough healthy ones — the scheduler always makes
-        progress).  Each shard starts on its backing worker's
-        breaker-resolved engine.  Recovery lives *inside* the run —
-        halo retry, per-shard tail replay, engine degradation,
-        re-sharding on device loss — so a typed failure here is final:
-        the internal redundancy *is* the re-dispatch.  Health and
-        breakers are settled per backing worker from the run's
-        per-device fault counts, and every participating worker's
-        clock advances by the lockstep simulated time.
+        Device choice is :meth:`_pick_workers`: the ``shards`` healthy
+        workers with the smallest clocks back the shards, in shard order
+        (quarantined boards fill in only when there are not enough
+        healthy ones — the scheduler always makes progress).  Each shard
+        starts on its backing worker's breaker-resolved engine.
+        Recovery lives *inside* the run — halo retry, per-shard tail
+        replay, engine degradation, re-sharding on device loss — so a
+        typed failure here is final: the internal redundancy *is* the
+        re-dispatch.  Once the run starts, health and breakers are
+        settled per backing worker from the run's per-device fault
+        counts; a run that returns advances every participating
+        worker's clock by the lockstep simulated time.
         """
         self._admit(job, "execute_sharded")
         if job.shards > len(self.workers):
@@ -599,155 +606,130 @@ class StencilScheduler:
                 constraint="shards <= len(devices)",
             )
         self._submitted.add(job.job_id)
-
-        self._probe_due_workers(force=False)
-        by_load = lambda w: (w.queue.clock_s, w.index)  # noqa: E731
-        healthy = sorted(
-            (w for w in self.workers if not w.quarantined), key=by_load
-        )
-        if len(healthy) < job.shards:
-            self._probe_due_workers(force=True)
-            healthy = sorted(
-                (w for w in self.workers if not w.quarantined), key=by_load
-            )
-        pool = healthy + sorted(
-            (w for w in self.workers if w.quarantined), key=by_load
-        )
-        workers = pool[: job.shards]
-        devices = tuple(w.index for w in workers)
+        workers = self._pick_workers(job.shards)
         preferred = job.engine or self.engine
         engines = tuple(w.engine(preferred) for w in workers)
-
-        def _failed(
-            err: BaseException,
-            engines_now: tuple[str, ...] = engines,
-            elapsed_s: float = 0.0,
-        ) -> ShardedJobResult:
-            return ShardedJobResult(
-                job_id=job.job_id,
-                status="failed",
-                devices=devices,
-                engines=engines_now,
-                error_type=type(err).__name__,
-                error=str(err),
-                elapsed_s=elapsed_s,
-            )
-
         grid = np.ascontiguousarray(job.grid, dtype=np.float32)
-        if job.deadline_s is not None:
-            estimate_s = PerformanceModel(workers[0].device.board).predict_sharded(
-                job.spec, job.config, grid.shape, job.iterations,
-                shards=job.shards, boundary=job.boundary,
-            ).time_s
-            if estimate_s > job.deadline_s:
-                self._jobs_completed += 1
-                return _failed(
-                    DeadlineExceededError(
-                        f"sharded job {job.job_id!r}: modeled time "
-                        f"{estimate_s:.4f} s exceeds deadline "
-                        f"{job.deadline_s:.4f} s; not dispatched"
-                    )
-                )
         checkpoint = (
             job.checkpoint if job.checkpoint is not None else self.default_checkpoint
         )
-
+        sharded: ShardedResult | None = None
+        err: Exception | None = None
+        # a job rejected before its run starts (deadline, configuration)
+        # is not the devices' fault: no health penalty
         try:
-            runner = ShardedRunner(
-                job.spec,
-                job.config,
-                job.boundary,
-                shards=job.shards,
-                engines=list(engines),
-                checkpoint=checkpoint,
-            )
-        except ConfigurationError as err:
-            # a misconfigured job is rejected typed, and is not the
-            # devices' fault: no health penalty
-            self._jobs_completed += 1
-            return _failed(err)
-
-        try:
-            sharded = runner.run(grid, job.iterations)
-        except (FaultDetectedError, DeviceLostError, ConfigurationError) as err:
-            for w, n_faults in zip(workers, runner.device_faults):
-                self._settle(w, faulty=n_faults > 0)
-            engines_now = runner.engines
-            runner.close()
-            for w in workers:
-                w.log(
-                    f"sharded job {job.job_id!r} failed: {type(err).__name__}"
+            if job.deadline_s is not None:
+                self._check_modeled(
+                    job,
+                    PerformanceModel(workers[0].device.board).predict_sharded(
+                        job.spec, job.config, grid.shape, job.iterations,
+                        shards=job.shards, boundary=job.boundary,
+                    ).time_s,
                 )
-            self._jobs_completed += 1
-            return _failed(err, engines_now=engines_now)
-        runner.close()
-
-        stats = sharded.stats
-        for w, n_faults in zip(workers, stats.device_faults):
-            self._settle(w, faulty=n_faults > 0)
-        elapsed_s = stats.sim_time_s
-        for w in workers:
-            w.queue.clock_s += elapsed_s  # lockstep: every board is held
+            with ShardedRunner(
+                job.spec, job.config, job.boundary, shards=job.shards,
+                engines=list(engines), checkpoint=checkpoint,
+            ) as runner:
+                try:
+                    sharded = runner.run(grid, job.iterations)
+                except (FaultDetectedError, DeviceLostError, ConfigurationError) as e:
+                    err = e
+                for w, n_faults in zip(workers, runner.device_faults):
+                    self._settle(w, faulty=n_faults > 0)
+                    if err is not None:
+                        w.log(
+                            f"sharded job {job.job_id!r} failed: "
+                            f"{type(err).__name__}"
+                        )
+                engines = runner.engines
+        except (ConfigurationError, DeadlineExceededError) as e:
+            err = e
+        stats: ShardedStats | None = None
+        result: np.ndarray | None = None
+        if sharded is not None:
+            stats = sharded.stats
+            for w in workers:
+                # lockstep: every board is held for the whole run
+                w.queue.clock_s += stats.sim_time_s
+            err = self._missed_deadline(job, stats.sim_time_s, workers)
+            if err is None:
+                result = sharded.grid
         self._jobs_completed += 1
-        if job.deadline_s is not None and elapsed_s > job.deadline_s:
-            for w in workers:
-                w.log(
-                    f"sharded job {job.job_id!r} missed deadline "
-                    f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); "
-                    "result discarded"
-                )
-            return ShardedJobResult(
-                job_id=job.job_id,
-                status="failed",
-                devices=devices,
-                engines=stats.engines,
-                error_type="DeadlineExceededError",
-                error=(
-                    f"sharded job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
-                    f"exceeds deadline {job.deadline_s:.4f} s"
-                ),
-                elapsed_s=elapsed_s,
-                rollbacks=stats.rollbacks,
-                replayed_passes=stats.replayed_passes,
-                stats=stats,
-            )
         return ShardedJobResult(
             job_id=job.job_id,
-            status="completed",
-            devices=devices,
-            engines=stats.engines,
-            result=sharded.grid,
-            elapsed_s=elapsed_s,
-            rollbacks=stats.rollbacks,
-            replayed_passes=stats.replayed_passes,
+            status="completed" if err is None else "failed",
+            devices=tuple(w.index for w in workers),
+            engines=engines,
+            result=result,
+            error_type=None if err is None else type(err).__name__,
+            error=None if err is None else str(err),
+            elapsed_s=0.0 if stats is None else stats.sim_time_s,
+            rollbacks=0 if stats is None else stats.rollbacks,
+            replayed_passes=0 if stats is None else stats.replayed_passes,
             stats=stats,
         )
 
-    def _pick_worker(self, excluded: frozenset[int]) -> _Worker:
-        """Healthy device with the smallest clock; probes quarantined ones.
+    def _pick_workers(
+        self, n: int, excluded: frozenset[int] = frozenset()
+    ) -> list[_Worker]:
+        """The ``n`` devices to run on: healthy ones, smallest clock first.
 
-        Falls back to quarantined devices (probing them first) when no
-        healthy one is available — the scheduler never deadlocks; jobs
-        then either succeed (faults are transient) or fail typed.
+        Quarantined devices are probed when due, and all of them at once
+        when fewer than ``n`` healthy candidates remain.  Devices still
+        quarantined fill in after the healthy ones, and the ``excluded``
+        ones (already tried by this job) only when nothing else is left
+        — the scheduler never deadlocks; jobs then either succeed
+        (faults are transient) or fail typed.
         """
+
+        def ranked(quarantined: bool) -> list[_Worker]:
+            return sorted(
+                (
+                    w
+                    for w in self.workers
+                    if w.quarantined == quarantined and w.index not in excluded
+                ),
+                key=_by_load,
+            )
+
         self._probe_due_workers(force=False)
-        candidates = [
-            w
-            for w in self.workers
-            if not w.quarantined and w.index not in excluded
-        ]
-        if not candidates:
+        healthy = ranked(False)
+        if len(healthy) < n:
             self._probe_due_workers(force=True)
-            candidates = [
-                w
-                for w in self.workers
-                if not w.quarantined and w.index not in excluded
-            ]
-        if not candidates:
-            candidates = [w for w in self.workers if w.index not in excluded]
-        if not candidates:
-            candidates = list(self.workers)
-        return min(candidates, key=lambda w: (w.queue.clock_s, w.index))
+            healthy = ranked(False)
+        pool = healthy if len(healthy) >= n else healthy + ranked(True)
+        return (pool or sorted(self.workers, key=_by_load))[:n]
+
+    # -- deadlines ---------------------------------------------------------- #
+
+    @staticmethod
+    def _check_modeled(job, estimate_s: float) -> None:
+        """Fail fast: raise :class:`DeadlineExceededError` when the
+        modeled time of ``job`` already exceeds its deadline."""
+        if job.deadline_s is not None and estimate_s > job.deadline_s:
+            raise DeadlineExceededError(
+                f"job {job.job_id!r}: modeled time {estimate_s:.4f} s "
+                f"exceeds deadline {job.deadline_s:.4f} s; not dispatched"
+            )
+
+    @staticmethod
+    def _missed_deadline(
+        job, elapsed_s: float, workers
+    ) -> DeadlineExceededError | None:
+        """The typed failure of a job that ran past its deadline (its
+        result is discarded, and each of its ``workers`` logs it), or
+        ``None`` when it finished in time."""
+        if job.deadline_s is None or elapsed_s <= job.deadline_s:
+            return None
+        for w in workers:
+            w.log(
+                f"job {job.job_id!r} missed deadline "
+                f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
+            )
+        return DeadlineExceededError(
+            f"job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
+            f"exceeds deadline {job.deadline_s:.4f} s"
+        )
 
     # -- health / quarantine ----------------------------------------------- #
 
@@ -918,14 +900,12 @@ class StencilScheduler:
         nominal_s = program.batch_kernel_time_s(
             slab.shape[1:], job.iterations, n_grids
         )
-        estimate_s = nominal_s + 2 * queue._transfer_time_s(slab.nbytes)
-        if job.deadline_s is not None and estimate_s > job.deadline_s:
-            return _failed(
-                DeadlineExceededError(
-                    f"job {job.job_id!r}: modeled time {estimate_s:.4f} s "
-                    f"exceeds deadline {job.deadline_s:.4f} s; not dispatched"
-                )
+        try:
+            self._check_modeled(
+                job, nominal_s + 2 * queue._transfer_time_s(slab.nbytes)
             )
+        except DeadlineExceededError as err:
+            return _failed(err)
         watchdog_s = (
             job.watchdog_factor * nominal_s
             if job.watchdog_factor is not None
@@ -970,18 +950,9 @@ class StencilScheduler:
             replayed_passes=event.replayed_passes,
         )
         elapsed_s = queue.clock_s - start_s
-        if job.deadline_s is not None and elapsed_s > job.deadline_s:
-            worker.log(
-                f"job {job.job_id!r} missed deadline "
-                f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
-            )
-            return _failed(
-                DeadlineExceededError(
-                    f"job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
-                    f"exceeds deadline {job.deadline_s:.4f} s"
-                ),
-                **counts,
-            )
+        late = self._missed_deadline(job, elapsed_s, (worker,))
+        if late is not None:
+            return _failed(late, **counts)
         return JobResult(
             job_id=job.job_id,
             status="completed" if batch.ok else "partial",

@@ -18,7 +18,7 @@ equivalence suite in ``tests/properties/test_sharding_props.py``).
 Failure domains are per shard:
 
 * **Detected fault mid-pass** (SEU, corrupted channel item, wedged
-  FIFO, golden-CRC mismatch): only that shard rolls back, to its own
+  FIFO): only that shard rolls back, to its own
   :class:`~repro.runtime.checkpoint.CheckpointManager` snapshot, and
   replays its tail alone — neighbors re-serve the halo strips they
   already sent from a bounded host-side cache keyed by pass index, so
@@ -35,12 +35,24 @@ Failure domains are per shard:
   run re-shards onto the survivors.  With no survivor left the run
   fails with a typed :class:`~repro.errors.DeviceLostError`.
 
+Every replay — after a fault mid-pass or after a board loss — is the
+same loop (:meth:`ShardedRunner._advance`), so a fault that strikes
+during a loss replay rolls back and retries like any other.  The
+per-shard counters are :class:`~repro.core.AcceleratorStats`, summed
+with :func:`~repro.runtime.checkpoint.merge_counters`; the exchange hop
+is :meth:`~repro.core.channels.Channel.hop` and the golden-CRC check
+:func:`~repro.core.accelerator.golden_check`, both shared with the
+single-device accelerator.  A golden CRC given to
+:meth:`ShardedRunner.run` is checked once, on the recomposed result; a
+mismatch raises :class:`~repro.errors.FaultDetectedError` (no replay).
+
 Simulated time: each device carries its own clock, advanced by the
 performance model's per-pass time for its sub-grid shape; exchanges are
-serialized on the host link at ``link_gbps`` and every round ends in a
-lockstep barrier (all clocks snap to the maximum).  Host↔device scatter
-and gather transfers are deliberately *not* charged — the clock covers
-compute plus inter-shard exchange, which is what
+serialized on the host link at ``PCIE_GBPS`` (:mod:`repro.runtime.host`)
+and every round ends in a lockstep barrier (all clocks snap to the
+maximum).  Host↔device scatter and gather transfers are deliberately
+*not* charged — the clock covers compute plus inter-shard exchange,
+which is what
 :meth:`repro.models.performance.PerformanceModel.predict_sharded`
 predicts (validated in ``tests/models/test_performance.py``).
 """
@@ -49,10 +61,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.core.accelerator import FLOOR_ENGINE, FPGAAccelerator, check_engine
+from repro.core.accelerator import (
+    FLOOR_ENGINE,
+    AcceleratorStats,
+    FPGAAccelerator,
+    check_engine,
+    golden_check,
+)
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
 from repro.core.sharding import HaloEdge, ShardPlan
@@ -67,21 +86,11 @@ from repro.faults import hooks as fault_hooks
 from repro.faults.checksum import crc32_array
 from repro.fpga.board import NALLATECH_385A
 from repro.models.performance import PerformanceModel
-from repro.runtime.checkpoint import CheckpointManager, as_manager
+from repro.runtime.checkpoint import CheckpointManager, as_manager, merge_counters
 from repro.runtime.host import PCIE_GBPS
 
-#: Stats counters an :class:`~repro.core.AcceleratorStats` contributes to
-#: a shard's aggregate (the checkpoint cursor fields).
-_MERGE_FIELDS = (
-    "passes",
-    "steps_executed",
-    "cells_written",
-    "cells_processed",
-    "words_read",
-    "words_written",
-    "vector_ops",
-    "pe_invocations",
-)
+#: Host-link bandwidth that prices halo exchange, in bytes per second.
+_LINK_BPS = PCIE_GBPS * 1e9
 
 
 @dataclass
@@ -141,6 +150,34 @@ class _ShardDevice:
         self.lost = False
 
 
+class _Segment:
+    """Live state of one shard layout, from its first pass to the run's
+    end or the next board loss.
+
+    Holds the sub-grids, one :class:`~repro.core.AcceleratorStats` and
+    one snapshot manager per shard (the stats' ``passes`` is the
+    *global* pass index, so snapshots and replay agree on pass numbering
+    across layouts), and one bounded halo cache and channel per edge.
+    """
+
+    __slots__ = ("plan", "subs", "aggs", "mgrs", "caches", "chans")
+
+    def __init__(self, plan: ShardPlan, grid: np.ndarray, first_pass: int, policy):
+        self.plan = plan
+        self.subs = plan.scatter(grid)
+        self.aggs = [AcceleratorStats(passes=first_pass) for _ in self.subs]
+        self.mgrs = [
+            None if policy is None else CheckpointManager(policy)
+            for _ in self.subs
+        ]
+        for sub, agg, mgr in zip(self.subs, self.aggs, self.mgrs):
+            if mgr is not None:
+                mgr.seed(sub, agg)
+        depth = (policy.every if policy is not None else 0) + 1
+        self.caches = {e.name: deque(maxlen=depth) for e in plan.edges}
+        self.chans = {e.name: Channel(1, name=e.name) for e in plan.edges}
+
+
 class ShardedRunner:
     """Lockstep multi-device executor with shard-granular recovery.
 
@@ -172,20 +209,26 @@ class ShardedRunner:
         :class:`~repro.runtime.checkpoint.CheckpointPolicy`, an int
         shorthand, or ``None`` to disable recovery (detected faults
         then propagate as typed errors).
-    model, link_gbps:
-        The performance model pricing per-pass compute time, and the
-        host-link bandwidth pricing halo exchange (defaults to the PCIe
-        model of :mod:`repro.runtime.host`).
-    max_halo_retries:
-        CRC-failed halo transfers are retried this many times before
-        the exchange fails with :class:`~repro.errors.HaloExchangeError`.
+    stall_watchdog:
+        Spin attempts an exchange hop tolerates before the transport
+        counts as wedged (default :attr:`STALL_WATCHDOG`).
     degrade_after:
         Detected faults on one board before its engine degrades.
+
+    Per-pass compute is priced by :attr:`MODEL` and halo exchange at the
+    PCIe bandwidth of :mod:`repro.runtime.host` (``PCIE_GBPS``), the
+    same figures :meth:`~repro.models.performance.PerformanceModel
+    .predict_sharded` uses.
     """
 
     #: Spin attempts an exchange hop tolerates before declaring the
     #: transport wedged (mirrors FPGAAccelerator.STALL_WATCHDOG).
     STALL_WATCHDOG = 256
+    #: CRC-failed halo transfers are retried this many times before the
+    #: exchange fails with :class:`~repro.errors.HaloExchangeError`.
+    MAX_HALO_RETRIES = 2
+    #: The performance model pricing each device's per-pass compute.
+    MODEL = PerformanceModel(NALLATECH_385A)
 
     def __init__(
         self,
@@ -196,10 +239,7 @@ class ShardedRunner:
         engine: str = "auto",
         engines=None,
         checkpoint=8,
-        model: PerformanceModel | None = None,
-        link_gbps: float = PCIE_GBPS,
         stall_watchdog: int | None = None,
-        max_halo_retries: int = 2,
         degrade_after: int = 2,
     ):
         if shards < 1:
@@ -207,22 +247,11 @@ class ShardedRunner:
                 f"shards must be >= 1, got {shards}",
                 param="shards", value=shards, constraint="shards >= 1",
             )
-        if max_halo_retries < 0:
-            raise ConfigurationError(
-                f"max_halo_retries must be >= 0, got {max_halo_retries}",
-                param="max_halo_retries", value=max_halo_retries,
-                constraint="max_halo_retries >= 0",
-            )
         if degrade_after < 1:
             raise ConfigurationError(
                 f"degrade_after must be >= 1, got {degrade_after}",
                 param="degrade_after", value=degrade_after,
                 constraint="degrade_after >= 1",
-            )
-        if not link_gbps > 0:
-            raise ConfigurationError(
-                f"link_gbps must be > 0, got {link_gbps}",
-                param="link_gbps", value=link_gbps, constraint="link_gbps > 0",
             )
         if engines is not None and len(engines) != shards:
             raise ConfigurationError(
@@ -237,7 +266,6 @@ class ShardedRunner:
         self.boundary = boundary
         self.shards = shards
         self.engine = engine
-        self.max_halo_retries = max_halo_retries
         self.degrade_after = degrade_after
         self.stall_watchdog = (
             stall_watchdog if stall_watchdog is not None else self.STALL_WATCHDOG
@@ -245,21 +273,20 @@ class ShardedRunner:
         self._policy = (
             None if checkpoint is None else as_manager(checkpoint).policy
         )
-        self.model = model if model is not None else PerformanceModel(NALLATECH_385A)
-        self._link_bps = link_gbps * 1e9
         self._pass_time_cache: dict[tuple[int, ...], float] = {}
         self._devices = [
             _ShardDevice(
-                i,
-                FPGAAccelerator(
-                    spec, config, boundary,
-                    stall_watchdog=self.stall_watchdog,
-                    engine=engines[i] if engines is not None else engine,
-                ),
+                i, self._accelerator(engines[i] if engines is not None else engine)
             )
             for i in range(shards)
         ]
         self._closed = False
+
+    def _accelerator(self, engine: str) -> FPGAAccelerator:
+        return FPGAAccelerator(
+            self.spec, self.config, self.boundary,
+            stall_watchdog=self.stall_watchdog, engine=engine,
+        )
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -293,8 +320,8 @@ class ShardedRunner:
         """Detected faults charged to each device (this run; loss included).
 
         Readable even after a run raised — the scheduler settles
-        per-worker health from it on the failure path, where no
-        :class:`ShardedStats` exist.
+        per-worker health from it on every path, including the failure
+        path, where no :class:`ShardedStats` exist.
         """
         return tuple(d.faults + (1 if d.lost else 0) for d in self._devices)
 
@@ -305,7 +332,7 @@ class ShardedRunner:
         key = tuple(sub_shape)
         t = self._pass_time_cache.get(key)
         if t is None:
-            t = self.model.predict_measured(
+            t = self.MODEL.predict_measured(
                 self.spec, self.config, key, self.config.partime
             ).time_s
             self._pass_time_cache[key] = t
@@ -350,210 +377,116 @@ class ShardedRunner:
             dev.clock_s = 0.0
             dev.faults = 0
             dev.lost = False
-        if iterations == 0:
-            out = grid.copy()
-            self._golden(out, expected_crc, stats)
-            stats.engines = self.engines
-            stats.device_faults = self.device_faults
-            return ShardedResult(out, stats, plan)
-
         self._total_iters = iterations
-        self._total_passes = self.config.passes(iterations)
+        passes = self.config.passes(iterations)
         live = list(self._devices)
-        current = grid
-        pass_global = 0
-        remaining = iterations
-
-        while True:
+        current = grid.copy() if passes == 0 else grid
+        p = 0  # the global pass running next
+        while p < passes:
             if len(live) != plan.n_shards:
-                plan = ShardPlan(
-                    self.config, grid.shape, self.boundary, len(live)
-                )
-            subs = plan.scatter(current)
-            aggs = [_ShardAgg() for _ in plan.shards]
-            mgrs: list[CheckpointManager | None] = []
-            for i, shard in enumerate(plan.shards):
-                aggs[i].passes = pass_global
-                mgr = (
-                    CheckpointManager(self._policy)
-                    if self._policy is not None
-                    else None
-                )
-                if mgr is not None:
-                    mgr.seed(subs[i], aggs[i])
-                mgrs.append(mgr)
-            cache_len = (self._policy.every if self._policy else 0) + 1
-            caches = {
-                e.name: deque(maxlen=cache_len) for e in plan.edges
-            }
-            chans = {e.name: Channel(1, name=e.name) for e in plan.edges}
-
-            resharded = False
-            while remaining > 0:
-                p = pass_global
-                steps = self._steps_at(p)
+                plan = ShardPlan(self.config, grid.shape, self.boundary, len(live))
+            seg = _Segment(plan, current, p, self._policy)
+            lost: list[tuple[int, _ShardDevice]] = []
+            while p < passes and not lost:
                 for i, dev in enumerate(live):
-                    subs[i] = self._compute_pass(
-                        i, dev, subs, p, steps, mgrs[i], aggs[i], plan,
-                        caches, stats,
-                    )
-                    dev.clock_s += self._pass_time(subs[i].shape)
-                remaining -= steps
-                pass_global += 1
+                    self._advance(seg, i, dev, p + 1, p, stats)
                 stats.passes += 1
-                stats.steps_executed += steps
-
-                t_round = 0.0
-                if remaining > 0:
-                    t_round = self._exchange(plan, subs, p, chans, caches, stats)
+                stats.steps_executed += self._steps_at(p)
+                last = p + 1 == passes
+                t_round = 0.0 if last else self._exchange(seg, p, stats)
                 top = max(d.clock_s for d in live) + t_round
                 for d in live:
                     d.clock_s = top
-
-                if remaining > 0:
-                    for i in range(len(live)):
-                        if mgrs[i] is not None:
-                            mgrs[i].maybe_snapshot(subs[i], aggs[i], remaining)
+                if not last:
+                    remaining = iterations - stats.steps_executed
+                    for sub, agg, mgr in zip(seg.subs, seg.aggs, seg.mgrs):
+                        if mgr is not None:
+                            mgr.maybe_snapshot(sub, agg, remaining)
                     inj = fault_hooks.ACTIVE
                     if inj is not None:
-                        lost_now = [
+                        lost = [
                             (i, dev)
                             for i, dev in enumerate(live)
                             if inj.device_lost(dev.index, p)
                         ]
-                        if lost_now:
-                            current = self._handle_loss(
-                                plan, subs, live, lost_now, p, mgrs, aggs,
-                                caches, stats,
-                            )
-                            self._fold_recovery(stats, mgrs)
-                            resharded = True
-                            break
-            if resharded:
-                continue
-            self._fold_recovery(stats, mgrs)
-            current = plan.gather(subs)
-            break
+                    if lost:
+                        self._recover_lost(seg, live, lost, p, stats)
+                p += 1
+            for agg in seg.aggs:
+                stats.rollbacks += agg.rollbacks
+                stats.replayed_passes += agg.replayed_passes
+                stats.checkpoints += agg.checkpoints
+            current = plan.gather(seg.subs)
 
         stats.sim_time_s = max(d.clock_s for d in self._devices)
         stats.engines = self.engines
         stats.device_faults = self.device_faults
-        self._golden(current, expected_crc, stats)
+        golden_check(current, expected_crc, stats)
         return ShardedResult(current, stats, plan)
-
-    @staticmethod
-    def _golden(out: np.ndarray, expected_crc: int | None, stats: ShardedStats):
-        if expected_crc is None and fault_hooks.ACTIVE is None:
-            return
-        stats.output_crc32 = crc32_array(out)
-        if expected_crc is not None and stats.output_crc32 != expected_crc:
-            raise fault_hooks.report_detection(
-                FaultDetectedError(
-                    f"golden-CRC mismatch on sharded result: "
-                    f"{stats.output_crc32:#010x} != expected {expected_crc:#010x}"
-                )
-            )
 
     # -- compute with shard-granular recovery ------------------------------ #
 
-    @staticmethod
-    def _merge(agg, s) -> None:
-        for name in _MERGE_FIELDS:
-            setattr(agg, name, getattr(agg, name) + getattr(s, name))
+    def _advance(
+        self, seg: _Segment, i: int, dev: _ShardDevice, stop: int,
+        cached: int, stats: ShardedStats, fault: Exception | None = None,
+    ) -> None:
+        """Run shard ``i`` on ``dev`` until it has completed ``stop`` passes.
 
-    def _compute_pass(
-        self, i, dev, subs, p, steps, mgr, agg, plan, caches, stats
-    ) -> np.ndarray:
-        """Run global pass ``p`` on shard ``i``; recover on detected faults.
-
-        Returns the shard's post-pass sub-grid.  A detected fault rolls
-        only this shard back to its last snapshot and replays its tail
-        with cached halos; the fault re-raises (typed) when recovery is
-        disabled or the rollback budget is exhausted.
+        The shard starts from the pass its counters stand at, after
+        rolling back to its last snapshot when ``fault`` (an already
+        reported failure) is given.  A detected fault on the way charges
+        ``dev`` and rolls back the same way, so only this shard replays
+        its tail; each replayed pass before ``cached`` re-applies the
+        halo strips the shard received after it from the host-side
+        cache, while its neighbors stay untouched.  The fault re-raises
+        (typed) when recovery is disabled or the rollback budget is
+        exhausted; a strip that has aged out of the bounded cache (only
+        possible after a corrupt-snapshot fallback to the pass-0 base
+        state) raises the fault behind the latest rollback.
         """
+        mgr, agg = seg.mgrs[i], seg.aggs[i]
+        err = fault
         while True:
-            try:
-                out, s = dev.acc.run(subs[i], steps)
-            except FaultDetectedError as err:
-                dev.faults += 1
-                if dev.faults >= self.degrade_after:
-                    self._degrade(dev, stats)
+            if fault is not None:
                 if mgr is None:
-                    raise
-                self._restore_shard(i, dev, subs, p, err, mgr, agg, plan,
-                                    caches, stats)
-                continue
-            self._merge(agg, s)
-            return out
-
-    def _restore_shard(
-        self, i, dev, subs, p, err, mgr, agg, plan, caches, stats
-    ) -> None:
-        """Bring shard ``i`` back to its ready-for-pass-``p`` state.
-
-        Rolls back to the shard's last intact snapshot and replays
-        passes ``[snapshot, p)`` on this shard alone, re-serving each
-        replayed round's incoming halos from the host-side cache.  The
-        original error escalates when the rollback budget is exhausted
-        or a needed halo has aged out of the cache (only possible after
-        a corrupt-snapshot fallback to the pass-0 base state).
-        """
-        subs[i] = mgr.rollback(agg, err).copy()
-        r = int(agg.passes)
-        replay_from = r
-        while r < p:
-            steps_r = self._steps_at(r)
+                    raise fault
+                seg.subs[i] = mgr.rollback(agg, fault).copy()
+                err, fault = fault, None
+            r = agg.passes
+            if r >= stop:
+                return
             try:
-                out, s = dev.acc.run(subs[i], steps_r)
-            except FaultDetectedError as err2:
-                dev.faults += 1
-                if dev.faults >= self.degrade_after:
-                    self._degrade(dev, stats)
-                subs[i] = mgr.rollback(agg, err2).copy()
-                r = int(agg.passes)
+                out, s = dev.acc.run(seg.subs[i], self._steps_at(r))
+            except FaultDetectedError as exc:
+                self._charge(dev, stats)
+                fault = exc
                 continue
-            self._merge(agg, s)
-            subs[i] = out
+            merge_counters(agg, s)
+            seg.subs[i] = out
             dev.clock_s += self._pass_time(out.shape)
-            self._reserve_halos(plan, subs, i, r, caches, dev, err, stats)
-            r += 1
-        fault_hooks.report_recovery(
-            f"shard {i}: tail replay from pass {replay_from} complete, "
-            f"retrying pass {p} (neighbors untouched)"
-        )
+            if r < cached:
+                self._reserve_halos(seg, i, r, dev, err, stats)
 
-    def _reserve_halos(
-        self, plan, subs, i, r, caches, dev, err, stats
-    ) -> None:
+    def _reserve_halos(self, seg, i, r, dev, err, stats) -> None:
         """Re-apply the halo strips shard ``i`` received after pass ``r``."""
-        if r >= self._total_passes - 1:
-            return  # no exchange follows the final pass
-        for e in plan.edges:
+        for e in seg.plan.edges:
             if e.dst != i:
                 continue
-            strip = self._cached(caches[e.name], r)
+            strip = next((s for idx, s in seg.caches[e.name] if idx == r), None)
             if strip is None:
                 raise err  # replay horizon exceeded the bounded halo cache
-            subs[i][e.dst_rows[0]:e.dst_rows[1]] = strip
-            dev.clock_s += strip.nbytes / self._link_bps
+            seg.subs[i][e.dst_rows[0]:e.dst_rows[1]] = strip
+            dev.clock_s += strip.nbytes / _LINK_BPS
             stats.halo_reserved += 1
 
-    @staticmethod
-    def _cached(cache, r) -> np.ndarray | None:
-        for idx, strip in cache:
-            if idx == r:
-                return strip
-        return None
-
-    def _degrade(self, dev: _ShardDevice, stats: ShardedStats) -> None:
-        """Move one device's engine to the NumPy floor (once)."""
+    def _charge(self, dev: _ShardDevice, stats: ShardedStats) -> None:
+        """Count one detected fault on ``dev``; at ``degrade_after``
+        faults its engine moves to the NumPy floor (once)."""
+        dev.faults += 1
         old = dev.acc.resolved_engine
-        if old == FLOOR_ENGINE:
+        if dev.faults < self.degrade_after or old == FLOOR_ENGINE:
             return
-        acc = FPGAAccelerator(
-            self.spec, self.config, self.boundary,
-            stall_watchdog=self.stall_watchdog, engine=FLOOR_ENGINE,
-        )
+        acc = self._accelerator(FLOOR_ENGINE)
         dev.acc.close()
         dev.acc = acc
         stats.degradations += 1
@@ -564,41 +497,44 @@ class ShardedRunner:
 
     # -- halo exchange ----------------------------------------------------- #
 
-    def _exchange(self, plan, subs, p, chans, caches, stats) -> float:
+    def _exchange(self, seg: _Segment, p: int, stats: ShardedStats) -> float:
         """Run exchange round ``p``; returns its host-link time."""
         t = 0.0
-        for e in plan.edges:
-            strip, retries = self._transfer(subs, e, p, chans[e.name], stats)
-            subs[e.dst][e.dst_rows[0]:e.dst_rows[1]] = strip
-            caches[e.name].append((p, strip))
+        for e in seg.plan.edges:
+            strip, retries = self._transfer(seg, e, p, stats)
+            seg.subs[e.dst][e.dst_rows[0]:e.dst_rows[1]] = strip
+            seg.caches[e.name].append((p, strip))
             stats.exchanges += 1
             stats.exchange_retries += retries
             nbytes = strip.nbytes * (1 + retries)
             stats.exchange_bytes += nbytes
-            t += nbytes / self._link_bps
+            t += nbytes / _LINK_BPS
         return t
 
-    def _transfer(self, subs, edge: HaloEdge, p, chan, stats):
+    def _transfer(self, seg: _Segment, edge: HaloEdge, p: int, stats):
         """Move one halo strip sender → receiver with CRC verification.
 
         The CRC is computed at the sender *before* the strip enters the
         transport (where :class:`~repro.faults.HaloCorruptFault` and
         channel faults can strike); a receiver-side mismatch is detected,
         reported, and retried from the sender's intact interior — a
-        retry budget overrun raises :class:`~repro.errors.HaloExchangeError`.
+        retry budget overrun raises :class:`~repro.errors.HaloExchangeError`,
+        and so does a hop stalled past the watchdog.
         Disarmed no fault can strike the hop, so neither CRC is computed.
         """
         inj = fault_hooks.ACTIVE
+        chan = seg.chans[edge.name]
+        error = partial(HaloExchangeError, edge=edge.name, shard=edge.dst, passes=p)
         attempts = 0
         while True:
             strip = np.ascontiguousarray(
-                subs[edge.src][edge.src_rows[0]:edge.src_rows[1]]
+                seg.subs[edge.src][edge.src_rows[0]:edge.src_rows[1]]
             )
             if inj is None:
-                return self._hop(chan, strip, edge, p), attempts
+                return chan.hop(strip, self.stall_watchdog, error), attempts
             golden = crc32_array(strip)
             strip = inj.corrupt_halo(edge.name, strip)
-            arrived = self._hop(chan, strip, edge, p)
+            arrived = chan.hop(strip, self.stall_watchdog, error)
             if crc32_array(arrived) == golden:
                 if attempts:
                     fault_hooks.report_recovery(
@@ -607,63 +543,32 @@ class ShardedRunner:
                     )
                 return arrived, attempts
             attempts += 1
-            err = HaloExchangeError(
+            err = error(
                 f"halo CRC mismatch on {edge.name} at pass {p} "
-                f"(attempt {attempts})",
-                edge=edge.name, shard=edge.dst, passes=p,
+                f"(attempt {attempts})"
             )
             fault_hooks.report_detection(err)
             stats.halo_detections += 1
-            if attempts > self.max_halo_retries:
+            if attempts > self.MAX_HALO_RETRIES:
                 raise err
-
-    def _hop(self, chan, strip, edge: HaloEdge, p) -> np.ndarray:
-        """One FIFO hop; spins under stall faults, watchdogged."""
-        spins = 0
-        while not chan.try_write(strip):
-            spins += 1
-            if spins > self.stall_watchdog:
-                raise fault_hooks.report_detection(
-                    HaloExchangeError(
-                        f"halo {edge.name} write stalled for {spins} attempts "
-                        f"(watchdog {self.stall_watchdog})",
-                        edge=edge.name, shard=edge.dst, passes=p,
-                    )
-                )
-        spins = 0
-        while True:
-            ok, item = chan.try_read()
-            if ok:
-                return item
-            spins += 1
-            if spins > self.stall_watchdog:
-                raise fault_hooks.report_detection(
-                    HaloExchangeError(
-                        f"halo {edge.name} read stalled for {spins} attempts "
-                        f"(watchdog {self.stall_watchdog})",
-                        edge=edge.name, shard=edge.dst, passes=p,
-                    )
-                )
 
     # -- device loss and re-sharding --------------------------------------- #
 
-    def _handle_loss(
-        self, plan, subs, live, lost_now, p, mgrs, aggs, caches, stats
-    ) -> np.ndarray:
-        """Recover lost shards onto survivors; returns the recomposed grid.
+    def _recover_lost(self, seg, live, lost, p, stats) -> None:
+        """Recover lost shards onto the first survivor.
 
         Every lost shard's state is restored from its own snapshots and
         replayed — including pass ``p`` and its exchange round — on the
         first survivor, so all shard interiors sit at the same pass
         boundary; the caller then re-shards the recomposed grid across
-        the survivors.
+        the survivors, which ``live`` is narrowed to.
         """
-        for i, dev in lost_now:
+        for i, dev in lost:
             dev.lost = True
             stats.devices_lost += 1
         survivors = [d for d in live if not d.lost]
         if not survivors:
-            i, dev = lost_now[0]
+            i, dev = lost[0]
             raise fault_hooks.report_detection(
                 DeviceLostError(
                     f"device {dev.index} lost after pass {p} and no "
@@ -672,56 +577,19 @@ class ShardedRunner:
                 )
             )
         host = survivors[0]
-        for i, dev in lost_now:
+        for i, dev in lost:
             err = DeviceLostError(
                 f"device {dev.index} (shard {i}) lost after pass {p}",
                 device=dev.index, shard=i,
             )
             fault_hooks.report_detection(err)
-            if mgrs[i] is None:
-                raise err
-            subs[i] = mgrs[i].rollback(aggs[i], err).copy()
-            r = int(aggs[i].passes)
-            while r <= p:
-                out, s = host.acc.run(subs[i], self._steps_at(r))
-                self._merge(aggs[i], s)
-                subs[i] = out
-                host.clock_s += self._pass_time(out.shape)
-                self._reserve_halos(plan, subs, i, r, caches, host, err, stats)
-                r += 1
+            self._advance(seg, i, host, p + 1, p + 1, stats, fault=err)
             fault_hooks.report_recovery(
                 f"shard {i} recovered onto device {host.index}; re-sharding "
                 f"across {len(survivors)} survivors"
             )
         stats.reshards += 1
         live[:] = survivors
-        return plan.gather(subs)
-
-    @staticmethod
-    def _fold_recovery(stats: ShardedStats, mgrs) -> None:
-        for mgr in mgrs:
-            if mgr is None:
-                continue
-            stats.rollbacks += mgr.rollbacks
-            stats.replayed_passes += mgr.replayed_passes
-            stats.checkpoints += mgr.checkpoints
-
-
-class _ShardAgg:
-    """Duck-typed stats object carrying a shard's checkpoint cursor.
-
-    Holds exactly the fields :class:`~repro.runtime.checkpoint.
-    CheckpointManager` reads and writes (the cursor counters plus the
-    recovery tallies), with ``passes`` tracking the *global* pass index
-    so snapshots and replay agree on pass numbering across re-shard
-    segments.
-    """
-
-    __slots__ = _MERGE_FIELDS + ("rollbacks", "replayed_passes", "checkpoints")
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
 
 
 __all__ = [

@@ -16,6 +16,7 @@ from repro.core.native import (
     vector_width_for,
 )
 from repro.core.pe import pe_step_padded
+from repro.core.plan import get_pass_plan
 from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
 
@@ -143,6 +144,30 @@ def test_engine_selection_and_run_equivalence() -> None:
         out_slow, _ = slow.run(grid, iters)
         assert np.array_equal(out_fast, out_slow)
     fast.close()
+
+
+@needs_native
+def test_driver_follows_scratch_growth_and_table_pointers() -> None:
+    # the driver looks table and scratch addresses up once per tables
+    # object and per scratch buffer: a larger grid grows the
+    # accelerator's scratch, and every run after stays bit-exact
+    spec = StencilSpec.star(2, 2)
+    cfg = BlockingConfig(dims=2, radius=2, bsize_x=64, parvec=4, partime=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native")
+    try:
+        for shape in ((8, 20), (40, 150), (8, 20)):
+            grid = make_grid(shape, "random", seed=len(shape) + shape[0])
+            out, _ = acc.run(grid, 3)
+            assert np.array_equal(out, reference_run(grid, spec, 3))
+        tables = acc._driver_tables(get_pass_plan(cfg, (8, 20)), 2)
+        assert tables.pointers == (
+            tables.blocks.ctypes.data,
+            tables.segments.ctypes.data,
+            tables.windows.ctypes.data,
+        )
+        assert acc._driver._scratch is acc._driver_scratch
+    finally:
+        acc.close()
 
 
 def _drive(driver, config, grids, iterations, boundary, width):

@@ -242,6 +242,27 @@ def test_device_loss_reshards_onto_survivor() -> None:
     assert len(inj.recoveries) >= 1
 
 
+def test_seu_during_loss_replay_rolls_back_and_retries() -> None:
+    # device 1 dies after pass 2; its shard restores from the pass-2
+    # snapshot and replays pass 2 on device 0, where touch 54 flips a
+    # bit: the replay rolls back again and retries instead of failing
+    plan = FaultPlan(
+        seed=3,
+        faults=(
+            DeviceLossFault(at_pass=2, device=1),
+            SEUFault(site="block-buffer", at_touch=54),
+        ),
+    )
+    with runner(shards=2) as r, arm(plan) as inj:
+        out = r.run(GRID, ITERS)
+    assert len(inj.fired) == 2
+    np.testing.assert_array_equal(out.grid, REF)
+    assert out.stats.rollbacks >= 2
+    assert out.stats.reshards == 1
+    # the survivor that hosted the replay is charged for the SEU
+    assert out.stats.device_faults == (1, 1)
+
+
 def test_device_loss_without_checkpoint_is_typed() -> None:
     plan = FaultPlan(seed=3, faults=(DeviceLossFault(at_pass=1, device=1),))
     with runner(shards=2, checkpoint=None) as r, arm(plan):
