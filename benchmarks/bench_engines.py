@@ -7,11 +7,8 @@ a grid the functional validation can afford — and record an
 
 from __future__ import annotations
 
-from repro.baselines.cpu_yask import YASKEngine
-from repro.baselines.vector_folding import fold, folded_step
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.reference import reference_step
-from repro.core.scalar_sim import scalar_run
 from repro.fpga import NALLATECH_385A
 from repro.fpga.cycle_sim import CycleSimulator
 
@@ -94,30 +91,6 @@ def test_accelerator_sim_3d_radius4_workers(benchmark) -> None:
     _record_rate(benchmark, GRID_3D_R4.size, steps=ITERS_3D_R4)
 
 
-def test_yask_engine_2d(benchmark) -> None:
-    engine = YASKEngine(SPEC_2D)
-    out = benchmark(engine.run, GRID_2D, 1)
-    assert out.shape == GRID_2D.shape
-    _record_rate(benchmark, GRID_2D.size)
-
-
-def test_folded_step_2d(benchmark) -> None:
-    folded = fold(GRID_2D, (4, 4))
-    out = benchmark(folded_step, folded, SPEC_2D)
-    assert out.shape == folded.shape
-    _record_rate(benchmark, GRID_2D.size)
-
-
-def test_scalar_hw_sim_small(benchmark) -> None:
-    """The loop-faithful simulator (intentionally slow; tiny grid)."""
-    spec = StencilSpec.star(2, 1)
-    cfg = BlockingConfig(dims=2, radius=1, bsize_x=16, parvec=2, partime=2)
-    grid = make_grid((8, 24), "random", seed=1)
-    out = benchmark(scalar_run, grid, spec, cfg, 2)
-    assert out.shape == grid.shape
-    _record_rate(benchmark, grid.size, steps=2)
-
-
 def test_cycle_sim_block(benchmark) -> None:
     spec = StencilSpec.star(3, 1)
     cfg = BlockingConfig(
@@ -127,12 +100,3 @@ def test_cycle_sim_block(benchmark) -> None:
     rep = benchmark(sim.run_block, 5000)
     assert 0.5 < rep.efficiency < 0.75
 
-
-def test_inplane_gpu_engine_3d(benchmark) -> None:
-    """The functional in-plane (GPU-style) engine's plane-streaming sweep."""
-    from repro.baselines.gpu_inplane_engine import InPlaneEngine
-
-    engine = InPlaneEngine(SPEC_3D, tile=(32, 32))
-    out, stats = benchmark(engine.run, GRID_3D, 1)
-    assert stats.load_redundancy > 1.0
-    _record_rate(benchmark, GRID_3D.size)

@@ -3,7 +3,7 @@
 
 The "before" engine is a faithful reimplementation of the pre-pass-plan
 simulator loop (per-pass geometry derivation, fancy-indexed gather with a
-copy, per-stage ``np.pad`` and a freshly allocated ``pe_step`` output).
+copy, per-stage ``np.pad`` and a freshly allocated stage output).
 The "after" engines are the shipped :class:`repro.core.FPGAAccelerator`
 engines: the pure-NumPy pass-plan engine (``plan-numpy``), the native
 pass driver swept across its persistent worker pool sizes
@@ -12,8 +12,9 @@ width), the driver at its default pool size with no ``workers=``
 passed (``native-auto`` — one worker per CPU this process may use,
 which is what the runtime serves with), and the same driver source at
 ``VEC=1`` compiled with vectorization off (``native-scalar``, one
-worker — the honest per-lane SIMD baseline).  Every engine's output is
-verified bit-identical to the legacy engine before any timing is
+worker — the honest per-lane SIMD baseline).  Every engine's output,
+the legacy engine's included, is verified bit-identical to
+:func:`repro.core.reference.reference_run` before any timing is
 recorded.
 
 Each case records:
@@ -56,7 +57,8 @@ import numpy as np
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.blocking import BlockDecomposition
 from repro.core.native import native_available, usable_cpus
-from repro.core.pe import pe_step, refresh_border_duplicates
+from repro.core.pe import pe_step_padded, refresh_border_duplicates
+from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
 
 #: persistent-pool sizes swept for the fused driver (ISSUE: 1/2/4)
@@ -92,6 +94,7 @@ def legacy_run(
     blocked_axes = config.blocked_axes
     extents = [grid.shape[ax] for ax in blocked_axes]
     periodic = boundary == "periodic"
+    pad_mode = "wrap" if periodic else "edge"
 
     current = grid
     remaining = iterations
@@ -126,7 +129,10 @@ def legacy_run(
                         hi_g = min(extent, stop + rem)
                     base = start - halo
                     window.append((lo_g - base, hi_g - base))
-                new_vals = pe_step(cur, spec, tuple(window), boundary)
+                padded = np.pad(
+                    cur, [(rad, rad)] + [(0, 0)] * (cur.ndim - 1), mode=pad_mode
+                )
+                new_vals = pe_step_padded(padded, spec, tuple(window))
                 cur[tuple(slice(lo, hi) for lo, hi in window)] = new_vals
                 if not periodic:
                     for local_axis, axis in enumerate(blocked_axes):
@@ -163,7 +169,7 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
     grid = make_grid(shape, "random", seed=0)
     updates = grid.size * iterations
 
-    golden = legacy_run(grid, spec, cfg, iterations)
+    golden = reference_run(grid, spec, iterations)
     engines: dict[str, object] = {
         "legacy": lambda: legacy_run(grid, spec, cfg, iterations),
         "plan-numpy": FPGAAccelerator(spec, cfg, engine="numpy"),
@@ -196,7 +202,9 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
             def fn(acc=engine):
                 acc.run(grid, iterations)
         if not np.array_equal(out, golden):
-            raise SystemExit(f"{name}/{label}: output differs from legacy bits")
+            raise SystemExit(
+                f"{name}/{label}: output differs from reference_run bits"
+            )
         seconds = _time(fn, repeats)
         if not callable(engine):
             engine.close()

@@ -1,184 +1,22 @@
-"""YASK-like CPU engine and the Xeon / Xeon Phi platform model.
+"""The Xeon / Xeon Phi platform model for the paper's YASK [9] baseline.
 
-Two halves, mirroring how the paper uses YASK [9]:
-
-1. :class:`YASKEngine` — a working CPU stencil engine in the YASK style:
-   vector-folded storage (:mod:`repro.baselines.vector_folding`), a
-   spatially-blocked sweep, YASK's boundary convention (the grid is
-   allocated with a halo ring so out-of-bound neighbors are *read from
-   memory* — extra traffic, clean vectorization; §IV.B), and a
-   measurement-driven block-size autotuner like YASK's built-in tuner
-   (§V.B).  With the halo ring filled by clamping, its numerics match the
-   paper's FPGA boundary semantics bit for bit (tested).
-
-2. :class:`CPUPlatformModel` — the analytic model for paper-scale
-   numbers: both processors are memory-bound at every order and utilize a
-   roughly fixed ~44-52 % of their bandwidth (the paper's roofline-ratio
-   observation), so ``GCell/s = BW x utilization / 8``.  Utilization
-   constants are fitted per (device, dims, radius) to Tables IV/V, the
-   same way fmax is fitted to Table III.
+:class:`CPUPlatformModel` is the analytic model for paper-scale numbers:
+both processors are memory-bound at every order and utilize a roughly
+fixed ~44-52 % of their bandwidth (the paper's roofline-ratio
+observation), so ``GCell/s = BW x utilization / 8``.  Utilization
+constants are fitted per (device, dims, radius) to Tables IV/V, the same
+way fmax is fitted to Table III.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.baselines.vector_folding import fold, folded_step, unfold
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import DeviceSpec, device
 from repro.models.power import cpu_power_watts
 from repro.models.roofline import roofline_ratio
-
-#: Default fold shapes (cells): YASK favors 2D folds like 4x4 for AVX-512.
-DEFAULT_FOLD = (4, 4)
-
-
-class YASKEngine:
-    """Vector-folded, spatially-blocked CPU stencil engine.
-
-    Parameters
-    ----------
-    spec:
-        Stencil to compute.
-    fold_shape:
-        (fy, fx) tile of the folded layout; grid extents (after halo
-        extension) must be divisible by it.
-    block_tiles:
-        Spatial block size in *tiles* along (y, x) for the blocked sweep;
-        ``None`` means unblocked.
-    """
-
-    def __init__(
-        self,
-        spec: StencilSpec,
-        fold_shape: tuple[int, int] = DEFAULT_FOLD,
-        block_tiles: tuple[int, int] | None = None,
-    ):
-        self.spec = spec
-        self.fold_shape = fold_shape
-        self.block_tiles = block_tiles
-
-    # ------------------------------------------------------------------ #
-
-    def _halo_cells(self) -> tuple[int, int]:
-        """Halo ring extents (y, x), rounded up to whole fold tiles."""
-        rad = self.spec.radius
-        fy, fx = self.fold_shape
-        hy = -(-rad // fy) * fy
-        hx = -(-rad // fx) * fx
-        return hy, hx
-
-    def allocate(self, grid: np.ndarray) -> np.ndarray:
-        """YASK-style allocation: the grid plus a halo ring (§IV.B).
-
-        The ring is filled by edge replication, so reading it reproduces
-        the paper's clamp semantics while keeping vector loads unmasked
-        on boundaries — the trade YASK makes (more memory traffic).
-        """
-        if grid.ndim != self.spec.dims:
-            raise ConfigurationError(
-                f"grid is {grid.ndim}D but stencil is {self.spec.dims}D"
-            )
-        hy, hx = self._halo_cells()
-        pad = [(hy, hy), (hx, hx)]
-        if grid.ndim == 3:
-            pad = [(self.spec.radius, self.spec.radius)] + pad
-        return np.pad(np.asarray(grid, dtype=np.float32), pad, mode="edge")
-
-    def _refresh_halo(self, extended: np.ndarray) -> None:
-        """Re-clamp the halo ring from the interior border (per step)."""
-        hy, hx = self._halo_cells()
-        ndim = extended.ndim
-        pads = [(hy, hy), (hx, hx)]
-        if ndim == 3:
-            pads = [(self.spec.radius, self.spec.radius)] + pads
-        for axis, (lo, hi) in enumerate(pads):
-            if lo > 0:
-                dst = [slice(None)] * ndim
-                src = [slice(None)] * ndim
-                dst[axis] = slice(0, lo)
-                src[axis] = slice(lo, lo + 1)
-                extended[tuple(dst)] = extended[tuple(src)]
-            if hi > 0:
-                n = extended.shape[axis]
-                dst = [slice(None)] * ndim
-                src = [slice(None)] * ndim
-                dst[axis] = slice(n - hi, n)
-                src[axis] = slice(n - hi - 1, n - hi)
-                extended[tuple(dst)] = extended[tuple(src)]
-
-    def run(self, grid: np.ndarray, iterations: int) -> np.ndarray:
-        """Advance ``grid`` by ``iterations`` steps; returns a new array."""
-        if iterations < 0:
-            raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
-        hy, hx = self._halo_cells()
-        extended = self.allocate(grid)
-        folded = fold(extended, self.fold_shape)
-        for _ in range(iterations):
-            folded = self._step_blocked(folded)
-            extended = unfold(folded)
-            self._refresh_halo(extended)
-            folded = fold(extended, self.fold_shape)
-        extended = unfold(folded)
-        sl = [slice(hy, extended.shape[-2] - hy), slice(hx, extended.shape[-1] - hx)]
-        if grid.ndim == 3:
-            rad = self.spec.radius
-            sl = [slice(rad, extended.shape[0] - rad)] + sl
-        return np.ascontiguousarray(extended[tuple(sl)])
-
-    def _step_blocked(self, folded: np.ndarray) -> np.ndarray:
-        """One step, swept block by block (cache blocking) or whole-grid."""
-        if self.block_tiles is None:
-            return folded_step(folded, self.spec)
-        by_axis = 0 if self.spec.dims == 2 else 1
-        bx_axis = by_axis + 1
-        out = np.empty_like(folded)
-        nby = folded.shape[by_axis]
-        nbx = folded.shape[bx_axis]
-        ty, tx = self.block_tiles
-        full = folded_step(folded, self.spec)  # shifts are global; the
-        # blocked sweep copies region by region in blocked traversal order,
-        # modelling YASK's OpenMP block loop without changing semantics.
-        for y0 in range(0, nby, ty):
-            for x0 in range(0, nbx, tx):
-                sl = [slice(None)] * folded.ndim
-                sl[by_axis] = slice(y0, min(y0 + ty, nby))
-                sl[bx_axis] = slice(x0, min(x0 + tx, nbx))
-                out[tuple(sl)] = full[tuple(sl)]
-        return out
-
-    # ------------------------------------------------------------------ #
-
-    def autotune(
-        self,
-        grid: np.ndarray,
-        candidates: list[tuple[int, int]],
-        steps: int = 2,
-    ) -> tuple[int, int]:
-        """Pick the fastest block shape by measurement (YASK's built-in
-        tuner, §V.B).  Returns the winning ``block_tiles``."""
-        if not candidates:
-            raise ConfigurationError("no candidate block shapes")
-        best: tuple[float, tuple[int, int]] | None = None
-        for cand in candidates:
-            engine = YASKEngine(self.spec, self.fold_shape, cand)
-            start = time.perf_counter()
-            engine.run(grid, steps)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best[0]:
-                best = (elapsed, cand)
-        assert best is not None
-        self.block_tiles = best[1]
-        return best[1]
-
-
-# ---------------------------------------------------------------------- #
-# Analytic platform model (paper-scale numbers)
-# ---------------------------------------------------------------------- #
 
 #: Fitted bandwidth utilization per (dims, radius) — Tables IV/V roofline
 #: ratios.  The paper's observation: roughly constant per device.

@@ -33,8 +33,8 @@ runs in one call into the generated native pass driver
 ``(grid, block)`` units off one atomic counter; without one, a serial
 NumPy pass does slice copies into a preallocated stream-padded scratch
 buffer and in-place stencil accumulation, grid by grid.  While a fault plan is
-armed the simulator instead runs the hardened per-block path, hopping
-each block through real channels with per-stage checksums.
+armed every pass runs the NumPy pass hardened, hopping each block
+through real channels with per-stage checksums.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.core.native import (
 )
 from repro.core.pe import (
     fill_stream_halo,
-    pe_step,
     pe_step_padded,
     refresh_border_duplicates,
     stencil_terms,
@@ -780,11 +779,12 @@ class FPGAAccelerator:
         through the native driver (its persistent pthread pool
         work-steals ``(grid, block)`` units), or — NumPy fallback —
         each grid's blocks execute the cached plan serially against
-        preallocated scratch buffers.  When a fault plan is armed, each
-        grid's pass instead moves every block between stages through
-        real :class:`~repro.core.channels.Channel` objects carrying
-        per-block checksums — the hardened design's detection path; the
-        numerics are bit-identical every way.
+        preallocated scratch buffers.  When a fault plan is armed, the
+        NumPy pass runs hardened (:meth:`_exec_blocks`): every block
+        moves between stages through real
+        :class:`~repro.core.channels.Channel` objects carrying per-block
+        checksums — the hardened design's detection path; the numerics
+        are bit-identical every way.
         """
         inj = fault_hooks.ACTIVE
         if inj is None and self._driver is not None:
@@ -795,10 +795,7 @@ class FPGAAccelerator:
             return
         windows = plan.windows(steps)
         for g in range(len(src)):
-            if inj is not None:
-                self._run_pass_armed(src[g], out[g], plan, windows, steps, inj)
-            else:
-                self._exec_blocks(src[g], out[g], plan, windows)
+            self._exec_blocks(src[g], out[g], plan, windows)
 
     def _driver_tables(self, plan: PassPlan, steps: int) -> DriverTables:
         """The driver's tables for a ``steps`` pass, with scratch to match.
@@ -849,6 +846,14 @@ class FPGAAccelerator:
         ``padded`` and only then overwrite the block, so chunking never
         perturbs neighbor reads — and per-element FLOP order is exactly
         the reference's).
+
+        While a fault plan is armed this is the hardened pass: the block
+        moves through real channels between stages (read kernel -> PE_0
+        -> ... -> write kernel) with a per-block checksum encoded after
+        the gather and after every PE update, so in-flight corruption
+        and SEUs at rest are detected at the next hop.  The block buffer
+        the injector strikes is the contiguous ``bp.footprint`` view
+        ``cur``, touched ``1 + steps`` times per block.
         """
         spec = self.spec
         rad = self.config.radius
@@ -857,18 +862,32 @@ class FPGAAccelerator:
         boundary = self.boundary
         terms = self._terms
         scratch = self._scratch
+        inj = fault_hooks.ACTIVE
+        if inj is not None:
+            steps = len(windows[0])
+            chans = [
+                Channel(1, name=n)
+                for n in ["read->pe0"]
+                + [f"pe{i - 1}->pe{i}" for i in range(1, steps)]
+                + [f"pe{steps - 1}->write"]
+            ]
         for bi, bp in enumerate(plan.blocks):
             n0 = bp.footprint[0]
             padded = scratch.get("padded", (n0 + 2 * rad,) + bp.footprint[1:])
             cur = padded[rad : rad + n0]
             # --- read kernel: segment copies straight into the scratch
             bp.gather_into(src, cur)
+            if inj is not None:
+                crc = crc32_array(cur)  # read kernel's per-block checksum
+                inj.touch_sram(cur, site="block-buffer")
             slab_cells = 1
             for extent in bp.footprint[1:]:
                 slab_cells *= extent
             chunk = max(1, self.CHUNK_CELLS // slab_cells)
             # --- PE chain: one time step per stage, shrinking window
-            for window in windows[bi]:
+            for s, window in enumerate(windows[bi]):
+                if inj is not None:
+                    self._transport(chans[s], cur, crc)
                 fill_stream_halo(padded, n0, rad, boundary)
                 wshape = tuple(hi - lo for lo, hi in window)
                 acc = scratch.get("acc", wshape)
@@ -889,57 +908,16 @@ class FPGAAccelerator:
                         refresh_border_duplicates(
                             cur, axis, bp.dup_lo[local_axis], bp.dup_hi[local_axis]
                         )
+                if inj is not None:
+                    crc = crc32_array(cur)  # re-encode after the update
+                    inj.touch_sram(cur, site="block-buffer")
+            if inj is not None:
+                self._transport(chans[steps], cur, crc)
             # --- write kernel: store the compute region
             out[bp.write_sl] = cur[bp.read_sl]
 
-    def _run_pass_armed(
-        self,
-        src: np.ndarray,
-        out: np.ndarray,
-        plan: PassPlan,
-        windows,
-        steps: int,
-        inj,
-    ) -> None:
-        """Hardened pass: per-block checksums hop across every chain stage.
-
-        Uses the same cached plan geometry as the fast path but moves the
-        block payload through real channels between stages (read kernel ->
-        PE_0 -> ... -> write kernel), re-encoding the checksum after every
-        PE update so in-flight corruption and SEUs at rest are detected at
-        the next hop.
-        """
-        spec = self.spec
-        blocked_axes = self.config.blocked_axes
-        periodic = plan.periodic
-        names = (
-            ["read->pe0"]
-            + [f"pe{i - 1}->pe{i}" for i in range(1, steps)]
-            + [f"pe{steps - 1}->write"]
-        )
-        chans = [Channel(1, name=n) for n in names]
-        for bi, bp in enumerate(plan.blocks):
-            # contiguous private buffer: the injector flips bits in place
-            cur = np.empty(bp.footprint, dtype=np.float32)
-            bp.gather_into(src, cur)
-            crc = crc32_array(cur)  # read kernel's per-block checksum
-            inj.touch_sram(cur, site="block-buffer")
-            for s, window in enumerate(windows[bi], start=1):
-                cur = self._transport(chans[s - 1], cur, crc)
-                new_vals = pe_step(cur, spec, window, self.boundary)
-                cur[tuple(slice(lo, hi) for lo, hi in window)] = new_vals
-                if not periodic:
-                    for local_axis, axis in enumerate(blocked_axes):
-                        refresh_border_duplicates(
-                            cur, axis, bp.dup_lo[local_axis], bp.dup_hi[local_axis]
-                        )
-                crc = crc32_array(cur)  # re-encode after the update
-                inj.touch_sram(cur, site="block-buffer")
-            cur = self._transport(chans[steps], cur, crc)
-            out[bp.write_sl] = cur[bp.read_sl]
-
-    def _transport(self, chan: Channel, payload: np.ndarray, crc: int) -> np.ndarray:
-        """Move a block through a channel hop with checksum verification.
+    def _transport(self, chan: Channel, block: np.ndarray, crc: int) -> None:
+        """Move ``block`` through a channel hop with checksum verification.
 
         Armed-mode only.  The write port spins under back-pressure (a
         :class:`repro.faults.ChannelStallFault` can wedge it); spinning
@@ -947,9 +925,10 @@ class FPGAAccelerator:
         :class:`~repro.errors.WatchdogTimeoutError`.  The consumer
         re-checksums what arrives, so in-flight corruption (or an SEU
         injected since the checksum was encoded) raises
-        :class:`~repro.errors.FaultDetectedError`.
+        :class:`~repro.errors.FaultDetectedError`; otherwise ``block``
+        holds what arrived.
         """
-        item = chan.hop(payload, self.stall_watchdog, WatchdogTimeoutError)
+        item = chan.hop(block, self.stall_watchdog, WatchdogTimeoutError)
         if crc32_array(item) != crc:
             raise fault_hooks.report_detection(
                 FaultDetectedError(
@@ -957,7 +936,8 @@ class FPGAAccelerator:
                     "block data corrupted in flight or at rest"
                 )
             )
-        return item
+        if item is not block:
+            block[...] = item  # the consumer computes on what arrived
 
 
 #: Re-exported for introspection/tests: the plan types the engine executes.

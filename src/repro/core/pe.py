@@ -8,19 +8,17 @@ stencil step per PE over a window that *shrinks* by ``rad`` per blocked
 side per step — except at global grid borders, where the clamp boundary
 condition keeps the window pinned to the border.
 
-:func:`pe_step` implements one such step over an extended local block,
-fully vectorized; :func:`refresh_border_duplicates` re-establishes the
-clamp duplicates that represent out-of-grid neighbor reads, which must
-track the border cell's *current* value between steps.
-
-The hot path of the pass-plan engine avoids per-stage allocation: the
-block lives inside a persistent scratch buffer pre-padded by ``rad`` along
-the streamed axis, :func:`fill_stream_halo` refreshes only the pad slabs
-(instead of ``np.pad`` copying the whole block), and
-:func:`pe_step_padded` accumulates in place via ``np.multiply(...,
-out=)`` / ``+=`` — the identical elementwise operation sequence as the
-allocating form, so float32 results stay bit-for-bit equal to
+The NumPy pass avoids per-stage allocation: the block lives inside a
+persistent scratch buffer pre-padded by ``rad`` along the streamed axis,
+:func:`fill_stream_halo` refreshes only the pad slabs (instead of
+``np.pad`` copying the whole block), and :func:`pe_step_padded` runs one
+such step over a window of it, accumulating in place via
+``np.multiply(..., out=)`` / ``+=`` in the reference's operation order,
+so float32 results stay bit-for-bit equal to
 :func:`repro.core.reference.reference_step`.
+:func:`refresh_border_duplicates` re-establishes the clamp duplicates
+that represent out-of-grid neighbor reads, which must track the border
+cell's *current* value between steps.
 """
 
 from __future__ import annotations
@@ -134,34 +132,6 @@ def pe_step_padded(
             np.multiply(neighbor, coeff, out=tmp)
             acc += tmp
     return acc
-
-
-def pe_step(
-    cur: np.ndarray,
-    spec: StencilSpec,
-    window: Window,
-    boundary: str = "clamp",
-) -> np.ndarray:
-    """One stencil time step over ``window`` of the extended block ``cur``.
-
-    ``window[axis] = (lo, hi)`` are local bounds; axis 0 is the streamed
-    axis, where the window always spans the whole extent and out-of-range
-    neighbor reads follow ``boundary`` (edge padding for the paper's
-    clamp, wrap for periodic).  Along blocked axes the caller guarantees
-    that ``window +- radius`` stays inside ``cur`` — this is exactly the
-    overlapped-blocking shrink invariant.
-
-    Returns the new values for the window (a new array of the window's
-    shape).  The accumulation order matches :func:`reference_step`
-    elementwise, so float32 results are bit-identical to the reference.
-    (This is the allocating convenience form; the pass-plan engine calls
-    :func:`pe_step_padded` directly on a persistent scratch buffer.)
-    """
-    rad = spec.radius
-    pad_width = [(rad, rad) if ax == 0 else (0, 0) for ax in range(cur.ndim)]
-    mode = "edge" if boundary == "clamp" else "wrap"
-    padded = np.pad(cur, pad_width, mode=mode)
-    return pe_step_padded(padded, spec, window)
 
 
 def refresh_border_duplicates(

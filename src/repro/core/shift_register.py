@@ -13,19 +13,14 @@ Eq. 7 gives the register size in 32-bit words::
     2 * rad * bsize_x             + parvec      (2D)
     2 * rad * bsize_x * bsize_y   + parvec      (3D)
 
-:class:`ShiftRegister` is a cycle-faithful software model used by the
-scalar simulator and the tests; :func:`shift_register_words` is the size
-model used by the area model.
+:func:`shift_register_words` is that size model; the area model, the
+Fig. 2 architecture summary, the wave extension and
+:class:`~repro.core.accelerator.AcceleratorStats` read it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.blocking import BlockingConfig
-from repro.errors import ConfigurationError
-from repro.faults import hooks as fault_hooks
-from repro.faults.checksum import crc32_array
 
 
 def shift_register_words(config: BlockingConfig) -> int:
@@ -34,68 +29,3 @@ def shift_register_words(config: BlockingConfig) -> int:
         return 2 * config.radius * config.bsize_x + config.parvec
     assert config.bsize_y is not None
     return 2 * config.radius * config.bsize_x * config.bsize_y + config.parvec
-
-
-class ShiftRegister:
-    """Fixed-length shift register with random-access taps.
-
-    Models the Intel OpenCL idiom: a statically-sized array where every
-    element moves one slot per cycle (``shift``) and computation reads taps
-    at compile-time-constant offsets (``tap``).  Index 0 is the *oldest*
-    element (about to fall off); index ``size - 1`` is the newest.
-    """
-
-    def __init__(self, size: int, fill: float = 0.0):
-        if size < 1:
-            raise ConfigurationError(f"shift register size must be >= 1, got {size}")
-        self._data = np.full(size, fill, dtype=np.float32)
-
-    @property
-    def size(self) -> int:
-        """Capacity in words."""
-        return int(self._data.size)
-
-    def shift(self, values: np.ndarray | list[float]) -> np.ndarray:
-        """Shift ``len(values)`` new words in at the head; return the words
-        that fall off the tail (oldest first)."""
-        values = np.asarray(values, dtype=np.float32).ravel()
-        k = values.size
-        if k == 0:
-            return np.empty(0, dtype=np.float32)
-        if k > self.size:
-            raise ConfigurationError(
-                f"cannot shift {k} words into a register of size {self.size}"
-            )
-        expelled = self._data[:k].copy()
-        self._data[:-k] = self._data[k:]
-        self._data[-k:] = values
-        inj = fault_hooks.ACTIVE
-        if inj is not None:
-            inj.touch_sram(self._data, site="shift-register")
-        return expelled
-
-    def checksum(self) -> int:
-        """CRC32 of the register contents — the ECC scrub primitive.
-
-        A caller that records the checksum after a legitimate ``shift``
-        and re-checks it before the next one detects any SEU injected
-        in between (BRAM ECC-on-read, as modeled by
-        :class:`repro.faults.SEUFault` with ``site="shift-register"``).
-        """
-        return crc32_array(self._data)
-
-    def tap(self, offset: int) -> float:
-        """Read the word at ``offset`` (0 = oldest)."""
-        if not 0 <= offset < self.size:
-            raise ConfigurationError(
-                f"tap offset {offset} outside register of size {self.size}"
-            )
-        return float(self._data[offset])
-
-    def taps(self, offsets: list[int]) -> np.ndarray:
-        """Read several taps at once."""
-        return np.array([self.tap(o) for o in offsets], dtype=np.float32)
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the register contents (oldest first)."""
-        return self._data.copy()

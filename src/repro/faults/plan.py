@@ -18,8 +18,8 @@ from typing import Union
 
 from repro.errors import ConfigurationError
 
-#: Sites accepted by :class:`SEUFault`.
-SEU_SITES = ("block-buffer", "shift-register", "dram")
+#: Sites accepted by :class:`SEUFault`: the memories a request touches.
+SEU_SITES = ("block-buffer", "dram")
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class SEUFault:
 
     ``site`` selects the memory: ``"block-buffer"`` (the on-chip block
     buffer of the functional accelerator — the BRAM shift registers'
-    stand-in), ``"shift-register"`` (a :class:`repro.core.ShiftRegister`
-    instance), or ``"dram"`` (a device buffer at rest).  The fault fires
+    stand-in, touched after the read kernel's gather and after every PE
+    update) or ``"dram"`` (a device buffer at rest).  The fault fires
     on the ``at_touch``-th write/update of that memory; ``word`` and
     ``bit`` default to seeded-random positions.
     """

@@ -35,7 +35,7 @@ today)::
     inj.hook(...)
 
 A function *parameter* named ``inj`` is trusted — the guard happened at
-the call site (the armed slow path is a separate function by design).
+the call site.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
-"""Tests for the YASK-like engine and the Xeon/Xeon Phi platform model."""
+"""Tests for the Xeon/Xeon Phi platform model."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.baselines.cpu_yask import (
-    XEON,
-    XEON_PHI,
-    CPUPlatformModel,
-    YASKEngine,
-)
-from repro.core import StencilSpec, make_grid, reference_run
+from repro.baselines.cpu_yask import XEON, XEON_PHI, CPUPlatformModel
+from repro.core import StencilSpec
 from repro.errors import ConfigurationError
 from repro.hardware import device
 
@@ -24,61 +18,6 @@ PAPER_PHI = {
     (2, 1): 24.756, (2, 2): 23.455, (2, 3): 23.690, (2, 4): 23.006,
     (3, 1): 22.230, (3, 2): 21.972, (3, 3): 21.312, (3, 4): 21.822,
 }
-
-
-# ----------------------------- engine --------------------------------- #
-
-@pytest.mark.parametrize("dims", [2, 3])
-@pytest.mark.parametrize("radius", [1, 2, 3])
-def test_engine_matches_reference(dims: int, radius: int) -> None:
-    spec = StencilSpec.star(dims, radius)
-    shape = (20, 28) if dims == 2 else (6, 20, 28)
-    grid = make_grid(shape, "mixed", seed=dims + radius)
-    out = YASKEngine(spec).run(grid, 3)
-    assert np.array_equal(out, reference_run(grid, spec, 3))
-
-
-def test_engine_blocked_sweep_same_bits() -> None:
-    """Cache blocking changes traversal, never numerics."""
-    spec = StencilSpec.star(2, 2)
-    grid = make_grid((24, 32), "random", seed=7)
-    plain = YASKEngine(spec).run(grid, 2)
-    blocked = YASKEngine(spec, block_tiles=(2, 3)).run(grid, 2)
-    assert np.array_equal(plain, blocked)
-
-
-def test_engine_allocates_halo_ring() -> None:
-    """§IV.B: YASK allocates a grid bigger than the input."""
-    spec = StencilSpec.star(2, 3)
-    engine = YASKEngine(spec)
-    grid = make_grid((8, 12), "random")
-    ext = engine.allocate(grid)
-    assert ext.shape[0] > grid.shape[0] and ext.shape[1] > grid.shape[1]
-    # halo rounded up to whole fold tiles
-    assert (ext.shape[0] - grid.shape[0]) % (2 * engine.fold_shape[0]) == 0
-
-
-def test_autotuner_picks_a_candidate() -> None:
-    spec = StencilSpec.star(2, 1)
-    engine = YASKEngine(spec)
-    grid = make_grid((16, 24), "random")
-    choice = engine.autotune(grid, [(1, 1), (2, 2), (4, 6)], steps=1)
-    assert choice in [(1, 1), (2, 2), (4, 6)]
-    assert engine.block_tiles == choice
-
-
-def test_autotuner_requires_candidates() -> None:
-    engine = YASKEngine(StencilSpec.star(2, 1))
-    with pytest.raises(ConfigurationError):
-        engine.autotune(make_grid((8, 8), "random"), [])
-
-
-def test_engine_validates_dims() -> None:
-    engine = YASKEngine(StencilSpec.star(3, 1))
-    with pytest.raises(ConfigurationError):
-        engine.run(make_grid((8, 8), "random"), 1)
-    with pytest.raises(ConfigurationError):
-        engine.run(make_grid((4, 8, 8), "random"), -1)
 
 
 # ------------------------------ model --------------------------------- #

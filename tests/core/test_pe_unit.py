@@ -1,9 +1,9 @@
 """Direct unit tests for the PE-step primitives.
 
-The accelerator composes :func:`pe_step` and
-:func:`refresh_border_duplicates`; these tests pin their contracts in
-isolation (full-array windows, sub-windows, duplicate refresh geometry,
-streamed-axis boundary handling).
+The NumPy pass (disarmed or armed) composes :func:`fill_stream_halo`,
+:func:`pe_step_padded` and :func:`refresh_border_duplicates`; these
+tests pin their contracts in isolation (full-array windows, sub-windows,
+duplicate refresh geometry, streamed-axis boundary handling).
 """
 
 from __future__ import annotations
@@ -11,17 +11,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import StencilSpec, make_grid
-from repro.core.pe import pe_step, refresh_border_duplicates
+from repro.core.pe import (
+    fill_stream_halo,
+    pe_step_padded,
+    refresh_border_duplicates,
+)
 from repro.core.reference import reference_step, shifted_view
 from repro.core.stencil import Direction
 
 
-def full_window(arr: np.ndarray):
-    return tuple((0, s) for s in arr.shape)
+def step(cur: np.ndarray, spec, window, boundary: str = "clamp") -> np.ndarray:
+    """One step over ``window`` of ``cur`` the way the NumPy pass takes
+    it: ``cur`` copied into a stream-padded buffer, the pad slabs filled,
+    the update accumulated in place into window-shaped scratch."""
+    rad = spec.radius
+    n0 = cur.shape[0]
+    padded = np.empty((n0 + 2 * rad,) + cur.shape[1:], dtype=np.float32)
+    padded[rad : rad + n0] = cur
+    fill_stream_halo(padded, n0, rad, boundary)
+    wshape = tuple(hi - lo for lo, hi in window)
+    out = np.empty(wshape, dtype=np.float32)
+    tmp = np.empty(wshape, dtype=np.float32)
+    return pe_step_padded(padded, spec, window, out=out, tmp=tmp)
 
 
 def test_pe_step_full_window_equals_reference_streamed_clamp() -> None:
-    """With the window covering everything, pe_step must reproduce the
+    """With the window covering everything, a step must reproduce the
     reference *along the streamed axis* (clamped there) — blocked axes
     would read out of bounds, so use a 1-block-wide shape check instead:
     compare against a reference on a grid padded in x."""
@@ -30,7 +45,7 @@ def test_pe_step_full_window_equals_reference_streamed_clamp() -> None:
     # emulate the accelerator: extend x by clamp duplicates of width rad
     ext = np.pad(grid, ((0, 0), (1, 1)), mode="edge")
     window = ((0, 8), (1, 13))
-    out = pe_step(ext, spec, window)
+    out = step(ext, spec, window)
     assert np.array_equal(out, reference_step(grid, spec))
 
 
@@ -39,7 +54,7 @@ def test_pe_step_periodic_streamed_axis() -> None:
     grid = make_grid((6, 10), "random", seed=2)
     ext = np.pad(grid, ((0, 0), (1, 1)), mode="wrap")
     window = ((0, 6), (1, 11))
-    out = pe_step(ext, spec, window, boundary="periodic")
+    out = step(ext, spec, window, boundary="periodic")
     assert np.array_equal(out, reference_step(grid, spec, boundary="periodic"))
 
 
@@ -47,7 +62,7 @@ def test_pe_step_subwindow_shape() -> None:
     spec = StencilSpec.star(2, 2)
     arr = make_grid((10, 30), "random", seed=3)
     window = ((0, 10), (5, 20))
-    out = pe_step(arr, spec, window)
+    out = step(arr, spec, window)
     assert out.shape == (10, 15)
 
 

@@ -19,7 +19,6 @@ from repro.core import (
 )
 from repro.core.codegen import boundary_condition_lines, compile_python_kernel
 from repro.core.reference import reference_run, reference_step
-from repro.core.scalar_sim import scalar_run
 from repro.errors import ConfigurationError
 
 
@@ -35,15 +34,6 @@ def test_accelerator_periodic_bit_identical(dims: int, radius: int) -> None:
     grid = make_grid(shape, "mixed", seed=radius)
     expected = reference_run(grid, spec, 5, boundary="periodic")
     actual, _ = FPGAAccelerator(spec, cfg, boundary="periodic").run(grid, 5)
-    assert np.array_equal(expected, actual)
-
-
-def test_scalar_sim_periodic_bit_identical() -> None:
-    spec = StencilSpec.star(2, 2)
-    cfg = BlockingConfig(dims=2, radius=2, bsize_x=16, parvec=2, partime=2)
-    grid = make_grid((9, 26), "mixed", seed=7)
-    expected = reference_run(grid, spec, 3, boundary="periodic")
-    actual = scalar_run(grid, spec, cfg, 3, boundary="periodic")
     assert np.array_equal(expected, actual)
 
 

@@ -1,13 +1,9 @@
-"""Tests for the shift-register substrate and the eq. 7 size model."""
+"""Tests for the eq. 7 shift-register size model."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.blocking import BlockingConfig
-from repro.core.shift_register import ShiftRegister, shift_register_words
-from repro.errors import ConfigurationError
+from repro.core.shift_register import shift_register_words
 
 
 def test_size_model_eq7_2d() -> None:
@@ -30,43 +26,3 @@ def test_size_grows_linearly_with_radius() -> None:
         sizes.append(shift_register_words(cfg) - 4)  # strip the parvec term
     assert sizes[1] == 2 * sizes[0]
     assert sizes[2] == 4 * sizes[0]
-
-
-def test_shift_fifo_order() -> None:
-    sr = ShiftRegister(4, fill=0.0)
-    out = sr.shift([1.0, 2.0])
-    assert np.array_equal(out, [0.0, 0.0])
-    out = sr.shift([3.0, 4.0])
-    assert np.array_equal(out, [0.0, 0.0])
-    out = sr.shift([5.0, 6.0])
-    assert np.array_equal(out, [1.0, 2.0])  # oldest fall off first
-    assert np.array_equal(sr.snapshot(), [3.0, 4.0, 5.0, 6.0])
-
-
-def test_taps() -> None:
-    sr = ShiftRegister(3)
-    sr.shift([1.0, 2.0, 3.0])
-    assert sr.tap(0) == 1.0 and sr.tap(2) == 3.0
-    assert np.array_equal(sr.taps([0, 1, 2]), [1.0, 2.0, 3.0])
-    with pytest.raises(ConfigurationError):
-        sr.tap(3)
-    with pytest.raises(ConfigurationError):
-        sr.tap(-1)
-
-
-def test_shift_empty_and_overflow() -> None:
-    sr = ShiftRegister(2)
-    assert sr.shift([]).size == 0
-    with pytest.raises(ConfigurationError):
-        sr.shift([1.0, 2.0, 3.0])
-    with pytest.raises(ConfigurationError):
-        ShiftRegister(0)
-
-
-def test_shift_register_streaming_matches_window() -> None:
-    """Streaming N values through a size-K register leaves the last K."""
-    sr = ShiftRegister(5, fill=np.nan)
-    data = np.arange(12, dtype=np.float32)
-    for v in data:
-        sr.shift([v])
-    assert np.array_equal(sr.snapshot(), data[-5:])

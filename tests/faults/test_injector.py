@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.core import BlockingConfig, StencilSpec
+from repro.core import BlockingConfig, StencilSpec, make_grid
 from repro.core.channels import Channel
-from repro.core.shift_register import ShiftRegister
-from repro.errors import WatchdogTimeoutError
+from repro.errors import (
+    ConfigurationError,
+    FaultDetectedError,
+    WatchdogTimeoutError,
+)
 from repro.faults import (
     ChannelCorruptFault,
     ChannelStallFault,
@@ -19,8 +24,10 @@ from repro.faults import (
     arm,
     crc32_array,
 )
+from repro.faults.plan import SEU_SITES
 from repro.fpga import NALLATECH_385A
 from repro.fpga.cycle_sim import CycleSimulator
+from repro.runtime.host import Buffer, CommandQueue, StencilProgram
 
 
 def test_injector_randomness_is_seed_deterministic() -> None:
@@ -34,16 +41,16 @@ def test_injector_randomness_is_seed_deterministic() -> None:
 
 def test_seu_fires_once_at_configured_touch() -> None:
     plan = FaultPlan(
-        seed=0, faults=(SEUFault(site="shift-register", at_touch=1, word=2, bit=3),)
+        seed=0, faults=(SEUFault(site="block-buffer", at_touch=1, word=2, bit=3),)
     )
     inj = FaultInjector(plan)
     data = np.zeros(8, dtype=np.float32)
-    inj.touch_sram(data, site="shift-register")  # touch 0: no fire
+    inj.touch_sram(data, site="block-buffer")  # touch 0: no fire
     assert not inj.fired and not data.any()
-    inj.touch_sram(data, site="shift-register")  # touch 1: fire
+    inj.touch_sram(data, site="block-buffer")  # touch 1: fire
     assert len(inj.fired) == 1
     assert data.view(np.uint32)[2] == np.uint32(1 << 3)
-    inj.touch_sram(data, site="shift-register")  # one-shot: never again
+    inj.touch_sram(data, site="block-buffer")  # one-shot: never again
     assert len(inj.fired) == 1
 
 
@@ -58,21 +65,26 @@ def test_seu_respects_site() -> None:
     assert len(inj.fired) == 1
 
 
-def test_shift_register_seu_breaks_checksum() -> None:
-    reg = ShiftRegister(8)
-    reg.shift(np.arange(4, dtype=np.float32))
-    clean = reg.checksum()
-    with arm(
-        FaultPlan(seed=5, faults=(SEUFault(site="shift-register", at_touch=0),))
-    ) as inj:
-        reg.shift(np.arange(4, dtype=np.float32))
+@pytest.mark.parametrize("site", SEU_SITES)
+def test_every_seu_site_fires_on_a_request_round_trip(site: str) -> None:
+    """Each accepted site is one a request touches: an SEU there fires
+    exactly once on a write -> kernel -> read round trip."""
+    spec = StencilSpec.star(2, 1)
+    cfg = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
+    program = StencilProgram(spec, cfg)
+    grid = make_grid((12, 40), "mixed", seed=11)
+    queue = CommandQueue()
+    src, dst = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    with arm(FaultPlan(seed=0, faults=(SEUFault(site=site, at_touch=0),))) as inj:
+        queue.enqueue_write_buffer(src, grid)
+        with contextlib.suppress(FaultDetectedError):
+            queue.enqueue_kernel(program, src, dst, 4)
         assert len(inj.fired) == 1
-        # the ECC scrub: recompute vs. what a fault-free shift yields
-        twin = ShiftRegister(8)
-        twin.shift(np.arange(4, dtype=np.float32))
-    twin.shift(np.arange(4, dtype=np.float32))
-    assert reg.checksum() != twin.checksum()
-    assert clean != reg.checksum()
+
+
+def test_seu_rejects_a_site_nothing_touches() -> None:
+    with pytest.raises(ConfigurationError):
+        SEUFault(site="shift-register")
 
 
 def test_channel_corrupt_targets_nth_write() -> None:
@@ -160,6 +172,3 @@ def test_cycle_sim_watchdog_on_endless_stall() -> None:
 def test_disarmed_hooks_have_no_side_effects() -> None:
     chan = Channel(depth=2, name="quiet")
     assert chan.try_write(1.0) and chan.read() == 1.0
-    reg = ShiftRegister(4)
-    reg.shift([1.0, 2.0])
-    assert reg.taps([2, 3]).tolist() == [1.0, 2.0]

@@ -75,11 +75,9 @@ def test_plan_lint_never_executes(monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - must never run
         raise AssertionError("plan lint executed a stencil pass")
 
-    monkeypatch.setattr(pe, "pe_step", boom)
     monkeypatch.setattr(pe, "pe_step_padded", boom)
     monkeypatch.setattr(accelerator.FPGAAccelerator, "_run_pass", boom)
     monkeypatch.setattr(accelerator.FPGAAccelerator, "_exec_blocks", boom)
-    monkeypatch.setattr(accelerator.FPGAAccelerator, "_run_pass_armed", boom)
     monkeypatch.setattr(accelerator.FPGAAccelerator, "run", boom)
 
     for boundary in ("clamp", "periodic"):

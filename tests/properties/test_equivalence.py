@@ -3,10 +3,14 @@
 This is the central correctness property of the reproduction (DESIGN.md
 §5): for *any* stencil radius, blocking configuration and grid shape, the
 functional FPGA simulator must produce float32 results identical to the
-golden sequential engine.
+golden sequential engine.  That holds with a fault plan armed as well:
+an armed run with nothing to inject takes the hardened NumPy pass and
+must match the disarmed NumPy pass in bits and in every counter.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from repro.core import (
     reference_run,
 )
 from repro.core.native import native_available
+from repro.faults import FaultPlan, arm
 
 
 @st.composite
@@ -89,6 +94,22 @@ def _check_auto(spec, cfg, grid, iters, boundary) -> None:
     )
 
 
+def _check_armed(spec, cfg, grid, iters, boundary, expected) -> None:
+    """An armed, fault-free run equals ``expected`` bit for bit, and its
+    counters equal the disarmed NumPy pass's (the armed run also records
+    the output CRC, which a disarmed run leaves unset)."""
+    _, numpy_stats = FPGAAccelerator(
+        spec, cfg, boundary=boundary, engine="numpy"
+    ).run(grid, iters)
+    with arm(FaultPlan(seed=0)):
+        armed, armed_stats = FPGAAccelerator(
+            spec, cfg, boundary=boundary
+        ).run(grid, iters)
+    assert np.array_equal(expected, armed)
+    assert armed_stats.output_crc32 is not None
+    assert dataclasses.replace(armed_stats, output_crc32=None) == numpy_stats
+
+
 @given(config_2d())
 def test_accelerator_equals_reference_2d(params) -> None:
     cfg, shape, iters, seed, boundary = params
@@ -104,14 +125,19 @@ def test_accelerator_equals_reference_3d(params) -> None:
     spec = StencilSpec.star(3, cfg.radius)
     grid = make_grid(shape, "random", seed=seed)
     _check_auto(spec, cfg, grid, iters, boundary)
+    _check_armed(
+        spec, cfg, grid, iters, boundary,
+        reference_run(grid, spec, iters, boundary=boundary),
+    )
 
 
 @settings(max_examples=20)
 @given(config_2d(), st.integers(2, 4))
 def test_engines_and_workers_bit_identical(params, workers) -> None:
     """The NumPy fallback, the native pass driver and its scalar build
-    (both when a compiler is available) and the driver's worker count
-    are pure execution choices: same bits."""
+    (both when a compiler is available), the driver's worker count and
+    an armed fault plan with nothing to inject are pure execution
+    choices: same bits."""
     cfg, shape, iters, seed, boundary = params
     spec = StencilSpec.star(2, cfg.radius)
     grid = make_grid(shape, "random", seed=seed)
@@ -124,6 +150,7 @@ def test_engines_and_workers_bit_identical(params, workers) -> None:
     ).run(grid, iters)
     assert np.array_equal(base, via_numpy)
     assert np.array_equal(base, parallel)
+    _check_armed(spec, cfg, grid, iters, boundary, base)
     if native_available():
         for engine in ("native", "native-scalar"):
             acc = FPGAAccelerator(

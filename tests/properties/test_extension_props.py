@@ -1,4 +1,4 @@
-"""Property tests for the extension layers (wave, codegen, folding)."""
+"""Property tests for the extension layers (wave, codegen)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.vector_folding import fold, folded_step, unfold
 from repro.core import BlockingConfig, StencilSpec, make_grid, reference_step
 from repro.core.codegen import compile_python_kernel
 from repro.core.reference import reference_run
@@ -53,22 +52,6 @@ def test_generated_kernel_equals_reference_any_radius(dims, radius, seed) -> Non
     dst = np.empty(grid.size, dtype=np.float32)
     kernel(grid.ravel().copy(), dst, shape)
     assert np.array_equal(dst, reference_step(grid, spec).ravel())
-
-
-@settings(max_examples=20)
-@given(
-    fy=st.sampled_from([1, 2, 4]),
-    fx=st.sampled_from([2, 4, 8]),
-    radius=st.integers(1, 3),
-    seed=st.integers(0, 2**16),
-)
-def test_folded_step_any_fold_shape(fy, fx, radius, seed) -> None:
-    """Vector folding is fold-shape-generic (Yount's in-line and 2D
-    folds alike)."""
-    spec = StencilSpec.star(2, radius)
-    grid = make_grid((4 * fy * 3, 8 * fx), "random", seed=seed)
-    out = unfold(folded_step(fold(grid, (fy, fx)), spec))
-    assert np.array_equal(out, reference_step(grid, spec))
 
 
 @settings(max_examples=15)
