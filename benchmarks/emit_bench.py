@@ -293,7 +293,7 @@ def apply_gate(cases: list[dict]) -> list[str]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
-                    help="small grids, single repeat (CI smoke)")
+                    help="small grids (CI smoke)")
     ap.add_argument("--out", type=Path,
                     default=Path(__file__).resolve().parent.parent
                     / "BENCH_engines.json")
@@ -301,7 +301,9 @@ def main() -> None:
                     help="fail on SIMD-speedup or scaling regressions")
     args = ap.parse_args()
 
-    repeats = 1 if args.quick else 3
+    # min of 3 under --quick too: one ~4 ms sample is noise-bound, and
+    # the --gate reads the ratio of two of them
+    repeats = 3
     if args.quick:
         cases = [
             ("3d-radius4", StencilSpec.star(3, 4),

@@ -96,6 +96,8 @@ class QueueEntry:
     priority: int
     seq: int  # admission order, for deterministic tie-breaks
     item: Any = field(repr=False)
+    #: The item can expire while queued (the caller's sweep has work).
+    expires: bool = False
 
 
 class WeightedFairQueue:
@@ -110,6 +112,10 @@ class WeightedFairQueue:
     time).  Tenants with backlog sit in a round-robin ring; on its turn
     a tenant earns ``weight`` credits and dispatches that many jobs
     (fewer if its FIFO drains), then goes to the back of the ring.
+
+    :attr:`expiring` counts queued entries pushed with ``expires=True``,
+    kept current on every push and removal, so a caller can skip an
+    expiry sweep that has nothing to find without scanning.
     """
 
     def __init__(self, capacity: int):
@@ -129,6 +135,7 @@ class WeightedFairQueue:
         self._current: str | None = None
         self._size = 0
         self._seq = 0
+        self._expiring = 0
 
     # -- introspection -------------------------------------------------- #
 
@@ -136,13 +143,25 @@ class WeightedFairQueue:
     def depth(self) -> int:
         return self._size
 
+    @property
+    def expiring(self) -> int:
+        """Queued entries pushed with ``expires=True``."""
+        return self._expiring
+
     def depth_for(self, tenant: str) -> int:
         q = self._queues.get(tenant)
         return len(q) if q else 0
 
     # -- mutation -------------------------------------------------------- #
 
-    def push(self, tenant: str, weight: int, priority: int, item: Any) -> QueueEntry:
+    def push(
+        self,
+        tenant: str,
+        weight: int,
+        priority: int,
+        item: Any,
+        expires: bool = False,
+    ) -> QueueEntry:
         """Append an item to ``tenant``'s FIFO; returns its entry."""
         if weight < 1:
             raise ConfigurationError(
@@ -158,8 +177,12 @@ class WeightedFairQueue:
                 value=self.capacity,
                 constraint="push() requires depth < capacity",
             )
-        entry = QueueEntry(tenant=tenant, priority=priority, seq=self._seq, item=item)
+        entry = QueueEntry(
+            tenant=tenant, priority=priority, seq=self._seq, item=item,
+            expires=expires,
+        )
         self._seq += 1
+        self._expiring += expires
         self._weights[tenant] = weight
         q = self._queues.get(tenant)
         if q is None:
@@ -191,6 +214,7 @@ class WeightedFairQueue:
                 self._credit[tenant] -= 1
                 entry = q.popleft()
                 self._size -= 1
+                self._expiring -= entry.expires
                 if not q:  # drained: turn ends, credit does not bank
                     self._credit[tenant] = 0
                     self._current = None
@@ -223,6 +247,7 @@ class WeightedFairQueue:
         if victim is not None:
             self._queues[victim.tenant].remove(victim)
             self._size -= 1
+            self._expiring -= victim.expires
         return victim
 
     def remove_if(self, predicate) -> list[QueueEntry]:
@@ -237,6 +262,7 @@ class WeightedFairQueue:
             for entry in q:
                 if predicate(entry):
                     removed.append(entry)
+                    self._expiring -= entry.expires
                 else:
                     keep.append(entry)
             if len(keep) != len(q):

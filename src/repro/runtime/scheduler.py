@@ -893,16 +893,14 @@ class StencilScheduler:
             # device's fault: no health penalty
             return _failed(err)
 
-        if n_grids == 1:
-            slab = np.ascontiguousarray(job.grids[0], dtype=np.float32)[None]
-        else:
-            slab = np.stack([np.asarray(g, dtype=np.float32) for g in job.grids])
+        grid_shape = tuple(job.grids[0].shape)
+        nbytes = n_grids * math.prod(grid_shape) * np.dtype(np.float32).itemsize
         nominal_s = program.batch_kernel_time_s(
-            slab.shape[1:], job.iterations, n_grids
+            grid_shape, job.iterations, n_grids
         )
         try:
             self._check_modeled(
-                job, nominal_s + 2 * queue._transfer_time_s(slab.nbytes)
+                job, nominal_s + 2 * queue._transfer_time_s(nbytes)
             )
         except DeadlineExceededError as err:
             return _failed(err)
@@ -916,9 +914,10 @@ class StencilScheduler:
         )
 
         try:
-            src = Buffer(slab.nbytes)
-            dst = Buffer(slab.nbytes)
-            queue.enqueue_write_buffer(src, slab)
+            src = Buffer(nbytes)
+            dst = Buffer(nbytes)
+            # the write stacks the grids straight into the device slab
+            queue.enqueue_write_buffer(src, job.grids)
             event, batch = queue.enqueue_batch_kernel(
                 program,
                 src,
@@ -935,13 +934,14 @@ class StencilScheduler:
             return _failed(err, attempts=queue.retry_policy.max_retries + 1)
 
         detections_after = len(inj.detections) if inj is not None else 0
+        ok = batch.ok
         self._settle(
             worker,
             faulty=(
                 detections_after > detections_before
                 or event.attempts > 1
                 or event.rollbacks > 0
-                or not batch.ok
+                or not ok
             ),
         )
         counts = dict(
@@ -955,7 +955,7 @@ class StencilScheduler:
             return _failed(late, **counts)
         return JobResult(
             job_id=job.job_id,
-            status="completed" if batch.ok else "partial",
+            status="completed" if ok else "partial",
             device=worker.index,
             engine=engine_used,
             # views of the one read-back slab: no per-grid copy

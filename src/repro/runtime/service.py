@@ -232,14 +232,22 @@ class ServiceResult:
 
 
 class ServiceTicket:
-    """Handle for one in-flight request; fulfilled by the dispatch loop."""
+    """Handle for one in-flight request; fulfilled by the dispatch loop.
+
+    Two plain locks, no ``threading.Event``: ``_claim`` is taken
+    without blocking by the one :meth:`_fulfil` that wins, and
+    ``_latch`` is acquired at construction and released by that winner
+    once the result is stored.  A waiter blocks on the latch and hands
+    it straight back, so every waiter wakes in turn.
+    """
 
     def __init__(self, request_id: str, tenant: str):
         self.request_id = request_id
         self.tenant = tenant
-        self._lock = threading.Lock()
-        self._done = threading.Event()
         self._result: ServiceResult | None = None
+        self._claim = threading.Lock()
+        self._latch = threading.Lock()
+        self._latch.acquire()
 
     def _fulfil(self, result: ServiceResult) -> bool:
         """Record the terminal result exactly once (first writer wins).
@@ -249,31 +257,36 @@ class ServiceTicket:
         the caller knows its result was discarded and must not count it
         in metrics.
         """
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self._result = result
-            self._done.set()
-            return True
+        if not self._claim.acquire(blocking=False):
+            return False
+        self._result = result
+        self._latch.release()
+        return True
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._result is not None
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the request terminates; True when it has."""
-        return self._done.wait(timeout)
+        if self._result is not None:
+            return True
+        if timeout is None:
+            self._latch.acquire()
+        elif not self._latch.acquire(timeout=max(timeout, 0.0)):
+            return self._result is not None
+        self._latch.release()  # wake the next waiter
+        return True
 
     def result(self, timeout: float | None = None) -> ServiceResult:
         """The terminal :class:`ServiceResult` (blocks until available)."""
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(
                 f"request {self.request_id!r} still in flight after "
                 f"{timeout} s"
             )
-        with self._lock:
-            assert self._result is not None
-            return self._result
+        assert self._result is not None
+        return self._result
 
 
 @dataclass
@@ -293,6 +306,9 @@ class _Request:
     watchdog_factor: float | None
     admitted_s: float
     ticket: ServiceTicket
+    #: The coalescing class (:meth:`StencilService._bucket_key`), set
+    #: once at admission.
+    key: tuple = field(default=(), repr=False)
 
 
 class ServiceMetrics:
@@ -342,22 +358,39 @@ class ServiceMetrics:
         with self._lock:
             self._tenant(tenant)[key] += n
 
-    def observe_batch(self, bucket: str, size: int) -> None:
-        """Record one coalesced launch of ``size`` requests for a bucket.
+    def record(
+        self,
+        outcomes: list[tuple[str, tuple[str, ...], float | None, float]],
+        bucket: str | None = None,
+        size: int = 0,
+    ) -> None:
+        """Apply one launch's bookkeeping under one lock acquisition.
 
+        Each outcome is ``(tenant, keys, latency_s, queue_wait_s)``:
+        every key counts once, and a ``latency_s`` of ``None`` records
+        no sample (a retry, counted before its request finishes).
+
+        ``bucket`` names a coalesced launch of ``size`` requests.
         Buckets are workload-shaped (one per distinct
         ``(spec, config, shape, iterations)`` coalescing class), so the
         per-bucket ``batch_size`` distribution shows which traffic
         shapes actually amortize launches and which always ride alone.
         """
         with self._lock:
-            entry = self._buckets.setdefault(
-                bucket,
-                {"batches": 0, "requests": 0, "max_batch_size": 0},
-            )
-            entry["batches"] += 1
-            entry["requests"] += size
-            entry["max_batch_size"] = max(entry["max_batch_size"], size)
+            if bucket is not None:
+                entry = self._buckets.setdefault(
+                    bucket,
+                    {"batches": 0, "requests": 0, "max_batch_size": 0},
+                )
+                entry["batches"] += 1
+                entry["requests"] += size
+                entry["max_batch_size"] = max(entry["max_batch_size"], size)
+            for tenant, keys, latency_s, queue_wait_s in outcomes:
+                counters = self._tenant(tenant)
+                for key in keys:
+                    counters[key] += 1
+                if latency_s is not None:
+                    self._observe_locked(tenant, latency_s, queue_wait_s)
 
     def bucket_snapshot(self) -> dict[str, dict]:
         """Per-bucket coalescing stats (mean/max ``batch_size``)."""
@@ -373,12 +406,17 @@ class ServiceMetrics:
 
     def observe(self, tenant: str, latency_s: float, queue_wait_s: float) -> None:
         with self._lock:
-            self._latencies.setdefault(
-                tenant, deque(maxlen=self.window)
-            ).append(latency_s)
-            self._queue_waits.setdefault(
-                tenant, deque(maxlen=self.window)
-            ).append(queue_wait_s)
+            self._observe_locked(tenant, latency_s, queue_wait_s)
+
+    def _observe_locked(
+        self, tenant: str, latency_s: float, queue_wait_s: float
+    ) -> None:
+        lat = self._latencies.get(tenant)
+        if lat is None:
+            lat = self._latencies[tenant] = deque(maxlen=self.window)
+            self._queue_waits[tenant] = deque(maxlen=self.window)
+        lat.append(latency_s)
+        self._queue_waits[tenant].append(queue_wait_s)
 
     def snapshot(self) -> dict[str, dict]:
         """Counters plus p50/p99 wall latency (ms) per tenant."""
@@ -648,8 +686,9 @@ class StencilService:
                         shed=True,
                     ),
                 )
+            request_id = f"{tenant}/{next(self._seq)}"
             request = _Request(
-                request_id=f"{tenant}/{next(self._seq)}",
+                request_id=request_id,
                 tenant=tenant,
                 spec=spec,
                 config=config,
@@ -661,11 +700,14 @@ class StencilService:
                 checkpoint=checkpoint,
                 watchdog_factor=watchdog_factor,
                 admitted_s=now,
-                ticket=ServiceTicket(f"{tenant}/queued", tenant),
+                ticket=ServiceTicket(request_id, tenant),
             )
-            request.ticket.request_id = request.request_id
+            request.key = self._bucket_key(request)
             self.metrics.count(tenant, "submitted")
-            self._queue.push(tenant, quota.weight, priority, request)
+            self._queue.push(
+                tenant, quota.weight, priority, request,
+                expires=deadline_s is not None,
+            )
             self._work.notify()
             return request.ticket
 
@@ -828,14 +870,13 @@ class StencilService:
         ):
             return []
         taken = 0
-        head_key = self._bucket_key(head)
+        head_key = head.key
 
         def compatible(entry) -> bool:
             nonlocal taken
-            req: _Request = entry.item
             if taken >= limit:
                 return False
-            match = self._bucket_key(req) == head_key
+            match = entry.item.key == head_key
             if match:
                 taken += 1
             return match
@@ -843,8 +884,15 @@ class StencilService:
         return [entry.item for entry in self._queue.remove_if(compatible)]
 
     def _sweep_locked(self, now: float) -> None:
-        """Fail queued requests that ran out of wait or deadline budget."""
+        """Fail queued requests that ran out of wait or deadline budget.
+
+        Returns at once when none can: no ``queue_timeout_s`` and no
+        queued request with a ``deadline_s`` (the queue's
+        :attr:`~repro.runtime.admission.WeightedFairQueue.expiring`).
+        """
         timeout = self.policy.queue_timeout_s
+        if timeout is None and self._queue.expiring == 0:
+            return
 
         def expired(entry) -> bool:
             req: _Request = entry.item
@@ -880,7 +928,25 @@ class StencilService:
 
     def _process(self, reqs: list[_Request]) -> None:
         """Run admitted requests to termination as one job (dispatch
-        thread only).
+        thread only), then apply their metrics in one
+        :meth:`ServiceMetrics.record` — one metrics-lock acquisition
+        per launch, not four per request.  Tickets are fulfilled as
+        each request finishes, so a reader can see a ticket done before
+        the launch's counters land; counts are exact once dispatch is
+        idle (after :meth:`run_pending` or :meth:`close`).
+        """
+        tally: list = []
+        try:
+            self._run(reqs, tally)
+        finally:
+            # the batched marker and per-bucket stats count coalesced
+            # launches only; a lone request is not a batch of one
+            bucket = self._bucket_label(reqs[0]) if len(reqs) > 1 else None
+            self.metrics.record(tally, bucket, len(reqs))
+
+    def _run(self, reqs: list[_Request], tally: list) -> None:
+        """The body of :meth:`_process`; finished requests' counter keys
+        and samples go to ``tally``.
 
         ``reqs`` is one request, or a head plus its coalesced siblings;
         their grids ride one scheduler :class:`StencilJob` (one launch,
@@ -894,11 +960,7 @@ class StencilService:
         """
         started = time.monotonic()
         batched = len(reqs) > 1
-        # the batched marker and per-bucket stats count coalesced
-        # launches only; a lone request is not a batch of one to callers
         markers = dict(batched=batched, batch_size=len(reqs) if batched else 0)
-        if batched:
-            self.metrics.observe_batch(self._bucket_label(reqs[0]), len(reqs))
         level = self._degrade_level()
         engine = ENGINE_LADDER[level]
         checkpoint = self._checkpoint_for(reqs[0], level)
@@ -911,7 +973,7 @@ class StencilService:
                 remaining = self._remaining_budget(req)
                 if remaining is not None and remaining <= 0.0:
                     self._fail_deadline(
-                        req, retries, started - req.admitted_s
+                        req, retries, started - req.admitted_s, tally
                     )
                 else:
                     still.append(req)
@@ -950,6 +1012,7 @@ class StencilService:
                             queue_wait_s=started - req.admitted_s,
                             wall_elapsed_s=time.monotonic() - req.admitted_s,
                         ),
+                        tally,
                     )
                 return
             coalesced = coalesced or (
@@ -970,8 +1033,7 @@ class StencilService:
             if budgets and delay >= min(budgets):
                 break  # the retry could not land inside someone's budget
             retries += 1
-            for req in live:
-                self.metrics.count(req.tenant, "retries")
+            tally.extend((req.tenant, ("retries",), None, 0.0) for req in live)
             time.sleep(delay)
             # renewed pressure reading: a retry may degrade further
             level = max(level, self._degrade_level())
@@ -985,12 +1047,12 @@ class StencilService:
             elapsed = time.monotonic() - req.admitted_s
             if req.deadline_s is not None and elapsed > req.deadline_s:
                 # late result discarded at the service layer too
-                self._fail_deadline(req, retries, queue_wait, late=True)
+                self._fail_deadline(req, retries, queue_wait, tally, late=True)
                 continue
             if error_type in RETRYABLE_ERRORS and result.status == "partial":
                 # per-grid transient inside a healthy job: this request
                 # alone re-enters the retry ladder
-                self._process([req])
+                self._run([req], tally)
                 continue
             degraded = level > 0 or (
                 out is not None
@@ -1016,6 +1078,7 @@ class StencilService:
                     queue_wait_s=queue_wait,
                     wall_elapsed_s=elapsed,
                 ),
+                tally,
             )
 
     # -- helpers ------------------------------------------------------------- #
@@ -1117,7 +1180,12 @@ class StencilService:
         )
 
     def _fail_deadline(
-        self, req: _Request, retries: int, queue_wait: float, late: bool = False
+        self,
+        req: _Request,
+        retries: int,
+        queue_wait: float,
+        tally: list,
+        late: bool = False,
     ) -> None:
         elapsed = time.monotonic() - req.admitted_s
         why = (
@@ -1126,7 +1194,6 @@ class StencilService:
         )
         if late:
             why += "; late result discarded"
-        self.metrics.count(req.tenant, "deadline_misses")
         self._finish(
             req,
             ServiceResult(
@@ -1139,32 +1206,44 @@ class StencilService:
                 queue_wait_s=queue_wait,
                 wall_elapsed_s=elapsed,
             ),
+            tally,
+            ("deadline_misses",),
         )
 
-    def _finish(self, req: _Request, result: ServiceResult) -> None:
+    def _finish(
+        self,
+        req: _Request,
+        result: ServiceResult,
+        tally: list | None = None,
+        extra: tuple[str, ...] = (),
+    ) -> None:
+        """Fulfil ``req``'s ticket and count it (counter keys ``extra``
+        plus those the result implies).  With a ``tally`` the count is
+        appended there for the launch's one :meth:`ServiceMetrics
+        .record`; without, it is recorded now."""
         if not req.ticket._fulfil(result):
             return  # already terminal (e.g. shed at close); first answer wins
-        if result.batched:
-            self.metrics.count(req.tenant, "batched")
+        keys = extra + (("batched",) if result.batched else ())
         if result.status == "completed":
-            self.metrics.count(req.tenant, "completed")
+            keys += ("completed",)
             if result.degraded:
-                self.metrics.count(req.tenant, "degraded")
+                keys += ("degraded",)
             if result.coalesced:
-                self.metrics.count(req.tenant, "coalesced")
+                keys += ("coalesced",)
         else:
-            self.metrics.count(req.tenant, "failed")
-        self.metrics.observe(
-            req.tenant, result.wall_elapsed_s, result.queue_wait_s
-        )
+            keys += ("failed",)
+        outcome = (req.tenant, keys, result.wall_elapsed_s, result.queue_wait_s)
+        if tally is None:
+            self.metrics.record([outcome])
+        else:
+            tally.append(outcome)
 
     def _finish_locked(self, req: _Request, result: ServiceResult) -> None:
         """Finish while already holding the service lock (sweeps, sheds)."""
         if not req.ticket._fulfil(result):
             return
-        self.metrics.count(req.tenant, "failed")
-        self.metrics.observe(
-            req.tenant, result.wall_elapsed_s, result.queue_wait_s
+        self.metrics.record(
+            [(req.tenant, ("failed",), result.wall_elapsed_s, result.queue_wait_s)]
         )
 
     # -- introspection -------------------------------------------------------- #

@@ -113,3 +113,42 @@ def test_evict_lowest_sheds_minimum_priority_below_bar(entries, bar) -> None:
         assert wfq.depth == len(entries) - 1
         # survivors are intact and still dispatchable
         assert len(wfq.drain()) == len(entries) - 1
+
+
+# An op: ("push", tenant, expires, priority), ("pop",), ("evict", bar)
+# or ("remove", parity) -- remove_if over every entry whose seq has that
+# parity.
+EXPIRY_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"), st.sampled_from(TENANTS), st.booleans(),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("evict"), st.integers(0, 4)),
+        st.tuples(st.just("remove"), st.integers(0, 1)),
+    ),
+    max_size=120,
+)
+
+
+@given(ops=EXPIRY_OPS)
+def test_expiring_count_matches_a_scan(ops) -> None:
+    """``expiring`` is kept on push and every removal path; it always
+    equals a scan of the queued entries."""
+    wfq = WeightedFairQueue(capacity=64)
+    for op in ops:
+        if op[0] == "push":
+            if wfq.depth < wfq.capacity:
+                _, tenant, expires, priority = op
+                wfq.push(tenant, 1, priority, item=None, expires=expires)
+        elif op[0] == "pop":
+            wfq.pop()
+        elif op[0] == "evict":
+            wfq.evict_lowest(below_priority=op[1])
+        else:
+            wfq.remove_if(lambda e, parity=op[1]: e.seq % 2 == parity)
+        queued = [e for q in wfq._queues.values() for e in q]
+        assert wfq.expiring == sum(e.expires for e in queued)
+    wfq.drain()
+    assert wfq.expiring == 0

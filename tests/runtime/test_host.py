@@ -312,6 +312,27 @@ def test_disarmed_batch_round_trip_makes_no_crc(monkeypatch) -> None:
         assert np.shares_memory(batch.outputs[g], dst.data)
 
 
+@pytest.mark.parametrize("armed", [False, True])
+def test_writing_a_grid_sequence_stacks_one_unaliased_slab(armed) -> None:
+    """The scheduler hands the queue its grids, not a stacked slab: the
+    write is the one copy that stacks them, aliasing none of them."""
+    program, grids, slab = _batch_setup()
+    callers = [g.copy() for g in grids]
+    queue = CommandQueue()
+    src, dst = Buffer(slab.nbytes), Buffer(slab.nbytes)
+    with arm(FaultPlan(seed=0)) if armed else contextlib.nullcontext():
+        queue.enqueue_write_buffer(src, tuple(callers))
+        _, batch = queue.enqueue_batch_kernel(program, src, dst, 4, len(grids))
+    assert batch.ok
+    assert src.data.shape == slab.shape and np.array_equal(src.data, slab)
+    for caller in callers:
+        assert not np.shares_memory(caller, src.data)
+        caller[:] = -1.0
+    assert np.array_equal(src.data, slab)
+    for g, grid in enumerate(grids):
+        assert np.array_equal(dst.data[g], reference_run(grid, program.spec, 4))
+
+
 def test_failed_kernel_leaves_destination_untouched() -> None:
     program = make_program()
     grid = make_grid((48, 512), "mixed", seed=3)

@@ -222,6 +222,48 @@ def test_watchdog_rejects_nonpositive_deadline() -> None:
         queue.enqueue_kernel(program, src, dst, 4, watchdog_s=0.0)
 
 
+def test_derate_reaches_a_batched_launch_past_the_model_time_memo() -> None:
+    """Disarmed, a program memoises its modeled batch times; armed, every
+    launch re-evaluates them, so a derate lands on exactly its launch
+    and never reaches the memo."""
+    program = make_program()
+    grids = [make_grid((24, 96), "mixed", seed=s) for s in (7, 8, 9)]
+    slab = np.stack(grids)
+    key = (grids[0].shape, 4, len(grids))
+
+    def launch() -> float:
+        queue = CommandQueue(HostDevice(program.board))
+        src, dst = Buffer(slab.nbytes), Buffer(slab.nbytes)
+        queue.enqueue_write_buffer(src, slab)
+        event, batch = queue.enqueue_batch_kernel(
+            program, src, dst, 4, n_grids=len(grids)
+        )
+        assert batch.ok
+        out, _ = queue.enqueue_read_buffer(dst)
+        for g, grid in enumerate(grids):
+            assert np.array_equal(out[g], reference_run(grid, program.spec, 4))
+        return event.duration_s
+
+    plan = FaultPlan(seed=5, faults=(FmaxDerateFault(factor=0.5, at_kernel=0),))
+    with arm(plan) as inj:
+        derated = launch()  # kernel query 0: this launch's only one
+        assert len(inj.fired) == 1
+        armed_clean = launch()
+    nominal = launch()
+    assert nominal == program.batch_kernel_time_s(*key)
+    assert armed_clean == nominal
+    # the kernel part runs at half the clock: twice as long, same launch
+    # overhead
+    from repro.models.performance import LAUNCH_OVERHEAD_S
+
+    assert derated - LAUNCH_OVERHEAD_S == pytest.approx(
+        2 * (nominal - LAUNCH_OVERHEAD_S)
+    )
+    # the memo, filled disarmed, does not shadow a later armed derate
+    with arm(plan):
+        assert launch() == derated
+
+
 # -- terminal *-failed events (clock / event-log / byte agreement) ----------- #
 
 
