@@ -8,7 +8,9 @@ selection cache directory:
    audit, micro-benchmark, winner persisted (``source == "measured"``).
    It runs in a fresh Python process with its own empty ``TMPDIR`` (as
    ``perfbench`` does), so ``cold_resolve_s`` includes compiling the
-   pass driver, and ``cold_compiles`` counts the libraries it built;
+   pass driver: ``cold_compile_s`` is the wall time spent in
+   ``native._compile`` within it, and ``cold_compiles`` counts the
+   libraries it built;
 2. **warm resolve** — a second resolution of the same workload, in this
    process against the same directory, must reload the persisted winner
    (``source == "cache"``, identical config) in well under the cold
@@ -44,7 +46,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import StencilSpec, make_grid
+from repro.core import StencilSpec, make_grid, native
 from repro.runtime.artifacts import ArtifactCache
 from repro.runtime.autotune import (
     CACHE_DIR_ENV,
@@ -102,14 +104,27 @@ def cold_child(name: str) -> None:
     """The cold resolve, run as the whole of a fresh process.
 
     Resolves case ``name`` against the autotune directory in the
-    environment and prints one JSON line: the resolve's seconds, its
-    provenance, the winner and the candidates' timings.
+    environment and prints one JSON line: the resolve's seconds, the
+    part of them spent compiling, its provenance, the winner and the
+    candidates' timings.
     """
     spec, shape, iterations = CASES[name]
+    compile_s = []
+    build = native._compile
+
+    def timed_compile(source, flags):
+        t = time.perf_counter()
+        try:
+            return build(source, flags)
+        finally:
+            compile_s.append(time.perf_counter() - t)
+
+    native._compile = timed_compile
     t0 = time.perf_counter()
     plan = Autotuner().resolve(spec, shape, iterations=iterations)
     print(json.dumps({
         "cold_s": time.perf_counter() - t0,
+        "compile_s": sum(compile_s),
         "source": plan.source,
         "winner": _winner(plan.config),
         "measured_ms": plan.measured_ms,
@@ -154,7 +169,8 @@ def run_case(name, cache_dir) -> dict:
     warm = warm_tuner.resolve(spec, shape, iterations=iterations)
     warm_s = time.perf_counter() - t0
     print(f"  {name}: cold resolve {cold_s:.3f}s [{cold['source']}], "
-          f"{cold['compiles']} compile(s) -> {warm.describe()}")
+          f"{cold['compiles']} compile(s) in {cold['compile_s']:.3f}s "
+          f"-> {warm.describe()}")
     print(f"  {name}: warm resolve {warm_s*1e3:.3f}ms [{warm.source}]")
 
     grid = make_grid(shape, "random", seed=7)
@@ -189,6 +205,7 @@ def run_case(name, cache_dir) -> dict:
         "winner": _winner(warm.config),
         "candidates_measured_ms": cold["measured_ms"],
         "cold_resolve_s": round(cold_s, 4),
+        "cold_compile_s": round(cold["compile_s"], 4),
         "cold_compiles": cold["compiles"],
         "cold_source": cold["source"],
         "warm_resolve_s": round(warm_s, 6),

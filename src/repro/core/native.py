@@ -309,8 +309,10 @@ def driver_source(spec: StencilSpec) -> str:
       copy and the stage-0 halo fill disappear entirely.  The window's
       x extent is decomposed once per block into pure (unit-stride)
       and impure (clamped/wrapped) runs — the map is row-invariant, so
-      the decomposition is too — and pure runs take contiguous vector
-      loads while impure runs vectorize through gathered loads;
+      the decomposition is too.  Pure runs take contiguous vector
+      loads; impure runs, which cover only the clamped or wrapped
+      cells at grid edges, run scalar (``simdlen(1)``), so the
+      compiler emits no gather code for them;
     * every scratch row is padded to the tables' width (``roundup(nx,
       J->vec)``), so consecutive rows start on lane boundaries and the
       compiler keeps one steady-state vector loop per row instead of
@@ -320,10 +322,12 @@ def driver_source(spec: StencilSpec) -> str:
       instruction — lanes never reassociate *within* a chain, so the
       bits match the reference exactly (``-ffp-contract=off`` still
       forbids FMA fusion);
-    * the final stage of a *full* pass streams its results straight
-      into the output grid (``stage_out``, or ``stage_in`` itself when
-      ``steps == 1``) instead of bouncing through the ping-pong buffer
-      and re-copying: lint rule P305 proves the final window lands
+    * every later stage runs one kernel, ``stage_out``, which writes
+      its window to a base pointer and strides: the next ping-pong
+      buffer, or — for the final stage of a *full* pass — the output
+      grid itself (``stage_in`` does the same when ``steps == 1``), so
+      the result never bounces through the ping-pong buffer and is
+      never re-copied.  Lint rule P305 proves the final window lands
       exactly on the compute region the write kernel would copy, and
       the driver re-checks that geometry per block at runtime so short
       (tail) passes — whose final window is wider — safely fall back
@@ -345,25 +349,10 @@ def driver_source(spec: StencilSpec) -> str:
     body: list[str] = []
     if spec.dims == 2:
         body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 z0, i64 z1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    const float *restrict row = a + z * s0;",
-            "    float *restrict orow = b + z * s0;",
-            "#pragma omp simd",
-            "    for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "s0", 1: "1"})
-        body += [
-            "      orow[x] = acc;",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "/* Final-stage write-back fused into the output grid: the",
-            " * window is the compute region (P305), so each computed lane",
-            " * lands directly at its destination -- no B round-trip, no",
-            " * write-kernel memcpy. */",
+            "/* One PE stage over the window [z0, z1) x [x0, x1) of `a`,",
+            " * written to `o` (row stride os0) from the window origin on:",
+            " * the next ping-pong buffer, or the output grid when the",
+            " * window is the compute region (P305). */",
             "static void stage_out(const float *restrict a,",
             "                      float *restrict o, i64 s0, i64 os0,",
             "                      i64 z0, i64 z1, i64 x0, i64 x1) {",
@@ -410,8 +399,8 @@ def driver_source(spec: StencilSpec) -> str:
             "/* Read-kernel-fused first stage: reads the source grid",
             " * directly through the per-axis index maps (the P304 gather",
             " * geometry).  `runs` decomposes the window's x extent into",
-            " * pure (unit-stride vector loads) and impure (gathered",
-            " * loads) runs, precomputed once per block. */",
+            " * pure (unit-stride vector loads) and impure (clamped or",
+            " * wrapped, scalar) runs, precomputed once per block. */",
             "static void stage_in(const float *restrict src, i64 gs0,",
             "                     float *restrict o, i64 os0,",
             "                     const i64 *restrict zim,",
@@ -426,7 +415,7 @@ def driver_source(spec: StencilSpec) -> str:
             "    for (i64 ri = 0; ri < nruns; ++ri) {",
             "      const i64 xs = runs[3 * ri], xe = runs[3 * ri + 1];",
             "      if (!runs[3 * ri + 2]) {",
-            "#pragma omp simd",
+            "#pragma omp simd simdlen(1)",
             "        for (i64 x = xs; x < xe; ++x) {",
         ]
         body += _acc_chain(spec, "          ", s_read)
@@ -479,8 +468,6 @@ def driver_source(spec: StencilSpec) -> str:
             "  /* read maps: footprint coordinate -> source element index",
             "   * (the gather segments encode exactly this mapping, P304) */",
             "  i64 zim[n0 + 2 * RAD];",
-            "  /* int indices so impure-run gathers vectorize",
-            "   * (vgatherdps needs 32-bit lanes) */",
             "  int xim[nx];",
             "  for (i64 z = 0; z < n0 + 2 * RAD; ++z) {",
             "    i64 g = z - RAD;",
@@ -539,7 +526,8 @@ def driver_source(spec: StencilSpec) -> str:
             "                RAD, RAD + n0, x0, x1);",
             "      return;",
             "    }",
-            "    stage(A, B, s0, W[0] + RAD, W[1] + RAD, x0, x1);",
+            "    const i64 z0 = W[0] + RAD, z1 = W[1] + RAD;",
+            "    stage_out(A, B + z0 * s0 + x0, s0, s0, z0, z1, x0, x1);",
             "    if (s + 1 < J->steps && !J->periodic && (dlx | dhx))",
             "      refresh_dups(B, s0, n0, nx, dlx, dhx);",
             "    float *t = A; A = B; B = t;",
@@ -553,28 +541,10 @@ def driver_source(spec: StencilSpec) -> str:
     else:
         y_offs = axis_offs.get(1, [])
         body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 s1, i64 z0, i64 z1,",
-            "                  i64 y0, i64 y1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    for (i64 y = y0; y < y1; ++y) {",
-            "      const float *restrict row = a + z * s0 + y * s1;",
-            "      float *restrict orow = b + z * s0 + y * s1;",
-            "#pragma omp simd",
-            "      for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "s0", 1: "s1", 2: "1"})
-        body += [
-            "        orow[x] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "/* Final-stage write-back fused into the output grid: the",
-            " * window is the compute region (P305), so each computed lane",
-            " * lands directly at its destination -- no B round-trip, no",
-            " * write-kernel memcpy. */",
+            "/* One PE stage over the window [z0, z1) x [y0, y1) x [x0, x1)",
+            " * of `a`, written to `o` (strides os0, os1) from the window",
+            " * origin on: the next ping-pong buffer, or the output grid",
+            " * when the window is the compute region (P305). */",
             "static void stage_out(const float *restrict a,",
             "                      float *restrict o, i64 s0, i64 s1,",
             "                      i64 os0, i64 os1, i64 z0, i64 z1,",
@@ -643,8 +613,8 @@ def driver_source(spec: StencilSpec) -> str:
             "/* Read-kernel-fused first stage: reads the source grid",
             " * directly through the per-axis index maps (the P304 gather",
             " * geometry).  `runs` decomposes the window's x extent into",
-            " * pure (unit-stride vector loads) and impure (gathered",
-            " * loads) runs, precomputed once per block. */",
+            " * pure (unit-stride vector loads) and impure (clamped or",
+            " * wrapped, scalar) runs, precomputed once per block. */",
             "static void stage_in(const float *restrict src,",
             "                     i64 gs0, i64 gs1,",
             "                     float *restrict o, i64 os0, i64 os1,",
@@ -662,7 +632,7 @@ def driver_source(spec: StencilSpec) -> str:
             "      for (i64 ri = 0; ri < nruns; ++ri) {",
             "        const i64 xs = runs[3 * ri], xe = runs[3 * ri + 1];",
             "        if (!runs[3 * ri + 2]) {",
-            "#pragma omp simd",
+            "#pragma omp simd simdlen(1)",
             "          for (i64 x = xs; x < xe; ++x) {",
         ]
         body += _acc_chain(spec, "            ", s_read)
@@ -735,8 +705,6 @@ def driver_source(spec: StencilSpec) -> str:
             "   * (the gather segments encode exactly this mapping, P304) */",
             "  i64 zim[n0 + 2 * RAD];",
             "  i64 yoff[ny];",
-            "  /* int indices so impure-run gathers vectorize",
-            "   * (vgatherdps needs 32-bit lanes) */",
             "  int xim[nx];",
             "  for (i64 z = 0; z < n0 + 2 * RAD; ++z) {",
             "    i64 g = z - RAD;",
@@ -810,7 +778,9 @@ def driver_source(spec: StencilSpec) -> str:
             "                y0, y1, x0, x1);",
             "      return;",
             "    }",
-            "    stage(A, B, s0, s1, W[0] + RAD, W[1] + RAD, y0, y1, x0, x1);",
+            "    const i64 z0 = W[0] + RAD, z1 = W[1] + RAD;",
+            "    stage_out(A, B + z0 * s0 + y0 * s1 + x0, s0, s1, s0, s1,",
+            "              z0, z1, y0, y1, x0, x1);",
             "    if (s + 1 < J->steps && !J->periodic",
             "        && (dly | dhy | dlx | dhx))",
             "      refresh_dups(B, s0, s1, n0, ny, nx, dly, dhy, dlx, dhx);",
@@ -842,18 +812,19 @@ def vector_width_for(parvec: int) -> int:
 
 
 #: Compiler flags of the shipped driver.  ``-fopenmp-simd`` honors the
-#: ``omp simd`` pragmas without linking an OpenMP runtime, and unrolling
-#: lets independent accumulation chains overlap; neither reassociates
-#: within a chain, so the bits are unaffected.
-VECTOR_FLAGS = ("-fopenmp-simd", "-funroll-loops")
+#: ``omp simd`` pragmas without linking an OpenMP runtime; vectorizing
+#: across elements never reassociates within a chain, so the bits are
+#: unaffected.  No ``-funroll-loops``: it lengthens every cold compile
+#: (by 10-20% on this source), and the passes run within about 2%
+#: without it.
+VECTOR_FLAGS = ("-fopenmp-simd",)
 
 #: Flags of the scalar SIMD baseline (engine ``"native-scalar"``): the
-#: same source, run on width-1 tables, with every vectorizer off.  Dropping only
+#: same source, run on width-1 tables, with every vectorizer off, so it
+#: differs from the shipped build only in vectorization.  Dropping only
 #: ``-ftree-vectorize`` is not enough — the ``omp simd`` loops would
 #: still vectorize under ``-fopenmp-simd``.
-SCALAR_FLAGS = (
-    "-funroll-loops", "-fno-tree-vectorize", "-fno-tree-slp-vectorize",
-)
+SCALAR_FLAGS = ("-fno-tree-vectorize", "-fno-tree-slp-vectorize")
 
 
 def _find_compiler() -> str | None:

@@ -118,6 +118,12 @@ class TenantQuota:
             )
 
 
+#: The quota of every tenant without a registered one: unmetered, weight
+#: 1.  Frozen, so one instance serves every such tenant and ``submit``
+#: builds none.
+DEFAULT_QUOTA = TenantQuota()
+
+
 @dataclass(frozen=True)
 class ServicePolicy:
     """Service-level knobs (queue bounds, retries, degradation ladder).
@@ -590,7 +596,7 @@ class StencilService:
             self._buckets.pop(tenant, None)
 
     def _quota(self, tenant: str) -> TenantQuota:
-        return self._quotas.get(tenant) or TenantQuota()
+        return self._quotas.get(tenant, DEFAULT_QUOTA)
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)

@@ -216,3 +216,59 @@ def test_one_driver_runs_every_vector_width(dims, radius, boundary) -> None:
                 assert np.array_equal(got, ref), width
     finally:
         driver.close()
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_driver_source_has_one_buffered_stage_kernel(dims) -> None:
+    # every buffered stage runs stage_out, so the source holds three
+    # accumulation chains: stage_out and stage_in's two run loops
+    src = driver_source(StencilSpec.star(dims, 4))
+    assert "static void stage(" not in src
+    assert src.count("float acc =") == 3
+    # the clamped/wrapped-run loop is the one that reads through xim
+    impure = src.index("rowc[xim[x]]")
+    pragma = src.rindex("#pragma omp simd", 0, impure)
+    assert src[pragma:src.index("\n", pragma)] == "#pragma omp simd simdlen(1)"
+    # the pure-run and stage_out loops stay vectorized
+    assert src.count("#pragma omp simd\n") == 2
+
+
+def _clamped_path_shapes(dims, radius, boundary):
+    """Grids on which most x runs are clamped or wrapped: x extent at
+    most ``2 * radius`` (clamp), or extents below the radius (periodic;
+    a radius-1 grid can go no lower than 1)."""
+    small = max(1, radius - 1)
+    if boundary == "clamp":
+        if dims == 2:
+            return [(9, 2 * radius), (1, radius)]
+        return [(5, 6, 2 * radius)]
+    if dims == 2:
+        return [(small, 2 * radius + 3), (9, small)]
+    return [(small, 5, small)]
+
+
+@needs_native
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+@pytest.mark.parametrize("partime", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_clamped_runs_bit_exact(dims, radius, partime, boundary) -> None:
+    spec = StencilSpec.star(dims, radius)
+    cfg = BlockingConfig(
+        dims=dims, radius=radius, bsize_x=64 if dims == 2 else 32,
+        bsize_y=32 if dims == 3 else None, parvec=4, partime=partime,
+    )
+    iterations = 2 * partime + 1  # full passes and a short tail pass
+    acc = FPGAAccelerator(spec, cfg, boundary=boundary, engine="native")
+    try:
+        for shape in _clamped_path_shapes(dims, radius, boundary):
+            grids = [make_grid(shape, "mixed", seed=s) for s in (3, 4, 5)]
+            want = [reference_run(g, spec, iterations, boundary) for g in grids]
+            out, _ = acc.run(grids[0], iterations)
+            assert np.array_equal(out, want[0]), shape
+            batch = acc.run_batch(grids, iterations)
+            assert batch.ok
+            for got, ref in zip(batch.outputs, want):
+                assert np.array_equal(got, ref), shape
+    finally:
+        acc.close()

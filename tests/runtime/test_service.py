@@ -32,6 +32,7 @@ from repro.runtime import (
     StencilService,
     TenantQuota,
 )
+from repro.runtime.service import DEFAULT_QUOTA
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=64, parvec=4, partime=2)
@@ -117,6 +118,28 @@ def test_rate_quota_sheds_with_retry_after_hint() -> None:
     svc.submit(**request(tenant="other"))
     svc.run_pending()
     assert svc.report()["tenants"]["metered"]["shed"] == 1
+    svc.close()
+
+
+def test_unregistered_tenants_share_the_default_quota(monkeypatch) -> None:
+    built = []
+    post_init = TenantQuota.__post_init__
+
+    def counting(self) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TenantQuota, "__post_init__", counting)
+    svc = numpy_service(policy=ServicePolicy(max_queue_depth=8))
+    for tenant in ("a", "b", "a", "b"):
+        svc.submit(**request(tenant=tenant))
+    assert built == []  # no quota built per submit
+    assert svc._quota("a") is svc._quota("b") is DEFAULT_QUOTA
+    metered = TenantQuota(rate_per_s=1.0, burst=1.0)
+    svc.register_tenant("a", metered)
+    assert svc._quota("a") is metered
+    assert svc._quota("b") is DEFAULT_QUOTA
+    svc.run_pending()
     svc.close()
 
 
