@@ -60,26 +60,13 @@ def _c_literal(value: float) -> str:
     return f"{float(np.float32(value)).hex()}f"
 
 
-def _acc_chain(spec: StencilSpec, indent: str, read) -> list[str]:
-    """The per-element accumulation chain, shared by every generated stage.
-
-    ``read(axis, off)`` returns the C expression loading the neighbor at
-    ``off`` along ``axis``; ``read(None, 0)`` loads the center.  Emitting
-    the chain from one helper guarantees every stage of the driver — the
-    buffered stages and the direct-read first stage — executes the
-    identical fixed accumulation order: the bit-exactness invariant.
-    """
-    lines = [f"{indent}float acc = {_c_literal(spec.center)} * {read(None, 0)};"]
-    for axis, off, coeff in stencil_terms(spec, spec.dims):
-        lines.append(f"{indent}acc += {_c_literal(coeff)} * {read(axis, off)};")
-    return lines
-
-
 def _acc_lines(spec: StencilSpec, indent: str, steps: dict[int, str]) -> list[str]:
-    """Accumulation chain over a single strided ``row`` pointer.
+    """The per-element accumulation chain over a single strided ``row``.
 
     ``steps[axis]`` is the C expression for one positive step along
-    ``axis`` (e.g. ``"ps0"`` or ``"1"``).
+    ``axis`` (e.g. ``"s0"`` or ``"1"``).  The driver holds exactly one
+    chain — every PE stage runs ``stage_out`` — so every stage executes
+    the identical fixed accumulation order: the bit-exactness invariant.
     """
 
     def read(axis: int | None, off: int) -> str:
@@ -87,17 +74,24 @@ def _acc_lines(spec: StencilSpec, indent: str, steps: dict[int, str]) -> list[st
             return "row[x]"
         return f"row[x + ({off}) * {steps[axis]}]"
 
-    return _acc_chain(spec, indent, read)
+    lines = [f"{indent}float acc = {_c_literal(spec.center)} * {read(None, 0)};"]
+    for axis, off, coeff in stencil_terms(spec, spec.dims):
+        lines.append(f"{indent}acc += {_c_literal(coeff)} * {read(axis, off)};")
+    return lines
 
 
-def _off_tag(off: int) -> str:
-    """C-identifier-safe suffix for a signed offset (``-4`` -> ``m4``)."""
-    return ("m" if off < 0 else "p") + str(abs(off))
+#: Bytes of footprint planes the read kernel copies ahead of each
+#: stage-0 ``stage_out`` call, so the planes that call reads are still
+#: in cache.  A block's chunk is ``max(2 * radius, READ_CHUNK_BYTES //
+#: plane bytes)`` planes of its padded footprint: at least as many new
+#: planes as the ``2 * radius`` each chunk carries over from the last.
+READ_CHUNK_BYTES = 256 << 10
 
 
 #: Shared C prelude of the generated pass driver: the job description,
-#: the persistent worker pool, and the streamed-axis halo fill (slab
-#: copies, identical to :func:`repro.core.pe.fill_stream_halo`).
+#: the persistent worker pool, the streamed-axis halo fill (slab
+#: copies, identical to :func:`repro.core.pe.fill_stream_halo`) and the
+#: read kernel's row gather.
 _DRIVER_PRELUDE = r"""
 #include <pthread.h>
 #include <stdlib.h>
@@ -158,6 +152,39 @@ static void fill_halo(float *buf, i64 n0, i64 s0, int periodic) {
       i64 lo = ((n0 - RAD + i) % n0 + n0) % n0;
       memcpy(buf + i * s0, buf + (RAD + lo) * s0, slab);
       memcpy(buf + (RAD + n0 + i) * s0, buf + (RAD + i % n0) * s0, slab);
+    }
+  }
+}
+
+/* Source plane of padded footprint plane p: pad planes clamp to the
+ * border plane or wrap, like fill_halo. */
+static i64 src_plane(i64 p, i64 n0, int periodic) {
+  const i64 g = p - RAD;
+  if (periodic) return (g % n0 + n0) % n0;
+  return g < 0 ? 0 : (g >= n0 ? n0 - 1 : g);
+}
+
+/* Stage 0 reads planes [z, z + chunk + 2*RAD) of the padded footprint
+ * from the head of A.  Slide that window from the previous chunk: the
+ * 2*RAD planes both share move down.  Returns the first plane the read
+ * kernel still has to copy. */
+static i64 slide_window(float *A, i64 s0, i64 chunk, i64 z, i64 z0) {
+  if (z == z0) return z;
+  memmove(A, A + chunk * s0, (size_t)(2 * RAD * s0) * sizeof(float));
+  return z + 2 * RAD;
+}
+
+/* One row of the read kernel: replay the gather segments (P304), each
+ * a clamp broadcast of one source cell or a contiguous copy. */
+static void copy_row(float *restrict row, const float *restrict srow,
+                     const i64 *seg, i64 nseg) {
+  for (const i64 *end = seg + 4 * nseg; seg < end; seg += 4) {
+    if (seg[3] - seg[2] == 1) {
+      const float v = srow[seg[2]];
+      for (i64 x = seg[0]; x < seg[1]; ++x) row[x] = v;
+    } else {
+      memcpy(row + seg[0], srow + seg[2],
+             (size_t)(seg[1] - seg[0]) * sizeof(float));
     }
   }
 }
@@ -302,53 +329,49 @@ def driver_source(spec: StencilSpec) -> str:
     argument taken from ``DriverTables.vector_width``, so one source
     serves every configuration of ``spec``:
 
-    * **fused read kernel**: stage 0 reads the source grid *directly*
-      through per-axis index maps decoded from the gather segments —
-      lint rule P304 proves the segments encode exactly the clamp/wrap
-      source mapping the read kernel would materialize — so the gather
-      copy and the stage-0 halo fill disappear entirely.  The window's
-      x extent is decomposed once per block into pure (unit-stride)
-      and impure (clamped/wrapped) runs — the map is row-invariant, so
-      the decomposition is too.  Pure runs take contiguous vector
-      loads; impure runs, which cover only the clamped or wrapped
-      cells at grid edges, run scalar (``simdlen(1)``), so the
-      compiler emits no gather code for them;
+    * **read kernel**: ``gather`` copies planes of the block's padded
+      footprint — the streamed-axis pad planes included, each from the
+      source plane it clamps or wraps to — by replaying the gather
+      segments, each a clamp broadcast or a contiguous (possibly
+      wrapped) copy; lint rule P304 proves the segments encode exactly
+      that mapping.  As the paper's read kernel streams each block into
+      the first PE, it feeds stage 0 one chunk of planes at a time
+      (:data:`READ_CHUNK_BYTES`) through a window at the head of the
+      first ping-pong buffer: the ``2 * RAD`` planes a chunk shares
+      with the previous one slide down, the read kernel copies the
+      rest, and the stage-0 ``stage_out`` call reads them while they
+      are still in cache.  The window never holds more planes than the
+      footprint, so the scratch sizing is unchanged;
+    * **one PE kernel**: every stage, the first included, runs
+      ``stage_out``, which writes its window to a base pointer and
+      strides: the next ping-pong buffer, or — for the final stage of a
+      *full* pass — the output grid itself, so the result never bounces
+      through the ping-pong buffer and is never re-copied.  Lint rule
+      P305 proves the final window lands exactly on the compute region
+      the write kernel would copy, and the driver re-checks that
+      geometry per block at runtime so short (tail) passes — whose
+      final window is wider — fall back to the write kernel;
     * every scratch row is padded to the tables' width (``roundup(nx,
       J->vec)``), so consecutive rows start on lane boundaries and the
       compiler keeps one steady-state vector loop per row instead of
       re-peeling at every row;
-    * the inner x loops carry ``#pragma omp simd`` + ``restrict``,
+    * the inner x loop carries ``#pragma omp simd`` + ``restrict``,
       batching independent per-element accumulation chains per
       instruction — lanes never reassociate *within* a chain, so the
       bits match the reference exactly (``-ffp-contract=off`` still
-      forbids FMA fusion);
-    * every later stage runs one kernel, ``stage_out``, which writes
-      its window to a base pointer and strides: the next ping-pong
-      buffer, or — for the final stage of a *full* pass — the output
-      grid itself (``stage_in`` does the same when ``steps == 1``), so
-      the result never bounces through the ping-pong buffer and is
-      never re-copied.  Lint rule P305 proves the final window lands
-      exactly on the compute region the write kernel would copy, and
-      the driver re-checks that geometry per block at runtime so short
-      (tail) passes — whose final window is wider — safely fall back
-      to the write-kernel path.
+      forbids FMA fusion).
+
+    No array on the stack is sized by a grid or block extent: the read
+    kernel walks the segment rows directly.
     """
-    rad = spec.radius
-    rec = DRIVER_RECORD_LEN[spec.dims]
     head = [
-        f"#define RAD {rad}",
-        f"#define REC {rec}",
+        f"#define RAD {spec.radius}",
+        f"#define REC {DRIVER_RECORD_LEN[spec.dims]}",
+        f"#define CHUNK_BYTES {READ_CHUNK_BYTES}",
         _DRIVER_PRELUDE,
     ]
-    axis_offs: dict[int, list[int]] = {}
-    for axis, off, _ in stencil_terms(spec, spec.dims):
-        offs = axis_offs.setdefault(axis, [])
-        if off not in offs:
-            offs.append(off)
-    z_offs = axis_offs.get(0, [])
-    body: list[str] = []
     if spec.dims == 2:
-        body += [
+        body = [
             "/* One PE stage over the window [z0, z1) x [x0, x1) of `a`,",
             " * written to `o` (row stride os0) from the window origin on:",
             " * the next ping-pong buffer, or the output grid when the",
@@ -369,74 +392,14 @@ def driver_source(spec: StencilSpec) -> str:
             "  }",
             "}",
             "",
-        ]
-        # -- stage_in: the read kernel fused into stage 0 --------------
-        setup = ["    const float *restrict rowc = src + zim[z + RAD] * gs0;"]
-        vsetup = ["      const float *restrict vc = rowc + xb;"]
-        for o in z_offs:
-            t = _off_tag(o)
-            setup.append(
-                f"    const float *restrict rz_{t} = "
-                f"src + zim[z + RAD + ({o})] * gs0;"
-            )
-            vsetup.append(f"      const float *restrict vz_{t} = rz_{t} + xb;")
-
-        def s_read(axis: int | None, off: int) -> str:
-            if axis is None:
-                return "rowc[xim[x]]"
-            if axis == 0:
-                return f"rz_{_off_tag(off)}[xim[x]]"
-            return f"rowc[xim[x + ({off})]]"
-
-        def v_read(axis: int | None, off: int) -> str:
-            if axis is None:
-                return "vc[xv]"
-            if axis == 0:
-                return f"vz_{_off_tag(off)}[xv]"
-            return f"vc[xv + ({off})]"
-
-        body += [
-            "/* Read-kernel-fused first stage: reads the source grid",
-            " * directly through the per-axis index maps (the P304 gather",
-            " * geometry).  `runs` decomposes the window's x extent into",
-            " * pure (unit-stride vector loads) and impure (clamped or",
-            " * wrapped, scalar) runs, precomputed once per block. */",
-            "static void stage_in(const float *restrict src, i64 gs0,",
-            "                     float *restrict o, i64 os0,",
-            "                     const i64 *restrict zim,",
-            "                     const int *restrict xim,",
-            "                     const i64 *restrict runs, i64 nruns,",
-            "                     i64 n0, i64 x0) {",
-            "  for (i64 z = 0; z < n0; ++z) {",
-        ]
-        body += setup
-        body += [
-            "    float *restrict orow = o + z * os0;",
-            "    for (i64 ri = 0; ri < nruns; ++ri) {",
-            "      const i64 xs = runs[3 * ri], xe = runs[3 * ri + 1];",
-            "      if (!runs[3 * ri + 2]) {",
-            "#pragma omp simd simdlen(1)",
-            "        for (i64 x = xs; x < xe; ++x) {",
-        ]
-        body += _acc_chain(spec, "          ", s_read)
-        body += [
-            "          orow[x - x0] = acc;",
-            "        }",
-            "        continue;",
-            "      }",
-            "      const i64 xb = (i64)xim[xs] - xs;",
-        ]
-        body += vsetup
-        body += [
-            "#pragma omp simd",
-            "      for (i64 xv = xs; xv < xe; ++xv) {",
-        ]
-        body += _acc_chain(spec, "        ", v_read)
-        body += [
-            "        orow[xv - x0] = acc;",
-            "      }",
-            "    }",
-            "  }",
+            "/* Read kernel: padded footprint planes [p0, p1) into `dst`. */",
+            "static void gather(const job_t *J, const float *src, float *dst,",
+            "                   i64 s0, const i64 *segx, i64 nsx, i64 n0,",
+            "                   i64 p0, i64 p1) {",
+            "  for (i64 p = p0; p < p1; ++p)",
+            "    copy_row(dst + (p - p0) * s0,",
+            "             src + src_plane(p, n0, J->periodic) * J->gs0,",
+            "             segx, nsx);",
             "}",
             "",
             "/* clamp-duplicate refresh (P302: sources sit inside the",
@@ -465,69 +428,35 @@ def driver_source(spec: StencilSpec) -> str:
             "  const i64 *segx = J->segs + 4 * R[7];",
             "  const i64 nsx = R[8];",
             "  const i64 s0 = (nx + J->vec - 1) / J->vec * J->vec;",
-            "  /* read maps: footprint coordinate -> source element index",
-            "   * (the gather segments encode exactly this mapping, P304) */",
-            "  i64 zim[n0 + 2 * RAD];",
-            "  int xim[nx];",
-            "  for (i64 z = 0; z < n0 + 2 * RAD; ++z) {",
-            "    i64 g = z - RAD;",
-            "    if (J->periodic) g = (g % n0 + n0) % n0;",
-            "    else g = g < 0 ? 0 : (g >= n0 ? n0 - 1 : g);",
-            "    zim[z] = g;",
-            "  }",
-            "  for (i64 j = 0; j < nsx; ++j) {",
-            "    const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "    const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "    for (i64 x = xd0; x < xd1; ++x)",
-            "      xim[x] = (int)((xs1 - xs0 == 1) ? xs0 : xs0 + (x - xd0));",
-            "  }",
+            "  i64 chunk = CHUNK_BYTES / ((i64)sizeof(float) * s0);",
+            "  if (chunk < 2 * RAD) chunk = 2 * RAD;",
             "  const i64 *W = J->wins + bi * J->steps * 4;",
-            "  /* window-0 x extent decomposed into pure / impure runs",
-            "   * (the map is row-invariant, so the decomposition is) */",
-            "  const i64 rx0 = W[2], rx1 = W[3];",
-            "  i64 runs[3 * (rx1 - rx0 > 0 ? rx1 - rx0 : 1)];",
-            "  i64 nruns = 0;",
-            "  for (i64 x = rx0; x < rx1;) {",
-            "    const i64 pure =",
-            "        (xim[x + RAD] - xim[x - RAD] == 2 * RAD);",
-            "    i64 xe = x + 1;",
-            "    while (xe < rx1 &&",
-            "           (xim[xe + RAD] - xim[xe - RAD] == 2 * RAD) == pure)",
-            "      ++xe;",
-            "    runs[3 * nruns] = x;",
-            "    runs[3 * nruns + 1] = xe;",
-            "    runs[3 * nruns + 2] = pure;",
-            "    ++nruns;",
-            "    x = xe;",
-            "  }",
-            "  /* stage 0: the read kernel fused into the first PE stage */",
-            "  {",
-            "    const i64 x0 = W[2], x1 = W[3];",
-            "    if (J->steps == 1 && W[0] == 0 && W[1] == n0",
-            "        && x0 == rx && x1 == rx + cx) {",
-            "      stage_in(src, J->gs0, out + wx, J->gs0,",
-            "               zim, xim, runs, nruns, n0, x0);",
-            "      return;",
+            "  /* every stage runs stage_out from A into B, then swaps;",
+            "   * stage 0 reads each chunk from a window at the head of A",
+            "   * that the read kernel has just filled, and the final stage",
+            "   * writes `out` directly when the window proves it covers",
+            "   * the compute region */",
+            "  for (i64 s = 0; s < J->steps; ++s, W += 4) {",
+            "    const i64 z0 = W[0], z1 = W[1], x0 = W[2], x1 = W[3];",
+            "    const int fused = s + 1 == J->steps && z0 == 0 && z1 == n0",
+            "        && x0 == rx && x1 == rx + cx;",
+            "    if (s) fill_halo(A, n0, s0, J->periodic);",
+            "    for (i64 z = z0, ze; z < z1; z = ze) {",
+            "      ze = s || z1 - z <= chunk ? z1 : z + chunk;",
+            "      if (!s) {",
+            "        const i64 p = slide_window(A, s0, chunk, z, z0);",
+            "        gather(J, src, A + (p - z) * s0, s0, segx, nsx, n0,",
+            "               p, ze + 2 * RAD);",
+            "      }",
+            "      const i64 a0 = s ? z + RAD : RAD;",
+            "      if (fused)",
+            "        stage_out(A, out + z * J->gs0 + wx, s0, J->gs0,",
+            "                  a0, a0 + ze - z, x0, x1);",
+            "      else",
+            "        stage_out(A, B + (z + RAD) * s0 + x0, s0, s0,",
+            "                  a0, a0 + ze - z, x0, x1);",
             "    }",
-            "    stage_in(src, J->gs0, A + RAD * s0 + x0, s0,",
-            "             zim, xim, runs, nruns, n0, x0);",
-            "    if (J->steps > 1 && !J->periodic && (dlx | dhx))",
-            "      refresh_dups(A, s0, n0, nx, dlx, dhx);",
-            "  }",
-            "  W += 4;",
-            "  /* stages 1..: ping-pong A -> B; final stage fused when the",
-            "   * window proves it covers exactly the compute region */",
-            "  for (i64 s = 1; s < J->steps; ++s, W += 4) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 x0 = W[2], x1 = W[3];",
-            "    if (s + 1 == J->steps && W[0] == 0 && W[1] == n0",
-            "        && x0 == rx && x1 == rx + cx) {",
-            "      stage_out(A, out + wx, s0, J->gs0,",
-            "                RAD, RAD + n0, x0, x1);",
-            "      return;",
-            "    }",
-            "    const i64 z0 = W[0] + RAD, z1 = W[1] + RAD;",
-            "    stage_out(A, B + z0 * s0 + x0, s0, s0, z0, z1, x0, x1);",
+            "    if (fused) return;",
             "    if (s + 1 < J->steps && !J->periodic && (dlx | dhx))",
             "      refresh_dups(B, s0, n0, nx, dlx, dhx);",
             "    float *t = A; A = B; B = t;",
@@ -539,8 +468,7 @@ def driver_source(spec: StencilSpec) -> str:
             "}",
         ]
     else:
-        y_offs = axis_offs.get(1, [])
-        body += [
+        body = [
             "/* One PE stage over the window [z0, z1) x [y0, y1) x [x0, x1)",
             " * of `a`, written to `o` (strides os0, os1) from the window",
             " * origin on: the next ping-pong buffer, or the output grid",
@@ -565,95 +493,20 @@ def driver_source(spec: StencilSpec) -> str:
             "  }",
             "}",
             "",
-        ]
-        # -- stage_in: the read kernel fused into stage 0 --------------
-        setup = [
-            "      const float *restrict rowc = src"
-            " + zim[z + RAD] * gs0 + yoff[y];"
-        ]
-        vsetup = ["        const float *restrict vc = rowc + xb;"]
-        for o in z_offs:
-            t = _off_tag(o)
-            setup.append(
-                f"      const float *restrict rz_{t} = "
-                f"src + zim[z + RAD + ({o})] * gs0 + yoff[y];"
-            )
-            vsetup.append(
-                f"        const float *restrict vz_{t} = rz_{t} + xb;"
-            )
-        for o in y_offs:
-            t = _off_tag(o)
-            setup.append(
-                f"      const float *restrict ry_{t} = "
-                f"src + zim[z + RAD] * gs0 + yoff[y + ({o})];"
-            )
-            vsetup.append(
-                f"        const float *restrict vy_{t} = ry_{t} + xb;"
-            )
-
-        def s_read(axis: int | None, off: int) -> str:
-            if axis is None:
-                return "rowc[xim[x]]"
-            if axis == 0:
-                return f"rz_{_off_tag(off)}[xim[x]]"
-            if axis == 1:
-                return f"ry_{_off_tag(off)}[xim[x]]"
-            return f"rowc[xim[x + ({off})]]"
-
-        def v_read(axis: int | None, off: int) -> str:
-            if axis is None:
-                return "vc[xv]"
-            if axis == 0:
-                return f"vz_{_off_tag(off)}[xv]"
-            if axis == 1:
-                return f"vy_{_off_tag(off)}[xv]"
-            return f"vc[xv + ({off})]"
-
-        body += [
-            "/* Read-kernel-fused first stage: reads the source grid",
-            " * directly through the per-axis index maps (the P304 gather",
-            " * geometry).  `runs` decomposes the window's x extent into",
-            " * pure (unit-stride vector loads) and impure (clamped or",
-            " * wrapped, scalar) runs, precomputed once per block. */",
-            "static void stage_in(const float *restrict src,",
-            "                     i64 gs0, i64 gs1,",
-            "                     float *restrict o, i64 os0, i64 os1,",
-            "                     const i64 *restrict zim,",
-            "                     const i64 *restrict yoff,",
-            "                     const int *restrict xim,",
-            "                     const i64 *restrict runs, i64 nruns,",
-            "                     i64 n0, i64 y0, i64 y1, i64 x0) {",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    for (i64 y = y0; y < y1; ++y) {",
-        ]
-        body += setup
-        body += [
-            "      float *restrict orow = o + z * os0 + (y - y0) * os1;",
-            "      for (i64 ri = 0; ri < nruns; ++ri) {",
-            "        const i64 xs = runs[3 * ri], xe = runs[3 * ri + 1];",
-            "        if (!runs[3 * ri + 2]) {",
-            "#pragma omp simd simdlen(1)",
-            "          for (i64 x = xs; x < xe; ++x) {",
-        ]
-        body += _acc_chain(spec, "            ", s_read)
-        body += [
-            "            orow[x - x0] = acc;",
-            "          }",
-            "          continue;",
-            "        }",
-            "        const i64 xb = (i64)xim[xs] - xs;",
-        ]
-        body += vsetup
-        body += [
-            "#pragma omp simd",
-            "        for (i64 xv = xs; xv < xe; ++xv) {",
-        ]
-        body += _acc_chain(spec, "          ", v_read)
-        body += [
-            "          orow[xv - x0] = acc;",
-            "        }",
+            "/* Read kernel: padded footprint planes [p0, p1) into `dst`,",
+            " * row by row along the y segments. */",
+            "static void gather(const job_t *J, const float *src, float *dst,",
+            "                   i64 s0, i64 s1, const i64 *segy, i64 nsy,",
+            "                   const i64 *segx, i64 nsx, i64 n0,",
+            "                   i64 p0, i64 p1) {",
+            "  for (i64 p = p0; p < p1; ++p) {",
+            "    const float *sp = src + src_plane(p, n0, J->periodic) * J->gs0;",
+            "    float *dp = dst + (p - p0) * s0;",
+            "    for (const i64 *sy = segy; sy < segy + 4 * nsy; sy += 4)",
+            "      for (i64 y = sy[0]; y < sy[1]; ++y) {",
+            "        const i64 ys = sy[3] - sy[2] == 1 ? sy[2] : sy[2] + y - sy[0];",
+            "        copy_row(dp + y * s1, sp + ys * J->gs1, segx, nsx);",
             "      }",
-            "    }",
             "  }",
             "}",
             "",
@@ -701,86 +554,37 @@ def driver_source(spec: StencilSpec) -> str:
             "  const i64 nsx = R[16];",
             "  const i64 s1 = (nx + J->vec - 1) / J->vec * J->vec;",
             "  const i64 s0 = ny * s1;",
-            "  /* read maps: footprint coordinate -> source element index",
-            "   * (the gather segments encode exactly this mapping, P304) */",
-            "  i64 zim[n0 + 2 * RAD];",
-            "  i64 yoff[ny];",
-            "  int xim[nx];",
-            "  for (i64 z = 0; z < n0 + 2 * RAD; ++z) {",
-            "    i64 g = z - RAD;",
-            "    if (J->periodic) g = (g % n0 + n0) % n0;",
-            "    else g = g < 0 ? 0 : (g >= n0 ? n0 - 1 : g);",
-            "    zim[z] = g;",
-            "  }",
-            "  for (i64 j = 0; j < nsy; ++j) {",
-            "    const i64 yd0 = segy[4 * j], yd1 = segy[4 * j + 1];",
-            "    const i64 ys0 = segy[4 * j + 2], ys1 = segy[4 * j + 3];",
-            "    for (i64 y = yd0; y < yd1; ++y)",
-            "      yoff[y] = J->gs1 *",
-            "          ((ys1 - ys0 == 1) ? ys0 : ys0 + (y - yd0));",
-            "  }",
-            "  for (i64 j = 0; j < nsx; ++j) {",
-            "    const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "    const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "    for (i64 x = xd0; x < xd1; ++x)",
-            "      xim[x] = (int)((xs1 - xs0 == 1) ? xs0 : xs0 + (x - xd0));",
-            "  }",
+            "  i64 chunk = CHUNK_BYTES / ((i64)sizeof(float) * s0);",
+            "  if (chunk < 2 * RAD) chunk = 2 * RAD;",
             "  const i64 *W = J->wins + bi * J->steps * 6;",
-            "  /* window-0 x extent decomposed into pure / impure runs",
-            "   * (the map is row-invariant, so the decomposition is) */",
-            "  const i64 rx0 = W[4], rx1 = W[5];",
-            "  i64 runs[3 * (rx1 - rx0 > 0 ? rx1 - rx0 : 1)];",
-            "  i64 nruns = 0;",
-            "  for (i64 x = rx0; x < rx1;) {",
-            "    const i64 pure =",
-            "        (xim[x + RAD] - xim[x - RAD] == 2 * RAD);",
-            "    i64 xe = x + 1;",
-            "    while (xe < rx1 &&",
-            "           (xim[xe + RAD] - xim[xe - RAD] == 2 * RAD) == pure)",
-            "      ++xe;",
-            "    runs[3 * nruns] = x;",
-            "    runs[3 * nruns + 1] = xe;",
-            "    runs[3 * nruns + 2] = pure;",
-            "    ++nruns;",
-            "    x = xe;",
-            "  }",
-            "  /* stage 0: the read kernel fused into the first PE stage */",
-            "  {",
-            "    const i64 y0 = W[2], y1 = W[3], x0 = W[4], x1 = W[5];",
-            "    if (J->steps == 1 && W[0] == 0 && W[1] == n0",
-            "        && y0 == ry && y1 == ry + cy",
-            "        && x0 == rx && x1 == rx + cx) {",
-            "      stage_in(src, J->gs0, J->gs1,",
-            "               out + wy * J->gs1 + wx, J->gs0, J->gs1,",
-            "               zim, yoff, xim, runs, nruns,",
-            "               n0, y0, y1, x0);",
-            "      return;",
+            "  /* every stage runs stage_out from A into B, then swaps;",
+            "   * stage 0 reads each chunk from a window at the head of A",
+            "   * that the read kernel has just filled, and the final stage",
+            "   * writes `out` directly when the window proves it covers",
+            "   * the compute region */",
+            "  for (i64 s = 0; s < J->steps; ++s, W += 6) {",
+            "    const i64 z0 = W[0], z1 = W[1], y0 = W[2], y1 = W[3];",
+            "    const i64 x0 = W[4], x1 = W[5];",
+            "    const int fused = s + 1 == J->steps && z0 == 0 && z1 == n0",
+            "        && y0 == ry && y1 == ry + cy && x0 == rx && x1 == rx + cx;",
+            "    if (s) fill_halo(A, n0, s0, J->periodic);",
+            "    for (i64 z = z0, ze; z < z1; z = ze) {",
+            "      ze = s || z1 - z <= chunk ? z1 : z + chunk;",
+            "      if (!s) {",
+            "        const i64 p = slide_window(A, s0, chunk, z, z0);",
+            "        gather(J, src, A + (p - z) * s0, s0, s1, segy, nsy,",
+            "               segx, nsx, n0, p, ze + 2 * RAD);",
+            "      }",
+            "      const i64 a0 = s ? z + RAD : RAD;",
+            "      if (fused)",
+            "        stage_out(A, out + z * J->gs0 + wy * J->gs1 + wx, s0, s1,",
+            "                  J->gs0, J->gs1, a0, a0 + ze - z,",
+            "                  y0, y1, x0, x1);",
+            "      else",
+            "        stage_out(A, B + (z + RAD) * s0 + y0 * s1 + x0, s0, s1,",
+            "                  s0, s1, a0, a0 + ze - z, y0, y1, x0, x1);",
             "    }",
-            "    stage_in(src, J->gs0, J->gs1,",
-            "             A + RAD * s0 + y0 * s1 + x0, s0, s1,",
-            "             zim, yoff, xim, runs, nruns,",
-            "             n0, y0, y1, x0);",
-            "    if (J->steps > 1 && !J->periodic",
-            "        && (dly | dhy | dlx | dhx))",
-            "      refresh_dups(A, s0, s1, n0, ny, nx, dly, dhy, dlx, dhx);",
-            "  }",
-            "  W += 6;",
-            "  /* stages 1..: ping-pong A -> B; final stage fused when the",
-            "   * window proves it covers exactly the compute region */",
-            "  for (i64 s = 1; s < J->steps; ++s, W += 6) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 y0 = W[2], y1 = W[3], x0 = W[4], x1 = W[5];",
-            "    if (s + 1 == J->steps && W[0] == 0 && W[1] == n0",
-            "        && y0 == ry && y1 == ry + cy",
-            "        && x0 == rx && x1 == rx + cx) {",
-            "      stage_out(A, out + wy * J->gs1 + wx, s0, s1,",
-            "                J->gs0, J->gs1, RAD, RAD + n0,",
-            "                y0, y1, x0, x1);",
-            "      return;",
-            "    }",
-            "    const i64 z0 = W[0] + RAD, z1 = W[1] + RAD;",
-            "    stage_out(A, B + z0 * s0 + y0 * s1 + x0, s0, s1, s0, s1,",
-            "              z0, z1, y0, y1, x0, x1);",
+            "    if (fused) return;",
             "    if (s + 1 < J->steps && !J->periodic",
             "        && (dly | dhy | dlx | dhx))",
             "      refresh_dups(B, s0, s1, n0, ny, nx, dly, dhy, dlx, dhx);",

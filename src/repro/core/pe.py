@@ -72,7 +72,7 @@ def stencil_terms(
     per-chunk hot loop.  This tuple is the bit-exactness contract: the
     NumPy engine iterates it directly, and every stage of the generated
     native pass driver emits its accumulation chain from it via one
-    generator (``repro.core.native._acc_chain``), so every engine
+    generator (``repro.core.native._acc_lines``), so every engine
     performs the identical sequence of separately rounded float32
     operations.
     """

@@ -17,7 +17,9 @@ updates or writes a single cell:
   (``max(0, halo - start)`` / ``max(0, stop + halo - extent)`` under
   clamp; all zero under periodic).
 * P304 — the gather segments tile the read footprint and reproduce the
-  clamped/wrapped source indices exactly.
+  clamped/wrapped source indices exactly.  The native driver's read
+  kernel copies these runs verbatim (a one-cell clamp broadcast or a
+  contiguous copy), so they alone place its blocked-axis halo.
 * P305 — the final stage of a full pass lands exactly on the compute
   region the write kernel copies out (``read_sl``).
 * P306 — every flat int64 driver table a run can build
@@ -230,7 +232,8 @@ def _check_segments(plan: PassPlan, locus: str) -> list[Finding]:
                         f"{plan.boundary!r} implies {int(expected[first])}",
                         locus=locus,
                         hint="segments must reproduce the clamped/wrapped "
-                        "halo indices",
+                        "halo indices: the driver's read kernel copies "
+                        "exactly these runs into the first stage's buffer",
                     )
                 )
     return findings

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.batch import BatchPlan
 from repro.core.native import (
     DISABLE_ENV,
+    READ_CHUNK_BYTES,
     SCALAR_FLAGS,
+    _find_compiler,
     driver_source,
     native_available,
     native_driver,
@@ -220,17 +228,14 @@ def test_one_driver_runs_every_vector_width(dims, radius, boundary) -> None:
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_driver_source_has_one_buffered_stage_kernel(dims) -> None:
-    # every buffered stage runs stage_out, so the source holds three
-    # accumulation chains: stage_out and stage_in's two run loops
+    # every stage, the first included, runs stage_out: the read kernel
+    # only copies, so the source holds one accumulation chain
     src = driver_source(StencilSpec.star(dims, 4))
     assert "static void stage(" not in src
-    assert src.count("float acc =") == 3
-    # the clamped/wrapped-run loop is the one that reads through xim
-    impure = src.index("rowc[xim[x]]")
-    pragma = src.rindex("#pragma omp simd", 0, impure)
-    assert src[pragma:src.index("\n", pragma)] == "#pragma omp simd simdlen(1)"
-    # the pure-run and stage_out loops stay vectorized
-    assert src.count("#pragma omp simd\n") == 2
+    assert "stage_in" not in src
+    assert src.count("float acc =") == 1
+    assert "simdlen(1)" not in src
+    assert src.count("#pragma omp simd\n") == 1
 
 
 def _clamped_path_shapes(dims, radius, boundary):
@@ -270,5 +275,114 @@ def test_clamped_runs_bit_exact(dims, radius, partime, boundary) -> None:
             assert batch.ok
             for got, ref in zip(batch.outputs, want):
                 assert np.array_equal(got, ref), shape
+    finally:
+        acc.close()
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_driver_source_has_no_variable_length_array(dims, tmp_path) -> None:
+    # a stack array sized by a grid or block extent overflows the thread
+    # stack on a tall grid; -Wvla -Werror rejects any such array
+    compiler = _find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler available")
+    c_path = tmp_path / "driver.c"
+    c_path.write_text(driver_source(StencilSpec.star(dims, 4)))
+    proc = subprocess.run(
+        [compiler, "-O0", "-c", "-Wvla", "-Werror",
+         "-o", str(tmp_path / "driver.o"), str(c_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_TALL_GRID_PROBE = """
+import numpy as np
+from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec
+from repro.core.reference import reference_run
+spec = StencilSpec.star(2, 2)
+cfg = BlockingConfig(dims=2, radius=2, bsize_x=64, parvec=4, partime=2)
+rng = np.random.default_rng(0)
+grids = [rng.standard_normal((400_000, 8)).astype(np.float32)
+         for _ in range(2)]
+want = [reference_run(g, spec, 3) for g in grids]
+acc = FPGAAccelerator(spec, cfg, engine="native")
+out, _ = acc.run(grids[0], 3)
+batch = acc.run_batch(grids, 3)
+acc.close()
+assert np.array_equal(out, want[0])
+assert batch.ok
+assert all(np.array_equal(o, w) for o, w in zip(batch.outputs, want))
+"""
+
+
+@needs_native
+def test_tall_grid_runs_on_a_small_stack() -> None:
+    # 400,000 streamed rows on a 2 MiB stack: a per-row table on the
+    # stack of the calling or a worker thread (3.2 MB of i64) would
+    # overflow it and kill the process.  The stack limit is set for the
+    # child so the outcome does not depend on the caller's `ulimit -s`.
+    resource = pytest.importorskip("resource")
+
+    def small_stack() -> None:
+        _, hard = resource.getrlimit(resource.RLIMIT_STACK)
+        limit = 2 << 20
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_STACK, (limit, hard))
+
+    env = dict(
+        os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TALL_GRID_PROBE],
+        capture_output=True, text=True, timeout=600, env=env,
+        preexec_fn=small_stack,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
+#: ``(dims, bsize, blocked extent)`` geometries of one block each:
+#: 128-byte 2D rows (chunks of 2048 planes), and 3D planes of 4 KiB
+#: (64 planes) and 64 KiB (the floor of ``2 * radius`` planes).
+_CHUNK_GEOMETRIES = [(2, 64, 20), (3, 32, 20), (3, 128, 116)]
+
+
+@needs_native
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+@pytest.mark.parametrize("dims, bsize, extent", _CHUNK_GEOMETRIES)
+def test_read_kernel_chunk_edges_bit_exact(
+    dims, bsize, extent, boundary
+) -> None:
+    # streamed extents around the read kernel's chunk: 1, RAD - 1,
+    # chunk - 1, chunk and chunk + 1, over full and tail passes
+    radius, partime = 3, 2
+    spec = StencilSpec.star(dims, radius)
+    cfg = BlockingConfig(
+        dims=dims, radius=radius, bsize_x=bsize,
+        bsize_y=bsize if dims == 3 else None, parvec=4, partime=partime,
+    )
+    tail = (extent,) * (dims - 1)
+    (block,) = get_pass_plan(cfg, (1,) + tail, boundary).blocks
+    width = vector_width_for(cfg.parvec)
+    plane = -(-block.footprint[-1] // width) * width
+    for n in block.footprint[1:-1]:
+        plane *= n
+    chunk = max(2 * radius, READ_CHUNK_BYTES // (4 * plane))
+    extents = sorted({1, radius - 1, chunk - 1, chunk, chunk + 1} - {0})
+    iterations = 2 * partime + 1  # full passes and a short tail pass
+    acc = FPGAAccelerator(spec, cfg, boundary=boundary, engine="native")
+    try:
+        for n0 in extents:
+            grids = [
+                make_grid((n0,) + tail, "mixed", seed=s) for s in (6, 7)
+            ]
+            want = [reference_run(g, spec, iterations, boundary) for g in grids]
+            out, _ = acc.run(grids[0], iterations)
+            assert np.array_equal(out, want[0]), n0
+            batch = acc.run_batch(grids, iterations)
+            assert batch.ok
+            for got, ref in zip(batch.outputs, want):
+                assert np.array_equal(got, ref), n0
     finally:
         acc.close()
