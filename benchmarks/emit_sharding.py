@@ -101,7 +101,6 @@ def main() -> None:
                     "replayed_passes": s.replayed_passes,
                     "halo_detections": s.halo_detections,
                     "reshards": s.reshards,
-                    "degradations": s.degradations,
                 }
                 for s in scenarios
             ],

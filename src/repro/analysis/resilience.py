@@ -890,7 +890,6 @@ class ShardScenario:
     replayed_passes: int
     halo_detections: int
     reshards: int
-    degradations: int
 
 
 def run_sharding_campaign(
@@ -943,16 +942,14 @@ def run_sharding_campaign(
                     "failed-typed" if error_type in SHARD_TYPED
                     else "violation"
                 )
-                faults = runner.device_faults
             else:
                 stats = res.stats
-                faults = stats.device_faults
                 status = (
                     "bit-exact"
                     if np.array_equal(res.grid, references[boundary])
                     else "violation"
                 )
-        faulty = sum(1 for f in faults if f)
+        faulty = sum(1 for f in runner.device_faults if f)
         confined = (
             stats is None
             or faulty == 0
@@ -973,7 +970,6 @@ def run_sharding_campaign(
                 replayed_passes=stats.replayed_passes if stats else 0,
                 halo_detections=stats.halo_detections if stats else 0,
                 reshards=stats.reshards if stats else 0,
-                degradations=stats.degradations if stats else 0,
             )
         )
     return out
@@ -1110,7 +1106,6 @@ def run_sharding() -> ExperimentResult:
                     "replayed_passes": s.replayed_passes,
                     "halo_detections": s.halo_detections,
                     "reshards": s.reshards,
-                    "degradations": s.degradations,
                 }
                 for s in scenarios
             ],

@@ -17,7 +17,6 @@ from repro.runtime.scheduler import (
     CircuitBreaker,
     JobResult,
     ShardedJob,
-    ShardedJobResult,
     StencilJob,
     StencilScheduler,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ServiceResult",
     "ServiceTicket",
     "ShardedJob",
-    "ShardedJobResult",
     "ShardedResult",
     "ShardedRunner",
     "ShardedStats",

@@ -132,18 +132,23 @@ def _cpu_model() -> str:
 _SOURCE_DIGESTS: dict[tuple, str] = {}
 
 
+def _spec_key(spec: StencilSpec) -> tuple:
+    """What identifies ``spec``'s arithmetic: shape, order and weights."""
+    return (
+        spec.dims,
+        spec.radius,
+        float(np.float32(spec.center)),
+        spec.coefficients.tobytes(),
+    )
+
+
 def source_digest(spec: StencilSpec) -> str:
     """sha256 of the generated driver source for ``spec``.
 
     The one source every configuration of ``spec`` runs: the SIMD width
     is not compiled in.
     """
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
+    key = _spec_key(spec)
     digest = _SOURCE_DIGESTS.get(key)
     if digest is None:
         digest = hashlib.sha256(driver_source(spec).encode()).hexdigest()
@@ -307,10 +312,11 @@ class Autotuner:
         self.shortlist_k = shortlist_k
         self.repeats = repeats
         self.seed = seed
-        # In-process memo over the persistent store: the serving path
-        # resolves per request, and a dict hit must cost microseconds,
-        # not a JSON read (the <=5% cache-hit latency budget).
-        self._memo: dict[str, TunedPlan] = {}
+        # In-process memo over the persistent store, keyed by the
+        # workload itself: the serving path resolves per request, and a
+        # hit must cost microseconds, neither a JSON read nor the sha256
+        # of the plan digest (the <=5% cache-hit latency budget).
+        self._memo: dict[tuple, TunedPlan] = {}
         self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -376,21 +382,22 @@ class Autotuner:
                 f"boundary must be 'clamp' or 'periodic', got {boundary!r}"
             )
         cpu = cpu_fingerprint()
-        digest = plan_digest(spec, shape, boundary, engine, cpu)
         if os.environ.get(DISABLE_ENV):
             design = self._model_best(spec, shape, iterations)
             return TunedPlan(
                 config=design.config,
                 engine=engine,
                 source="model",
-                digest=digest,
+                digest=plan_digest(spec, shape, boundary, engine, cpu),
                 cpu=cpu,
                 measured_ms={},
             )
+        key = (_spec_key(spec), shape, boundary, engine, cpu)
         with self._memo_lock:
-            memo = self._memo.get(digest)
+            memo = self._memo.get(key)
         if memo is not None:
             return memo
+        digest = plan_digest(spec, shape, boundary, engine, cpu)
         payload = self.cache.get(digest)
         if payload is not None:
             plan = TunedPlan(
@@ -402,7 +409,7 @@ class Autotuner:
                 measured_ms=dict(payload.get("measured_ms", {})),
             )
             with self._memo_lock:
-                self._memo[digest] = plan
+                self._memo[key] = plan
             return plan
 
         designs = Tuner(spec, self.board).shortlist(
@@ -463,7 +470,7 @@ class Autotuner:
             measured_ms=measured,
         )
         with self._memo_lock:
-            self._memo[digest] = plan
+            self._memo[key] = plan
         return plan
 
 

@@ -15,10 +15,12 @@ puts a resilient scheduler in front of a fleet of simulated
   job takes one path (:meth:`StencilScheduler.execute_job`) and
   returns one :class:`JobResult` with a slot per grid.  A
   :class:`ShardedJob` decomposes one grid across several devices and
-  returns a :class:`ShardedJobResult`.  Both share one SLO validator,
-  one admission check, one placement (a sharded job takes the first
-  ``shards`` devices a single-device job would be offered), one pair
-  of deadline checks and one breaker/health settle step;
+  returns a one-grid :class:`JobResult` with a device and an engine
+  per shard.  Both share one SLO validator, one admission check, one
+  placement (a sharded job takes the first ``shards`` devices a
+  single-device job would be offered), one pair of deadline checks and
+  one breaker/health settle step, and both charge the time they spent
+  to their devices' clocks whether they complete or fail;
 * **admission control** — the pending queue is bounded:
   :meth:`StencilScheduler.submit` raises
   :class:`~repro.errors.SchedulerSaturatedError` instead of growing
@@ -62,6 +64,7 @@ import numpy as np
 from repro.core.accelerator import ENGINES, FLOOR_ENGINE, check_engine
 from repro.core.blocking import BlockingConfig
 from repro.core.grid import make_grid
+from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
 from repro.errors import (
     ConfigurationError,
@@ -82,7 +85,7 @@ from repro.runtime.host import (
     RetryPolicy,
     StencilProgram,
 )
-from repro.runtime.sharded import ShardedResult, ShardedRunner, ShardedStats
+from repro.runtime.sharded import ShardedRunner
 
 
 def _check_slos(job) -> None:
@@ -173,15 +176,18 @@ class JobResult:
     retry failed entries as jobs of their own if they want another
     attempt.  A one-grid job is completed or failed, never partial, and
     reads as one result through :attr:`result`, :attr:`error_type` and
-    :attr:`error`.  ``engine`` records what the executing device
-    actually ran (``"numpy"`` once its circuit breaker tripped);
-    ``dispatches`` counts devices tried.
+    :attr:`error`.  ``devices`` are the executing devices and
+    ``engines`` what each actually ran (``"numpy"`` once its circuit
+    breaker tripped): one entry for a single-device job, one per shard
+    in shard order for a sharded job (``"lost"`` for a board that died
+    mid-run), none for a job failed while still pending.
+    ``dispatches`` counts placements tried.
     """
 
     job_id: str
     status: str
-    device: int | None
-    engine: str | None
+    devices: tuple[int, ...]
+    engines: tuple[str, ...]
     results: tuple[np.ndarray | None, ...] = field(repr=False, default=())
     error_types: tuple[str | None, ...] = ()
     errors: tuple[str | None, ...] = ()
@@ -233,10 +239,11 @@ class ShardedJob:
     sharded execution layer (:class:`~repro.runtime.sharded
     .ShardedRunner`): lockstep compute passes, CRC-guarded halo
     exchange, per-shard tail replay and re-sharding on device loss all
-    happen *inside* the job.  ``deadline_s`` budgets the lockstep
+    happen *inside* the job, which returns a one-grid
+    :class:`JobResult`.  ``deadline_s`` budgets the lockstep
     simulated time of the whole run (compute + exchange + recovery
     replay); ``checkpoint`` arms per-shard snapshots; ``engine`` is the
-    preferred engine — each shard still starts on its backing worker's
+    preferred engine — each shard runs on its backing worker's
     breaker-resolved engine, so a degraded board contributes a
     conservative shard instead of being excluded.
     """
@@ -254,6 +261,12 @@ class ShardedJob:
 
     def __post_init__(self) -> None:
         _check_slos(self)
+        if not isinstance(self.config, BlockingConfig):
+            raise ConfigurationError(
+                f"a sharded job needs a BlockingConfig, got {self.config!r}",
+                param="config", value=self.config,
+                constraint="isinstance(config, BlockingConfig)",
+            )
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}",
@@ -265,33 +278,6 @@ class ShardedJob:
                 param="boundary", value=self.boundary,
                 constraint="boundary in ('clamp', 'periodic')",
             )
-
-
-@dataclass(frozen=True)
-class ShardedJobResult:
-    """Outcome of one sharded job.
-
-    ``devices`` are the backing workers in shard order; ``engines`` are
-    the engines each shard *finished* on (``"lost"`` for a board that
-    died mid-run — the run itself completed on the survivors).
-    ``status`` is ``"completed"`` (bit-exact result present) or
-    ``"failed"`` (``error_type``/``error`` name the typed failure).
-    ``elapsed_s`` is the lockstep simulated time; ``stats`` carries the
-    full :class:`~repro.runtime.sharded.ShardedStats` when the run got
-    far enough to produce them.
-    """
-
-    job_id: str
-    status: str
-    devices: tuple[int, ...]
-    engines: tuple[str, ...]
-    result: np.ndarray | None = field(repr=False, default=None)
-    error_type: str | None = None
-    error: str | None = None
-    elapsed_s: float = 0.0
-    rollbacks: int = 0
-    replayed_passes: int = 0
-    stats: ShardedStats | None = None
 
 
 class CircuitBreaker:
@@ -581,21 +567,22 @@ class StencilScheduler:
                 self._jobs_completed += 1
                 return result
 
-    def execute_sharded(self, job: ShardedJob) -> ShardedJobResult:
+    def execute_sharded(self, job: ShardedJob) -> JobResult:
         """Run one sharded job across ``job.shards`` fleet devices now.
 
         Device choice is :meth:`_pick_workers`: the ``shards`` healthy
         workers with the smallest clocks back the shards, in shard order
         (quarantined boards fill in only when there are not enough
         healthy ones — the scheduler always makes progress).  Each shard
-        starts on its backing worker's breaker-resolved engine.
+        runs on its backing worker's breaker-resolved engine.
         Recovery lives *inside* the run — halo retry, per-shard tail
-        replay, engine degradation, re-sharding on device loss — so a
-        typed failure here is final: the internal redundancy *is* the
-        re-dispatch.  Once the run starts, health and breakers are
-        settled per backing worker from the run's per-device fault
-        counts; a run that returns advances every participating
-        worker's clock by the lockstep simulated time.
+        replay, re-sharding on device loss — so a typed failure here is
+        final: the internal redundancy *is* the re-dispatch.  A job the
+        shard plan or the deadline model rejects is not the devices'
+        fault and settles nothing.  Once the run starts, whether it
+        returns or raises, every backing worker's clock advances by the
+        run's lockstep simulated time and its health and breaker settle
+        from its own fault count.
         """
         self._admit(job, "execute_sharded")
         if job.shards > len(self.workers):
@@ -610,14 +597,10 @@ class StencilScheduler:
         preferred = job.engine or self.engine
         engines = tuple(w.engine(preferred) for w in workers)
         grid = np.ascontiguousarray(job.grid, dtype=np.float32)
-        checkpoint = (
-            job.checkpoint if job.checkpoint is not None else self.default_checkpoint
-        )
-        sharded: ShardedResult | None = None
-        err: Exception | None = None
-        # a job rejected before its run starts (deadline, configuration)
-        # is not the devices' fault: no health penalty
+        sharded = err = None
+        elapsed_s, attempts = 0.0, 0
         try:
+            ShardPlan(job.config, grid.shape, job.boundary, job.shards)
             if job.deadline_s is not None:
                 self._check_modeled(
                     job,
@@ -626,47 +609,47 @@ class StencilScheduler:
                         shards=job.shards, boundary=job.boundary,
                     ).time_s,
                 )
-            with ShardedRunner(
+            runner = ShardedRunner(
                 job.spec, job.config, job.boundary, shards=job.shards,
-                engines=list(engines), checkpoint=checkpoint,
-            ) as runner:
+                engines=list(engines),
+                checkpoint=(
+                    job.checkpoint
+                    if job.checkpoint is not None
+                    else self.default_checkpoint
+                ),
+            )
+        except (ConfigurationError, DeadlineExceededError) as e:
+            err = e
+        else:
+            attempts = 1
+            with runner:
                 try:
                     sharded = runner.run(grid, job.iterations)
                 except (FaultDetectedError, DeviceLostError, ConfigurationError) as e:
                     err = e
-                for w, n_faults in zip(workers, runner.device_faults):
-                    self._settle(w, faulty=n_faults > 0)
-                    if err is not None:
-                        w.log(
-                            f"sharded job {job.job_id!r} failed: "
-                            f"{type(err).__name__}"
-                        )
-                engines = runner.engines
-        except (ConfigurationError, DeadlineExceededError) as e:
-            err = e
-        stats: ShardedStats | None = None
-        result: np.ndarray | None = None
-        if sharded is not None:
-            stats = sharded.stats
-            for w in workers:
+            elapsed_s = runner.sim_time_s
+            engines = runner.engines
+            for w, n_faults in zip(workers, runner.device_faults):
                 # lockstep: every board is held for the whole run
-                w.queue.clock_s += stats.sim_time_s
-            err = self._missed_deadline(job, stats.sim_time_s, workers)
+                w.queue.clock_s += elapsed_s
+                self._settle(w, faulty=n_faults > 0)
+                if err is not None:
+                    w.log(f"sharded job {job.job_id!r} failed: {type(err).__name__}")
             if err is None:
-                result = sharded.grid
+                err = self._missed_deadline(job, elapsed_s, workers)
         self._jobs_completed += 1
-        return ShardedJobResult(
+        return JobResult(
             job_id=job.job_id,
             status="completed" if err is None else "failed",
             devices=tuple(w.index for w in workers),
             engines=engines,
-            result=result,
-            error_type=None if err is None else type(err).__name__,
-            error=None if err is None else str(err),
-            elapsed_s=0.0 if stats is None else stats.sim_time_s,
-            rollbacks=0 if stats is None else stats.rollbacks,
-            replayed_passes=0 if stats is None else stats.replayed_passes,
-            stats=stats,
+            results=(sharded.grid if err is None else None,),
+            error_types=(None if err is None else type(err).__name__,),
+            errors=(None if err is None else str(err),),
+            elapsed_s=elapsed_s,
+            attempts=attempts,
+            rollbacks=0 if sharded is None else sharded.stats.rollbacks,
+            replayed_passes=0 if sharded is None else sharded.stats.replayed_passes,
         )
 
     def _pick_workers(
@@ -874,8 +857,8 @@ class StencilScheduler:
             return JobResult(
                 job_id=job.job_id,
                 status="failed",
-                device=worker.index,
-                engine=engine_used,
+                devices=(worker.index,),
+                engines=(engine_used,),
                 results=(None,) * n_grids,
                 error_types=(type(err).__name__,) * n_grids,
                 errors=(str(err),) * n_grids,
@@ -956,8 +939,8 @@ class StencilScheduler:
         return JobResult(
             job_id=job.job_id,
             status="completed" if ok else "partial",
-            device=worker.index,
-            engine=engine_used,
+            devices=(worker.index,),
+            engines=(engine_used,),
             # views of the one read-back slab: no per-grid copy
             results=tuple(
                 out_slab[g] if err is None else None
@@ -1008,8 +991,8 @@ class StencilScheduler:
                 JobResult(
                     job_id=job.job_id,
                     status="failed",
-                    device=None,
-                    engine=None,
+                    devices=(),
+                    engines=(),
                     results=(None,) * n_grids,
                     error_types=(type(err).__name__,) * n_grids,
                     errors=(str(err),) * n_grids,

@@ -1062,7 +1062,7 @@ class StencilService:
                 continue
             degraded = level > 0 or (
                 out is not None
-                and result.engine == FLOOR_ENGINE
+                and result.engines[0] == FLOOR_ENGINE
                 and self.scheduler.engine != FLOOR_ENGINE
                 and engine != FLOOR_ENGINE
             )
@@ -1077,7 +1077,7 @@ class StencilService:
                     error_type=error_type,
                     error=error,
                     degraded=degraded,
-                    degraded_engine=result.engine if degraded else None,
+                    degraded_engine=result.engines[0] if degraded else None,
                     coalesced=coalesced,
                     **markers,
                     retries=retries,

@@ -25,15 +25,17 @@ Failure domains are per shard:
   recovery cost scales with the snapshot distance of *one* shard, not
   with the whole run (``ShardedStats.replayed_passes`` vs a whole-run
   retry's ``passes * shards``; gated in ``BENCH_sharding.json``).
-* **Repeated faults on one board** degrade that shard's engine from
-  ``native`` to ``numpy`` independently (all engines are bit-identical,
-  so degradation never changes the answer).
 * **Board lost outright** (:class:`~repro.faults.DeviceLossFault`,
   polled at pass boundaries): the lost shard's state is restored from
   its snapshots and replayed on a survivor, the global grid is
   recomposed from shard interiors — exact at a pass boundary — and the
   run re-shards onto the survivors.  With no survivor left the run
   fails with a typed :class:`~repro.errors.DeviceLostError`.
+
+Each board's detected faults are counted (:attr:`ShardedRunner
+.device_faults`) and never change its engine mid-run: the scheduler
+settles every backing worker's circuit breaker from those counts after
+the run.
 
 Every replay — after a fault mid-pass or after a board loss — is the
 same loop (:meth:`ShardedRunner._advance`), so a fault that strikes
@@ -55,6 +57,8 @@ maximum).  Host↔device scatter and gather transfers are deliberately
 which is what
 :meth:`repro.models.performance.PerformanceModel.predict_sharded`
 predicts (validated in ``tests/models/test_performance.py``).
+:attr:`ShardedRunner.sim_time_s` reads the lockstep time a run has
+spent, after a raise too.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from functools import partial
 import numpy as np
 
 from repro.core.accelerator import (
-    FLOOR_ENGINE,
     AcceleratorStats,
     FPGAAccelerator,
     check_engine,
@@ -114,17 +117,11 @@ class ShardedStats:
     rollbacks: int = 0
     replayed_passes: int = 0
     checkpoints: int = 0
-    #: Per-shard engine degradations / boards lost / re-shard events.
-    degradations: int = 0
+    #: Boards lost / re-shard events.
     devices_lost: int = 0
     reshards: int = 0
     #: Lockstep simulated time (compute + exchange; see module docstring).
     sim_time_s: float = 0.0
-    #: Final engine per device (``"lost"`` for boards that died).
-    engines: tuple[str, ...] = ()
-    #: Detected faults charged to each device this run (loss included) —
-    #: the scheduler's per-device health accounting reads this.
-    device_faults: tuple[int, ...] = ()
     output_crc32: int | None = None
 
 
@@ -138,13 +135,15 @@ class ShardedResult:
 
 
 class _ShardDevice:
-    """One simulated board: its accelerator, clock and fault history."""
+    """One simulated board: its accelerator and engine, clock and fault
+    history."""
 
-    __slots__ = ("index", "acc", "clock_s", "faults", "lost")
+    __slots__ = ("index", "acc", "engine", "clock_s", "faults", "lost")
 
     def __init__(self, index: int, acc: FPGAAccelerator):
         self.index = index
         self.acc = acc
+        self.engine = acc.resolved_engine
         self.clock_s = 0.0
         self.faults = 0
         self.lost = False
@@ -195,10 +194,7 @@ class ShardedRunner:
         :data:`~repro.core.accelerator.ENGINES`.  Each accelerator's
         native pool has the default size (one worker per CPU this
         process may run on); shards execute one at a time, so those
-        pools never compete for the CPUs.  Per-shard fault
-        pressure degrades individual devices to ``"numpy"``
-        independently; degradation is sticky across runs (a flaky board
-        stays degraded, mirroring scheduler quarantine).
+        pools never compete for the CPUs.
     engines:
         Optional per-device engine list overriding ``engine`` (length
         ``shards``) — the scheduler passes each backing worker's
@@ -212,8 +208,6 @@ class ShardedRunner:
     stall_watchdog:
         Spin attempts an exchange hop tolerates before the transport
         counts as wedged (default :attr:`STALL_WATCHDOG`).
-    degrade_after:
-        Detected faults on one board before its engine degrades.
 
     Per-pass compute is priced by :attr:`MODEL` and halo exchange at the
     PCIe bandwidth of :mod:`repro.runtime.host` (``PCIE_GBPS``), the
@@ -240,18 +234,11 @@ class ShardedRunner:
         engines=None,
         checkpoint=8,
         stall_watchdog: int | None = None,
-        degrade_after: int = 2,
     ):
         if shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {shards}",
                 param="shards", value=shards, constraint="shards >= 1",
-            )
-        if degrade_after < 1:
-            raise ConfigurationError(
-                f"degrade_after must be >= 1, got {degrade_after}",
-                param="degrade_after", value=degrade_after,
-                constraint="degrade_after >= 1",
             )
         if engines is not None and len(engines) != shards:
             raise ConfigurationError(
@@ -266,7 +253,6 @@ class ShardedRunner:
         self.boundary = boundary
         self.shards = shards
         self.engine = engine
-        self.degrade_after = degrade_after
         self.stall_watchdog = (
             stall_watchdog if stall_watchdog is not None else self.STALL_WATCHDOG
         )
@@ -276,17 +262,15 @@ class ShardedRunner:
         self._pass_time_cache: dict[tuple[int, ...], float] = {}
         self._devices = [
             _ShardDevice(
-                i, self._accelerator(engines[i] if engines is not None else engine)
+                i,
+                FPGAAccelerator(
+                    spec, config, boundary, stall_watchdog=self.stall_watchdog,
+                    engine=engines[i] if engines is not None else engine,
+                ),
             )
             for i in range(shards)
         ]
         self._closed = False
-
-    def _accelerator(self, engine: str) -> FPGAAccelerator:
-        return FPGAAccelerator(
-            self.spec, self.config, self.boundary,
-            stall_watchdog=self.stall_watchdog, engine=engine,
-        )
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -308,22 +292,24 @@ class ShardedRunner:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    # The per-device state of the latest run, readable after it returned
+    # or raised: the scheduler settles every backing worker from it on
+    # both paths.
+
     @property
     def engines(self) -> tuple[str, ...]:
-        """Current resolved engine per device (``"lost"`` for dead boards)."""
-        return tuple(
-            "lost" if d.lost else d.acc.resolved_engine for d in self._devices
-        )
+        """Resolved engine per device (``"lost"`` for boards that died)."""
+        return tuple("lost" if d.lost else d.engine for d in self._devices)
 
     @property
     def device_faults(self) -> tuple[int, ...]:
-        """Detected faults charged to each device (this run; loss included).
-
-        Readable even after a run raised — the scheduler settles
-        per-worker health from it on every path, including the failure
-        path, where no :class:`ShardedStats` exist.
-        """
+        """Detected faults charged to each device (loss included)."""
         return tuple(d.faults + (1 if d.lost else 0) for d in self._devices)
+
+    @property
+    def sim_time_s(self) -> float:
+        """Lockstep simulated time spent: the furthest device clock."""
+        return max(d.clock_s for d in self._devices)
 
     # -- pricing --------------------------------------------------------- #
 
@@ -369,14 +355,14 @@ class ShardedRunner:
                 f"iterations must be >= 0, got {iterations}",
                 param="iterations", value=iterations, constraint="iterations >= 0",
             )
-        grid = np.ascontiguousarray(grid, dtype=np.float32)
-        # Validates boundary/shape/halo-invariant before anything executes.
-        plan = ShardPlan(self.config, grid.shape, self.boundary, self.shards)
-        stats = ShardedStats(shards=self.shards)
         for dev in self._devices:
             dev.clock_s = 0.0
             dev.faults = 0
             dev.lost = False
+        grid = np.ascontiguousarray(grid, dtype=np.float32)
+        # Validates boundary/shape/halo-invariant before anything executes.
+        plan = ShardPlan(self.config, grid.shape, self.boundary, self.shards)
+        stats = ShardedStats(shards=self.shards)
         self._total_iters = iterations
         passes = self.config.passes(iterations)
         live = list(self._devices)
@@ -418,9 +404,7 @@ class ShardedRunner:
                 stats.checkpoints += agg.checkpoints
             current = plan.gather(seg.subs)
 
-        stats.sim_time_s = max(d.clock_s for d in self._devices)
-        stats.engines = self.engines
-        stats.device_faults = self.device_faults
+        stats.sim_time_s = self.sim_time_s
         golden_check(current, expected_crc, stats)
         return ShardedResult(current, stats, plan)
 
@@ -458,7 +442,7 @@ class ShardedRunner:
             try:
                 out, s = dev.acc.run(seg.subs[i], self._steps_at(r))
             except FaultDetectedError as exc:
-                self._charge(dev, stats)
+                dev.faults += 1
                 fault = exc
                 continue
             merge_counters(agg, s)
@@ -478,22 +462,6 @@ class ShardedRunner:
             seg.subs[i][e.dst_rows[0]:e.dst_rows[1]] = strip
             dev.clock_s += strip.nbytes / _LINK_BPS
             stats.halo_reserved += 1
-
-    def _charge(self, dev: _ShardDevice, stats: ShardedStats) -> None:
-        """Count one detected fault on ``dev``; at ``degrade_after``
-        faults its engine moves to the NumPy floor (once)."""
-        dev.faults += 1
-        old = dev.acc.resolved_engine
-        if dev.faults < self.degrade_after or old == FLOOR_ENGINE:
-            return
-        acc = self._accelerator(FLOOR_ENGINE)
-        dev.acc.close()
-        dev.acc = acc
-        stats.degradations += 1
-        fault_hooks.report_recovery(
-            f"device {dev.index} degraded {old} -> {acc.resolved_engine} "
-            f"after {dev.faults} detected faults"
-        )
 
     # -- halo exchange ----------------------------------------------------- #
 

@@ -182,6 +182,23 @@ def test_cold_measures_warm_reloads_memo_short_circuits(tmp_path) -> None:
     assert warm.measured_ms == plan.measured_ms
 
 
+def test_memo_hit_skips_the_digest_but_not_the_machine(
+    tmp_path, monkeypatch
+) -> None:
+    t = tuner(tmp_path)
+    plan = t.resolve(SPEC, SHAPE, iterations=2, engine="numpy")
+
+    def no_digest(*args):
+        raise AssertionError("a warm memo hit hashed the plan digest")
+
+    monkeypatch.setattr(autotune, "plan_digest", no_digest)
+    assert t.resolve(SPEC, SHAPE, iterations=2, engine="numpy") is plan
+    # another CPU allotment is another workload: the memo misses
+    monkeypatch.setattr(autotune, "cpu_fingerprint", lambda: "other/cores=1")
+    with pytest.raises(AssertionError, match="hashed the plan digest"):
+        t.resolve(SPEC, SHAPE, iterations=2, engine="numpy")
+
+
 def test_audit_failure_disqualifies_every_candidate(
     tmp_path, monkeypatch
 ) -> None:

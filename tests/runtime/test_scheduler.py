@@ -95,7 +95,7 @@ def test_jobs_balance_across_devices() -> None:
     assert all(r.status == "completed" for r in results)
     assert all(np.array_equal(r.result, REF_4) for r in results)
     # min-clock dispatch alternates identical jobs across identical boards
-    assert [r.device for r in results] == [0, 1, 0, 1]
+    assert [r.devices for r in results] == [(0,), (1,), (0,), (1,)]
     report = sched.device_report()
     assert report[0]["clock_s"] == pytest.approx(report[1]["clock_s"])
 
@@ -197,10 +197,10 @@ def test_quarantined_device_sits_out_until_probe_due() -> None:
     assert all(r.status == "completed" for r in results)
     # the first two jobs may only use the healthy device; once two jobs
     # completed, the probe re-admits device 0
-    assert results[0].device == 1
-    assert results[1].device == 1
+    assert results[0].devices == (1,)
+    assert results[1].devices == (1,)
     assert not sick.quarantined
-    assert 0 in {r.device for r in results[2:]}
+    assert (0,) in {r.devices for r in results[2:]}
 
 
 def test_failed_probe_keeps_device_quarantined() -> None:
@@ -229,7 +229,7 @@ def test_fault_failure_redispatches_to_another_device() -> None:
         (result,) = sched.run_until_idle()
     assert result.status == "completed"
     assert result.dispatches == 2
-    assert result.device == 1
+    assert result.devices == (1,)
     assert np.array_equal(result.result, REF_4)
 
 
@@ -281,7 +281,7 @@ def test_breaker_trips_after_consecutive_faulted_jobs() -> None:
     assert worker.breaker.tripped
     assert "consecutive" in worker.breaker.reason
     assert r3.status == "completed"
-    assert r3.engine == "numpy"  # degraded, not dead
+    assert r3.engines == ("numpy",)  # degraded, not dead
     assert np.array_equal(r3.result, REF_4)
 
 
@@ -303,7 +303,7 @@ def test_native_compile_failure_degrades_to_numpy(
     sched.submit(job("j"))
     (result,) = sched.run_until_idle()
     assert result.status == "completed"
-    assert result.engine == "native"  # what was asked for at dispatch...
+    assert result.engines == ("native",)  # what was asked for at dispatch...
     worker = sched.workers[0]
     assert worker.breaker.tripped  # ...but the breaker saw the build fail
     assert "native engine unavailable" in worker.breaker.reason
@@ -312,7 +312,7 @@ def test_native_compile_failure_degrades_to_numpy(
     # subsequent jobs dispatch straight to the degraded engine
     sched.submit(job("k"))
     (r2,) = sched.run_until_idle()
-    assert r2.engine == "numpy"
+    assert r2.engines == ("numpy",)
 
 
 # -- checkpoint plumbing ------------------------------------------------------ #
@@ -414,7 +414,7 @@ def test_job_engine_override_pins_tier() -> None:
     sched = StencilScheduler(devices=1, engine="auto")
     result = sched.execute_job(job("slow", engine="numpy"))
     assert result.status == "completed"
-    assert result.engine == "numpy"
+    assert result.engines == ("numpy",)
     assert np.array_equal(result.result, REF_4)
     with pytest.raises(ConfigurationError):
         job("bad", engine="gpu")
@@ -488,7 +488,7 @@ def test_fully_degraded_board_releases_fast_path_pools() -> None:
     assert any("released" in e for e in sched.workers[0].events)
     # degraded steady state still serves correct bits via numpy
     after = sched.execute_job(job("after"))
-    assert after.engine == "numpy"
+    assert after.engines == ("numpy",)
     assert np.array_equal(after.result, REF_4)
     sched.close()
 
@@ -514,7 +514,7 @@ def test_close_fails_pending_jobs_typed() -> None:
     for r in shed:
         assert r.status == "failed"
         assert r.error_type == "SchedulerShutdownError"
-        assert r.device is None and r.result is None
+        assert r.devices == () and r.engines == () and r.result is None
     assert sched.pending == 0
     # idempotent: a second close has nothing left to settle
     assert sched.close() == []
@@ -536,8 +536,13 @@ def test_close_drain_finishes_pending_jobs() -> None:
 
 # -- sharded jobs ------------------------------------------------------------ #
 
-from repro.faults import DeviceLossFault  # noqa: E402
-from repro.runtime import ShardedJob  # noqa: E402
+from repro.errors import DeviceLostError, HaloExchangeError  # noqa: E402
+from repro.faults import (  # noqa: E402
+    ChannelStallFault,
+    DeviceLossFault,
+    HaloCorruptFault,
+)
+from repro.runtime import ShardedJob, ShardedRunner  # noqa: E402
 
 SHARD_GRID = make_grid((24, 64), "mixed", seed=11)
 SHARD_REF = reference_run(SHARD_GRID, SPEC, 6)
@@ -562,6 +567,9 @@ def test_sharded_job_validation() -> None:
         sharded_job("j", engine="simd")
     with pytest.raises(ConfigurationError):
         sharded_job("j", deadline_s=0.0)
+    with pytest.raises(ConfigurationError) as exc:
+        ShardedJob(job_id="j", spec=SPEC, config=None, grid=SHARD_GRID)
+    assert exc.value.param == "config"
 
 
 def test_sharded_job_completes_bit_exact() -> None:
@@ -618,16 +626,13 @@ def test_sharded_deadline_missed_after_replay_discards_result() -> None:
     assert result.error_type == "DeadlineExceededError"
     assert "not dispatched" not in result.error
     assert result.result is None
-    assert result.stats is not None
-    assert result.stats.replayed_passes >= 1
-    assert result.elapsed_s == result.stats.sim_time_s > estimate_s
+    assert result.replayed_passes >= 1
+    assert result.elapsed_s > estimate_s
     # lockstep: every backing board was held for the whole late run...
     assert [w.queue.clock_s for w in sched.workers] == [result.elapsed_s] * 2
     # ...and each one's health was settled from its own fault count
-    for w, n_faults in zip(sched.workers, result.stats.device_faults):
-        assert w.jobs_run == 1
-        assert list(w.window) == [n_faults > 0]
-    assert sorted(result.stats.device_faults) == [0, 1]
+    assert all(w.jobs_run == 1 for w in sched.workers)
+    assert sorted(list(w.window) for w in sched.workers) == [[False], [True]]
     assert any("missed deadline" in e for e in sched.workers[0].events)
     sched.close()
 
@@ -659,11 +664,8 @@ def test_sharded_fault_charges_only_faulty_worker() -> None:
     assert result.status == "completed"
     assert np.array_equal(result.result, SHARD_REF)
     assert result.rollbacks >= 1
-    faulty = [w for w, n in zip(sched.workers, result.stats.device_faults) if n]
-    clean = [w for w, n in zip(sched.workers, result.stats.device_faults) if not n]
-    assert len(faulty) == 1 and len(clean) == 1
-    assert faulty[0].window.count(True) == 1
-    assert clean[0].window.count(True) == 0
+    # one health sample per backing worker, faulty only on the SEU's
+    assert sorted(list(w.window) for w in sched.workers) == [[False], [True]]
     sched.close()
 
 
@@ -675,7 +677,6 @@ def test_sharded_device_loss_survives_and_reports() -> None:
     assert result.status == "completed"
     assert np.array_equal(result.result, SHARD_REF)
     assert "lost" in result.engines
-    assert result.stats.reshards == 1
     sched.close()
 
 
@@ -720,7 +721,111 @@ def test_checkpoint_quarantine_degradation_interplay() -> None:
     # SEU hit *its* shard, and shard checkpoints recovered it bit-exact
     assert any("re-admitted" in e for e in sick.events)
     sick_slot = result.devices.index(sick.index)
-    assert result.stats.device_faults[sick_slot] >= 1
+    assert sick.window[-1] and not healthy.window[-1]
     assert result.engines[sick_slot] == "numpy"
     assert result.engines[result.devices.index(healthy.index)] == "native"
+    sched.close()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid((3, 64), "mixed", seed=1), make_grid((4, 8, 64), "mixed", seed=1)],
+    ids=["too-few-rows", "wrong-rank"],
+)
+def test_sharded_job_rejected_by_plan_takes_no_health_sample(grid) -> None:
+    # like a misconfigured single-device job: typed, and not the boards'
+    # fault, so no health sample, no clock time and no log line
+    sched = StencilScheduler(devices=2, engine="numpy")
+    result = sched.execute_sharded(
+        ShardedJob(job_id="bad", spec=SPEC, config=CONFIG, grid=grid, shards=2)
+    )
+    assert result.status == "failed"
+    assert result.error_type == "ConfigurationError"
+    assert result.result is None and result.elapsed_s == 0.0
+    for w in sched.workers:
+        assert w.jobs_run == 0 and not w.window
+        assert w.queue.clock_s == 0.0 and w.events == []
+    sched.close()
+
+
+def _halo_stall() -> tuple:
+    # the second write on the edge: the run has completed two passes
+    return (
+        ChannelStallFault(
+            channel="halo:0->1:lo", op="write", at_op=1, duration=10_000
+        ),
+    )
+
+
+def _halo_overrun() -> tuple:
+    # every send of round 1 and its retries is corrupted
+    return tuple(
+        HaloCorruptFault(edge="halo:0->1:lo", at_exchange=k) for k in range(1, 4)
+    )
+
+
+def _no_survivor() -> tuple:
+    return (
+        DeviceLossFault(at_pass=1, device=0),
+        DeviceLossFault(at_pass=1, device=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "faults, error",
+    [
+        (_halo_stall, HaloExchangeError),
+        (_halo_overrun, HaloExchangeError),
+        (_no_survivor, DeviceLostError),
+    ],
+    ids=["halo-stall", "halo-retry-overrun", "no-survivor"],
+)
+def test_failed_sharded_job_charges_the_time_it_spent(faults, error) -> None:
+    plan = FaultPlan(seed=5, faults=faults())
+    with ShardedRunner(
+        SPEC, CONFIG, shards=2, engine="numpy", checkpoint=2
+    ) as runner, arm(plan):
+        with pytest.raises(error):
+            runner.run(SHARD_GRID, 6)
+    spent = runner.sim_time_s
+    assert spent > 0.0
+
+    sched = StencilScheduler(devices=2, engine="numpy")
+    with arm(plan):
+        result = sched.execute_sharded(sharded_job("fails", shards=2))
+    assert result.status == "failed"
+    assert result.error_type == error.__name__
+    assert result.result is None
+    # the boards were held for every pass run before the raise
+    assert result.elapsed_s == spent
+    assert [w.queue.clock_s for w in sched.workers] == [spent] * 2
+    assert all(w.jobs_run == 1 for w in sched.workers)
+    sched.close()
+
+
+def test_repeated_sharded_faults_trip_only_that_workers_breaker() -> None:
+    # the per-worker breaker is the one degrade: two faulty sharded jobs
+    # on one board trip its breaker, and the next job backs that
+    # board's shard with the NumPy engine while the other stays native
+    sched = StencilScheduler(devices=2, engine="native", breaker_threshold=2)
+    for run in ("first", "second"):
+        plan = FaultPlan(
+            seed=3, faults=(SEUFault(site="block-buffer", at_touch=2),)
+        )
+        with arm(plan):
+            result = sched.execute_sharded(sharded_job(run, shards=2))
+        assert result.status == "completed"
+        assert np.array_equal(result.result, SHARD_REF)
+        assert result.engines == ("native", "native")
+    tripped = [w for w in sched.workers if w.breaker.tripped]
+    assert len(tripped) == 1
+    sick = tripped[0]
+    assert list(sick.window) == [True, True]
+
+    result = sched.execute_sharded(sharded_job("third", shards=2))
+    assert result.status == "completed"
+    assert np.array_equal(result.result, SHARD_REF)
+    assert sorted(result.devices) == [0, 1]
+    for device, engine in zip(result.devices, result.engines):
+        assert engine == ("numpy" if device == sick.index else "native")
     sched.close()

@@ -178,7 +178,7 @@ def test_one_grid_seu_is_retried_by_the_queue_on_its_device() -> None:
         assert len(inj.fired) == 1
         assert result.status == "completed"
         assert result.attempts == 2 and result.dispatches == 1
-        assert result.device == 0
+        assert result.devices == (0,)
         assert np.array_equal(
             result.result, reference_run(GRIDS[0], SPEC, SEU_ITERS)
         )
@@ -204,10 +204,10 @@ def test_hit_grid_fails_alone_and_the_batch_is_not_redispatched() -> None:
             assert np.array_equal(
                 result.results[g], reference_run(GRIDS[g], SPEC, SEU_ITERS)
             )
-        kernels = [e for e in sched.workers[result.device].queue.events
+        kernels = [e for e in sched.workers[result.devices[0]].queue.events
                    if e.name.endswith("kernel")]
         assert len(kernels) == 1
-        assert sched.workers[1 - result.device].queue.events == []
+        assert sched.workers[1 - result.devices[0]].queue.events == []
     finally:
         sched.close()
 

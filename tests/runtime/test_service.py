@@ -375,7 +375,7 @@ def test_soft_degrade_keeps_the_schedulers_engine(monkeypatch, engine) -> None:
     # checkpoint cadence
     result, job = _serve_at_level(monkeypatch, engine, level=1)
     assert job.engine is None and job.checkpoint == 2
-    assert result.job_result.engine == engine
+    assert result.job_result.engines == (engine,)
     assert result.degraded
 
 
