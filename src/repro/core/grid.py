@@ -69,16 +69,3 @@ def make_grid(
         noise = rng.random(shape)
         return (0.5 * np.broadcast_to(ramp, shape) + 0.5 * noise).astype(dtype)
     raise ConfigurationError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
-
-
-def grid_bytes(shape: Sequence[int], dtype: np.dtype | type = np.float32) -> int:
-    """Size in bytes of a grid of ``shape`` (one copy)."""
-    size = int(np.prod([int(s) for s in shape]))
-    return size * np.dtype(dtype).itemsize
-
-
-def dims_of(grid: np.ndarray) -> int:
-    """Dimensionality (2 or 3) of a grid array."""
-    if grid.ndim not in (2, 3):
-        raise ConfigurationError(f"grid must be 2D or 3D, got ndim={grid.ndim}")
-    return grid.ndim

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.plan import Window
 from repro.core.reference import _axis_of
 from repro.core.stencil import StencilSpec
-
-#: Type alias: per-axis (lo, hi) local window bounds.
-Window = tuple[tuple[int, int], ...]
 
 
 def fill_stream_halo(

@@ -47,7 +47,7 @@ from repro.errors import ConfigurationError
 #: seg_off_x, seg_cnt_x``
 DRIVER_RECORD_LEN = {2: 9, 3: 17}
 
-#: Per-axis (lo, hi) local window bounds (re-exported shape of pe.Window).
+#: Per-axis (lo, hi) local window bounds.
 Window = tuple[tuple[int, int], ...]
 
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 from repro.errors import ConfigurationError
 from repro.faults import hooks
-from repro.faults.checksum import crc32_array, crc32_bytes
+from repro.faults.checksum import crc32_array
 from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.plan import (
     ChannelCorruptFault,
@@ -100,5 +100,4 @@ __all__ = [
     "disarm",
     "active",
     "crc32_array",
-    "crc32_bytes",
 ]

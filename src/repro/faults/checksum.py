@@ -21,8 +21,3 @@ def crc32_array(array: np.ndarray) -> int:
     """
     flat = np.ascontiguousarray(array).reshape(-1)
     return zlib.crc32(flat.view(np.uint8))
-
-
-def crc32_bytes(data: bytes) -> int:
-    """CRC32 of raw bytes."""
-    return zlib.crc32(data)

@@ -32,11 +32,3 @@ def roofline_ratio(
     if peak_bandwidth_gbps <= 0 or flop_per_byte <= 0:
         raise ConfigurationError("roofline inputs must be positive")
     return achieved_gflops / (peak_bandwidth_gbps * flop_per_byte)
-
-
-def is_memory_bound(
-    peak_gflops: float, peak_bandwidth_gbps: float, flop_per_byte: float
-) -> bool:
-    """Whether a kernel is memory-bound on a device without temporal
-    blocking (paper §IV.B: true for every stencil on every device here)."""
-    return roofline_gflops(peak_gflops, peak_bandwidth_gbps, flop_per_byte) < peak_gflops

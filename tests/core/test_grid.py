@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.grid import PATTERNS, dims_of, grid_bytes, make_grid
+from repro.core.grid import PATTERNS, make_grid
 from repro.errors import ConfigurationError
 
 
@@ -47,15 +47,3 @@ def test_invalid_inputs() -> None:
         make_grid((8, 0), "random")
     with pytest.raises(ConfigurationError):
         make_grid((8, 8), "nope")
-
-
-def test_grid_bytes() -> None:
-    assert grid_bytes((10, 10)) == 400
-    assert grid_bytes((2, 3, 4), np.float64) == 192
-
-
-def test_dims_of() -> None:
-    assert dims_of(np.zeros((2, 2))) == 2
-    assert dims_of(np.zeros((2, 2, 2))) == 3
-    with pytest.raises(ConfigurationError):
-        dims_of(np.zeros(4))

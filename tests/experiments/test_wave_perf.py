@@ -16,6 +16,11 @@ def test_wave_config_halves_partime_until_fit() -> None:
         assert wcfg.parvec == base.parvec
 
 
+def test_leapfrog_flop_accounting() -> None:
+    # laplacian (4+1 muls + 24 adds) + scale + 2u - uprev + add = 33
+    assert wave_perf.leapfrog_flops_per_cell(3, 4) == (4 + 1) + 24 + 1 + 3
+
+
 @pytest.fixture(scope="module")
 def result():
     return wave_perf.run()

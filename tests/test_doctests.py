@@ -10,16 +10,12 @@ import repro.core.accelerator
 import repro.core.stencil
 import repro.dsl
 import repro.dsl.ast
-import repro.utils.serialization
-import repro.utils.timing
 
 MODULES = [
     repro.core.accelerator,
     repro.core.stencil,
     repro.dsl,
     repro.dsl.ast,
-    repro.utils.serialization,
-    repro.utils.timing,
 ]
 
 
