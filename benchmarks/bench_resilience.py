@@ -10,9 +10,10 @@ skips, so the *gap* between the two runs is the machinery the hooks
 guard — and the disarmed timing is asserted well below it.
 
 The same pair is measured on the host layer: a ``CommandQueue`` write
--> kernel -> read round trip, which disarmed makes one copy in, writes
-the kernel's last pass straight into the device buffer and makes one
-copy out, with no CRC; armed-empty it CRCs every transfer and scrubs
+-> kernel -> read round trip, which disarmed adopts the caller's grid
+as the source buffer, writes the kernel's last pass straight into the
+device buffer's new storage and hands that storage back, with no copy
+and no CRC; armed-empty it copies and CRCs every transfer and scrubs
 the source buffer.
 """
 

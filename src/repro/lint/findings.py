@@ -120,6 +120,9 @@ RULES: dict[str, Rule] = _catalog([
      "unseeded random number generator on a simulation path"),
     ("H404", Severity.ERROR, "purity",
      "integrity check (CRC or host mirror) skipped outside a disarmed guard"),
+    ("H405", Severity.ERROR, "purity",
+     "caller's array or buffer storage handed over uncopied outside a "
+     "disarmed guard"),
     # ---- concurrency pass ---------------------------------------------- #
     ("T501", Severity.ERROR, "concurrency",
      "lock-acquisition graph contains a cycle (potential deadlock)"),

@@ -1,6 +1,6 @@
 """Hot-path purity pass: AST lint over the repository's own source.
 
-The simulator's hot paths promise three hygiene properties that are easy
+The simulator's hot paths promise hygiene properties that are easy
 to break silently during refactors:
 
 * H401 — every use of the fault-injection hook object (``ACTIVE`` in
@@ -19,6 +19,14 @@ to break silently during refactors:
   (``expected_crc is not None``).  Two more conditions skip nothing: a
   cache fill (``if self._crc is None: self._crc = crc32_array(...)``)
   and an absent argument (``if x is not None: crc32_array(x)``).
+* H405 — a hand-over without a copy happens only while disarmed: a
+  caller's array adopted by a buffer (``buf.adopt(v)``, ``v`` a
+  parameter or a view of one) and a buffer's storage returned
+  (``return buf.data`` / ``buf.share()`` / ``buf.view()``) are bound
+  under an ``inj is None`` guard, so an armed transfer always copies
+  what its CRC and host mirror cover.  Where the array reaches the
+  adopt or return through a local name, the binding of that name is
+  the hand-over checked.
 
 The checker is deliberately syntactic and conservative-but-precise for
 this codebase's idioms.  Accepted guard forms (all appear in the source
@@ -88,26 +96,24 @@ def _expr_matches(node: ast.AST, aliases: set[str]) -> bool:
     return isinstance(node, ast.Name) and node.id in aliases
 
 
-def _none_compare(test: ast.AST, aliases: set[str]) -> str | None:
-    """Classify ``test``: 'nonnull' (= armed), 'null' (= disarmed), None."""
-    if (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-        and _expr_matches(test.left, aliases)
-    ):
-        if isinstance(test.ops[0], ast.IsNot):
-            return "nonnull"
-        if isinstance(test.ops[0], ast.Is):
-            return "null"
+def _implies(
+    test: ast.AST, aliases: set[str], when: bool, armed: bool
+) -> bool:
+    """Does ``test`` evaluating to ``when`` prove a plan is armed
+    (``armed``) or that none is (``not armed``)?"""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _implies(test.operand, aliases, not when, armed)
     if isinstance(test, ast.BoolOp):
-        kinds = [_none_compare(v, aliases) for v in test.values]
-        if isinstance(test.op, ast.And) and "nonnull" in kinds:
-            return "nonnull"
-        if isinstance(test.op, ast.Or) and "null" in kinds:
-            return "null"
-    return None
+        verdicts = [_implies(v, aliases, when, armed) for v in test.values]
+        # a true `and` (a false `or`) fixes every operand; the other
+        # outcome fixes none of them alone
+        if isinstance(test.op, ast.And) == when:
+            return any(verdicts)
+        return all(verdicts)
+    none_test = _none_test(test)
+    if none_test is None or not _expr_matches(none_test[0], aliases):
+        return False
+    return (none_test[1] == when) != armed  # ``inj is None`` held: disarmed
 
 
 def _always_exits(body: list[ast.stmt]) -> bool:
@@ -116,38 +122,30 @@ def _always_exits(body: list[ast.stmt]) -> bool:
     )
 
 
-def _guarded(node: ast.AST, aliases: set[str]) -> bool:
-    """Is ``node`` dominated by an armed-check of the hook object?"""
+def _guarded(node: ast.AST, aliases: set[str], armed: bool = True) -> bool:
+    """Is ``node`` dominated by a check that a plan is armed (or, with
+    ``armed=False``, that none is)?"""
     child: ast.AST = node
     parent = _parent(node)
     while parent is not None:
-        if isinstance(parent, ast.If):
-            kind = _none_compare(parent.test, aliases)
-            if kind == "nonnull" and child in parent.body:
-                return True
-            if kind == "null" and child in parent.orelse:
-                return True
-        elif isinstance(parent, ast.IfExp):
-            kind = _none_compare(parent.test, aliases)
-            if kind == "nonnull" and child is parent.body:
-                return True
-            if kind == "null" and child is parent.orelse:
-                return True
-        elif isinstance(parent, ast.BoolOp):
-            index = next(
-                (i for i, v in enumerate(parent.values) if v is child), -1
+        if isinstance(parent, (ast.If, ast.IfExp)) and child is not parent.test:
+            in_body = (
+                child in parent.body
+                if isinstance(parent, ast.If)
+                else child is parent.body
             )
-            if index > 0:
-                earlier = parent.values[:index]
-                if isinstance(parent.op, ast.And) and any(
-                    _none_compare(v, aliases) == "nonnull" for v in earlier
-                ):
-                    return True
-                if isinstance(parent.op, ast.Or) and any(
-                    _none_compare(v, aliases) == "null" for v in earlier
-                ):
-                    return True
-        # Early-exit pattern: a preceding sibling ``if <disarmed>: return``
+            if _implies(parent.test, aliases, in_body, armed):
+                return True
+        elif isinstance(parent, ast.BoolOp) and child in parent.values:
+            # a later operand runs only if the earlier ones held (`and`)
+            # or failed (`or`)
+            held = isinstance(parent.op, ast.And)
+            if any(
+                _implies(v, aliases, held, armed)
+                for v in parent.values[: parent.values.index(child)]
+            ):
+                return True
+        # Early-exit pattern: a preceding sibling ``if <test>: return``
         # in the same statement list dominates everything after it.
         for field in ("body", "orelse", "finalbody"):
             stmts = getattr(parent, field, None)
@@ -156,8 +154,8 @@ def _guarded(node: ast.AST, aliases: set[str]) -> bool:
                     if (
                         isinstance(prior, ast.If)
                         and not prior.orelse
-                        and _none_compare(prior.test, aliases) == "null"
                         and _always_exits(prior.body)
+                        and _implies(prior.test, aliases, False, armed)
                     ):
                         return True
         # Stop at function boundaries: aliases are function-local.
@@ -372,6 +370,123 @@ def _check_integrity_skips(
         )
 
 
+def _uncopied(expr: ast.AST, names: set[str]) -> bool:
+    """Is ``expr`` one of ``names``, or an index or ternary arm of one
+    (a view, not a copy)?"""
+    if isinstance(expr, ast.Name):
+        return expr.id in names
+    if isinstance(expr, ast.Subscript):
+        return _uncopied(expr.value, names)
+    if isinstance(expr, ast.IfExp):
+        return _uncopied(expr.body, names) or _uncopied(expr.orelse, names)
+    return False
+
+
+def _storage(expr: ast.AST, params: set[str]) -> bool:
+    """Is ``expr`` a buffer parameter's stored array (``p.data``,
+    ``p.share()``, ``p.view()``) or a view of it?"""
+    if isinstance(expr, ast.Subscript):
+        return _storage(expr.value, params)
+    if isinstance(expr, ast.IfExp):
+        return _storage(expr.body, params) or _storage(expr.orelse, params)
+    if isinstance(expr, ast.Call) and not expr.args:
+        expr = expr.func
+        members = ("share", "view")
+    else:
+        members = ("data", "_data")
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr in members
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id in params
+    )
+
+
+def _sinks(own: list[ast.AST]):
+    """``(expr, kind)`` for each array one function (its nodes ``own``)
+    hands over: the argument of an ``x.adopt(...)`` call (kind
+    ``"adopt"``) and each returned value (kind ``"return"``)."""
+    for node in own:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "adopt"
+            and len(node.args) == 1
+        ):
+            yield node.args[0], "adopt"
+        elif isinstance(node, ast.Return) and node.value is not None:
+            value = node.value
+            for expr in value.elts if isinstance(value, ast.Tuple) else [value]:
+                yield expr, "return"
+
+
+def _check_hand_overs(
+    tree: ast.AST, rel: str, findings: list[Finding]
+) -> None:
+    """H405: a caller's array adopted uncopied (``x.adopt(arg)`` with
+    ``arg`` a view of a parameter) and a buffer's storage returned
+    uncopied are bound only under a disarmed guard."""
+    alias_map = _collect_aliases(tree)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = {
+            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+        } - {"self", "cls"}
+        own = [n for n in ast.walk(func) if _enclosing_function(n) is func]
+        binds = [
+            n for n in own
+            if isinstance(n, ast.Assign)
+            and len(n.targets) == 1
+            and isinstance(n.targets[0], ast.Name)
+        ]
+        sources = {
+            "adopt": lambda e, names: _uncopied(e, names | params),
+            "return": lambda e, names: (
+                _storage(e, params) or _uncopied(e, names)
+            ),
+        }
+        for expr, kind in _sinks(own):
+            is_source = sources[kind]
+            names: set[str] = set()  # locals bound to a source, to fixpoint
+            while True:
+                grown = names | {
+                    b.targets[0].id for b in binds if is_source(b.value, names)
+                }
+                if grown == names:
+                    break
+                names = grown
+            if isinstance(expr, ast.Name) and expr.id in names - params:
+                # the hand-over is where the view was bound to the name
+                sites = [
+                    b for b in binds
+                    if b.targets[0].id == expr.id and is_source(b.value, names)
+                ]
+            else:
+                sites = [expr] if is_source(expr, names) else []
+            for site in sites:
+                if _guarded(site, alias_map.get(func, set()), armed=False):
+                    continue
+                what = (
+                    "a caller's array adopted"
+                    if kind == "adopt"
+                    else "buffer storage returned"
+                )
+                findings.append(
+                    Finding(
+                        rule="H405",
+                        message=f"{what} uncopied outside an `inj is None` "
+                        "guard",
+                        locus=f"{rel}:{site.lineno}",
+                        hint="hand an array across a transfer uncopied "
+                        "only while disarmed (inj = fault_hooks.ACTIVE; "
+                        "`if inj is None:`); armed, copy it so the CRC "
+                        "and mirror checks cover what crosses",
+                    )
+                )
+
+
 def _check_id_keys(
     tree: ast.AST, rel: str, findings: list[Finding]
 ) -> None:
@@ -457,6 +572,7 @@ def lint_source(text: str, filename: str) -> list[Finding]:
     _annotate_parents(tree)
     _check_hooks(tree, filename, findings)
     _check_integrity_skips(tree, filename, findings)
+    _check_hand_overs(tree, filename, findings)
     _check_id_keys(tree, filename, findings)
     _check_rng(tree, filename, findings)
     return findings

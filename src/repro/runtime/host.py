@@ -58,8 +58,9 @@ class Buffer:
     """A device-resident buffer with CRC-tracked contents.
 
     ``write`` stores a copy of the payload, so the buffer never aliases
-    the caller's array; ``adopt`` takes over an array the caller hands
-    off (the kernel's output) without copying.  The CRC32 — the ECC the
+    the caller's array; ``adopt`` takes over an array without copying —
+    the kernel's output, or a disarmed write's host grid, which only the
+    kernel reads.  The CRC32 — the ECC the
     memory controller keeps alongside the data — is recorded lazily, on
     the first ``crc`` / ``verify`` / ``view`` after the contents change,
     so a run that never checks never pays for it.
@@ -69,8 +70,9 @@ class Buffer:
     mutates stored data in place.  It records the CRC *before* handing
     the storage out, so ``verify`` (a DRAM scrub) catches whatever is
     done through it.  Storage a host mirror holds (:meth:`share`) is
-    copied on the next ``view``, so the mirror keeps the written bytes.
-    ``data`` is for reading only.
+    copied on the next ``view``, so the mirror — or the host array a
+    disarmed write adopted, or a disarmed read handed out — keeps its
+    bytes.  ``data`` is for reading only.
     """
 
     def __init__(self, nbytes: int):
@@ -101,7 +103,8 @@ class Buffer:
     def adopt(self, array: np.ndarray) -> None:
         """Make ``array`` (C-contiguous float32) the contents, uncopied.
 
-        The caller hands the array over and must not write it again.
+        The buffer never writes the array; the caller must not write it
+        while the buffer holds it.
         """
         if array.nbytes != self.nbytes:
             raise ConfigurationError(
@@ -112,9 +115,9 @@ class Buffer:
         self._shared = False
 
     def share(self) -> np.ndarray:
-        """The storage, for a host mirror to keep: the next ``view``
-        copies it first, so nothing written through the view reaches
-        the mirror."""
+        """The storage, for a holder outside the buffer to keep (the
+        host mirror, a disarmed read's caller): the next ``view`` copies
+        it first, so nothing written through the view reaches it."""
         self._shared = True
         return self.data
 
@@ -485,23 +488,41 @@ class CommandQueue:
         """Host -> device transfer (charged to the clock, not the kernel).
 
         ``host_array`` is an array, or a sequence of same-shape arrays
-        that the one copy stacks on a new leading axis (a batch slab).
-        Disarmed, the transfer is that copy, which the device buffer
-        adopts, and nothing else: no fault can enter it, so there is
-        nothing to check.  While a fault plan is armed the host CRCs the
-        payload before sending; after the (possibly faulty) transfer the
-        device-side CRC must match or the transfer is retried.  Either
-        way the queue mirrors the written contents — a reference to the
-        buffer's own storage, which :meth:`Buffer.view` copies before
-        anything can corrupt it — so a later DRAM scrub failure can
-        re-upload them.
+        stacked on a new leading axis (a batch slab).  Disarmed, no
+        fault can enter the transfer, so nothing is checked, and the
+        buffer adopts a C-contiguous float32 array uncopied — a one-grid
+        sequence as a ``[None]`` view of its grid — because the kernel
+        only reads its source; anything else (several grids, another
+        dtype, a strided view) is stacked or converted by one copy.  The
+        caller must not write ``host_array`` until the work that reads
+        the buffer has finished.  While a fault plan is armed the write
+        always copies: the host CRCs the payload before sending, and
+        after the (possibly faulty) transfer the device-side CRC must
+        match or the transfer is retried.  Either way the queue mirrors
+        the written contents — a reference to the buffer's own storage,
+        which :meth:`Buffer.view` copies before anything can corrupt it,
+        so a plan armed after the write never reaches the caller's
+        array — and a later DRAM scrub failure can re-upload them.
         """
-        data = np.array(host_array, dtype=np.float32, order="C")
+        inj = fault_hooks.ACTIVE
+        grid = (
+            host_array[0]
+            if isinstance(host_array, (tuple, list)) and len(host_array) == 1
+            else host_array
+        )
+        if (
+            inj is None
+            and isinstance(grid, np.ndarray)
+            and grid.dtype == np.float32
+            and grid.flags.c_contiguous
+        ):
+            data = grid if grid is host_array else grid[None]
+        else:
+            data = np.array(host_array, dtype=np.float32, order="C")
         if data.nbytes != buffer.nbytes:
             raise ConfigurationError(
                 f"buffer is {buffer.nbytes} B but host array is {data.nbytes} B"
             )
-        inj = fault_hooks.ACTIVE
         golden = crc32_array(data) if inj is not None else None
         attempts = 0
         wait_s = 0.0
@@ -548,11 +569,18 @@ class CommandQueue:
         )
 
     def enqueue_read_buffer(self, buffer: Buffer) -> tuple[np.ndarray, Event]:
-        """Device -> host transfer: one copy out, which the caller owns.
+        """Device -> host transfer: the returned array is the caller's.
 
-        While a fault plan is armed the copy is verified against the
-        device-side CRC and a corrupted transfer is retried; disarmed
-        nothing can corrupt it, so nothing is checked.
+        Disarmed, nothing can corrupt the transfer, so nothing is
+        checked and nothing is copied: the caller gets the buffer's own
+        storage — after a launch, the launch's output slab — and the
+        buffer keeps it as its contents, shared like a mapped buffer.
+        No launch writes that array again (each writes fresh storage)
+        and :meth:`Buffer.view` copies it before a modeled fault can
+        touch it; a write through the returned array does change what
+        the buffer reads.  While a fault plan is armed the read is a
+        copy, verified against the device-side CRC, and a corrupted
+        transfer is retried.
         """
         inj = fault_hooks.ACTIVE
         golden = buffer.crc if inj is not None else None
@@ -561,17 +589,18 @@ class CommandQueue:
         while True:
             attempts += 1
             self.transfer_bytes += buffer.data.nbytes
+            if inj is None:
+                data = buffer.share()
+                break
             try:
-                data = buffer.data.copy()
-                if inj is not None:
-                    data = inj.on_transfer("read", data)
-                    if crc32_array(data) != golden:
-                        raise fault_hooks.report_detection(
-                            FaultDetectedError(
-                                "read-transfer CRC mismatch: payload "
-                                "corrupted in flight"
-                            )
+                data = inj.on_transfer("read", buffer.data.copy())
+                if crc32_array(data) != golden:
+                    raise fault_hooks.report_detection(
+                        FaultDetectedError(
+                            "read-transfer CRC mismatch: payload "
+                            "corrupted in flight"
                         )
+                    )
                 break
             except FaultDetectedError:
                 if attempts > self.retry_policy.max_retries:

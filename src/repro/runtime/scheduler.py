@@ -129,6 +129,11 @@ class StencilJob:
     per *grid*: an SEU detected inside one grid fails only that entry of
     the :class:`JobResult` (a launch in which no grid completed is a
     launch fault, retried by the device's command queue).
+
+    The grids are read when the job runs, not when it is built; a lone
+    C-contiguous float32 grid becomes the device's source buffer without
+    a copy (the kernel only reads it).  The caller must not write
+    ``grids`` until the job's result is back.
     """
 
     job_id: str

@@ -205,7 +205,7 @@ class ServicePolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ServiceResult:
     """Terminal outcome of one admitted request.
 
@@ -216,7 +216,9 @@ class ServiceResult:
     marks jobs that reused a warm cached program; ``batched`` marks
     requests that rode a batched launch with ``batch_size`` siblings;
     ``retries`` counts service-level re-dispatches (on top of the
-    scheduler's own).
+    scheduler's own).  Not frozen: the service builds one per request,
+    and a frozen dataclass pays ``object.__setattr__`` per field.  No
+    code writes a result's fields after it is built.
     """
 
     request_id: str
@@ -634,6 +636,13 @@ class StencilService:
         autotuner (:mod:`repro.runtime.autotune`): resolved once here at
         admission — warm keys cost one persisted-selection read — so
         queueing, coalescing and dispatch all see a pinned config.
+
+        ``grid`` is read at dispatch, not copied at submit: a
+        C-contiguous float32 grid that runs alone in its launch is the
+        device's source buffer itself, with no host copy.  The caller
+        must not write ``grid`` until the ticket resolves.  The reply's
+        ``result`` is the caller's own array, sharing memory with no
+        other reply and with no input.
         """
         if config is None:
             from repro.runtime.autotune import resolve_config

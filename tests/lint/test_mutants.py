@@ -417,6 +417,38 @@ def _h404_mirror_early_return():
     )
 
 
+def _host_mutant(guarded: str, moved: str):
+    """The command queue's own source with one disarmed hand-over moved
+    outside its ``inj is None`` guard."""
+    from repro.runtime import host
+
+    with open(host.__file__) as f:
+        source = f.read()
+    assert guarded in source, "host.py no longer holds the mutated lines"
+    return lint_source(source.replace(guarded, moved), "mutant.py")
+
+
+def _h405_write_adopts_armed():
+    # the caller's grid is bound for the uncopied hand-over whether or
+    # not a plan is armed
+    return _host_mutant(
+        "        if (\n            inj is None\n            and isinstance(",
+        "        if (\n            isinstance(",
+    )
+
+
+def _h405_read_hands_out_armed():
+    # the read hands out the device storage before the disarmed check
+    return _host_mutant(
+        "            if inj is None:\n"
+        "                data = buffer.share()\n"
+        "                break\n",
+        "            data = buffer.share()\n"
+        "            if inj is None:\n"
+        "                break\n",
+    )
+
+
 def _h401_driver_hook():
     # injection plumbing fused into generated driver C: unguardable
     return lint_driver_source(
@@ -769,6 +801,10 @@ MUTANTS = [
     ("h404-crc-size-threshold", "H404", _h404_crc_size_threshold,
      "mutant.py:"),
     ("h404-mirror-early-return", "H404", _h404_mirror_early_return,
+     "mutant.py:"),
+    ("h405-write-adopts-armed", "H405", _h405_write_adopts_armed,
+     "mutant.py:"),
+    ("h405-read-hands-out-armed", "H405", _h405_read_hands_out_armed,
      "mutant.py:"),
     ("h403-default-rng", "H403", _h403_default_rng, "mutant.py:"),
     ("h403-legacy-np", "H403", _h403_legacy, "mutant.py:"),

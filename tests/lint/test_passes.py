@@ -149,6 +149,20 @@ GUARD_OK = [
     # a raise fails loudly, it does not skip
     "def f(self, buf, d):\n    if d.nbytes != buf.nbytes:\n"
     "        raise ValueError(d)\n    self._host_mirror[buf] = d\n",
+    # H405: uncopied hand-overs bound only while disarmed
+    "def w(buf, a):\n    inj = fault_hooks.ACTIVE\n"
+    "    g = a[0] if len(a) == 1 else a\n"
+    "    if inj is None and g.flags.c_contiguous:\n"
+    "        d = g if g is a else g[None]\n"
+    "    else:\n        d = a.copy()\n    buf.adopt(d)\n",
+    "def r(buf):\n    inj = fault_hooks.ACTIVE\n"
+    "    if inj is None:\n        return buf.share()\n"
+    "    return buf.data.copy()\n",
+    "def r(buf):\n    if fault_hooks.ACTIVE is not None:\n"
+    "        return buf.data.copy()\n    return buf.data\n",
+    # fresh storage and copies are not hand-overs
+    "def k(dst, n):\n    out = np.empty(n)\n    dst.adopt(out[0])\n",
+    "def w(self, a):\n    self.adopt(np.array(a))\n",
 ]
 
 

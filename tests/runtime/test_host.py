@@ -280,22 +280,102 @@ def test_armed_round_trip_checks_every_transfer(monkeypatch) -> None:
     assert np.array_equal(out, reference_run(grid, program.spec, 6))
 
 
-def test_disarmed_round_trip_makes_no_crc_and_no_alias(monkeypatch) -> None:
+def test_disarmed_round_trip_makes_no_crc_and_no_copy(monkeypatch) -> None:
+    """Disarmed, the source buffer adopts the caller's C-contiguous
+    float32 grid and the read hands back the launch's own output slab:
+    no CRC and no host copy, and the caller's bytes are never written."""
     program = make_program()
     grid = make_grid((48, 512), "mixed", seed=3)
     caller = grid.copy()
     calls = _count_host_crcs(monkeypatch)
+    launched: list = []  # the output slab each launch writes into
+    real = program.execute_batch
+
+    def execute_batch(slab, iterations, checkpoint=None, out=None):
+        launched.append(out)
+        return real(slab, iterations, checkpoint=checkpoint, out=out)
+
+    monkeypatch.setattr(program, "execute_batch", execute_batch)
     queue, src, dst, out = _round_trip(program, caller, 6)
     assert calls == []
-    expected = reference_run(grid, program.spec, 6)
-    assert np.array_equal(out, expected)
-    # the device buffer never aliases the caller's array ...
-    caller[:] = -1.0
-    assert np.array_equal(src.data, grid)
-    # ... and the returned array never aliases the device buffer
-    out[:] = -2.0
-    assert np.array_equal(dst.data, expected)
+    assert np.shares_memory(src.data, caller)
+    assert caller.tobytes() == grid.tobytes()
+    assert np.array_equal(out, reference_run(grid, program.spec, 6))
+    assert len(launched) == 1 and np.shares_memory(out, launched[0])
+    assert out is dst.data
+
+
+@pytest.mark.parametrize("form", ["float64", "strided", "two-grids"])
+def test_disarmed_write_copies_what_it_cannot_adopt(form) -> None:
+    """A grid of another dtype, a strided view and several grids are
+    converted or stacked by one copy; no caller array is ever written."""
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=4)
+    if form == "float64":
+        callers = [grid.astype(np.float64)]
+        host_array = callers[0]
+    elif form == "strided":
+        callers = [np.repeat(grid, 2, axis=1)]
+        host_array = callers[0][:, ::2]
+    else:
+        callers = [grid.copy(), grid[::-1].copy()]
+        host_array = tuple(callers)
+    before = [c.tobytes() for c in callers]
+    n_grids = len(callers) if form == "two-grids" else None
+    queue = CommandQueue()
+    src = Buffer(grid.nbytes * (n_grids or 1))
+    dst = Buffer(src.nbytes)
+    queue.enqueue_write_buffer(src, host_array)
+    assert not any(np.shares_memory(c, src.data) for c in callers)
+    if n_grids is None:
+        queue.enqueue_kernel(program, src, dst, 6)
+    else:
+        queue.enqueue_batch_kernel(program, src, dst, 6, n_grids)
+    out, _ = queue.enqueue_read_buffer(dst)
+    assert [c.tobytes() for c in callers] == before
+    expected = [reference_run(grid, program.spec, 6)]
+    if n_grids is not None:
+        expected.append(reference_run(grid[::-1], program.spec, 6))
+    assert np.array_equal(out, expected[0] if n_grids is None else expected)
+
+
+def test_armed_round_trip_copies_and_aliases_nothing() -> None:
+    """Armed, the write still copies the caller's grid and the read
+    still copies the device buffer: nothing is shared across the link."""
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=3)
+    caller = grid.copy()
+    queue = CommandQueue(HostDevice(program.board))
+    src, dst = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    with arm(FaultPlan(seed=0)):
+        queue.enqueue_write_buffer(src, caller)
+        assert not np.shares_memory(src.data, caller)
+        queue.enqueue_kernel(program, src, dst, 6)
+        out, _ = queue.enqueue_read_buffer(dst)
     assert not np.shares_memory(out, dst.data)
+    assert caller.tobytes() == grid.tobytes()
+    assert np.array_equal(out, reference_run(grid, program.spec, 6))
+
+
+def test_plan_armed_after_a_disarmed_write_never_reaches_the_caller() -> None:
+    """A DRAM SEU armed between a disarmed (adopting) write and the
+    launch corrupts a copy of the source, not the caller's grid; the
+    scrub re-uploads from the mirror and the result is bit-exact."""
+    program = make_program()
+    grid = make_grid((48, 512), "mixed", seed=5)
+    caller = grid.copy()
+    queue = CommandQueue(HostDevice(program.board))
+    src, dst = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    queue.enqueue_write_buffer(src, caller)
+    assert np.shares_memory(src.data, caller)
+    plan = FaultPlan(seed=4, faults=(SEUFault(site="dram", at_touch=0),))
+    with arm(plan) as inj:
+        queue.enqueue_kernel(program, src, dst, 6)
+        out, _ = queue.enqueue_read_buffer(dst)
+        assert len(inj.fired) == 1
+        assert any("re-uploaded" in r for r in inj.recoveries)
+    assert caller.tobytes() == grid.tobytes()
+    assert np.array_equal(out, reference_run(grid, program.spec, 6))
 
 
 def test_disarmed_batch_round_trip_makes_no_crc(monkeypatch) -> None:

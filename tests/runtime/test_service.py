@@ -83,6 +83,26 @@ def test_identical_requests_coalesce_on_one_artifact() -> None:
     svc.close()
 
 
+@pytest.mark.parametrize("max_batch", [1, 32], ids=["two-launches", "one-batch"])
+def test_requests_on_one_grid_reply_unaliased(max_batch) -> None:
+    """Two requests in flight on the same caller grid — each its own
+    launch, or two grids of one batched launch — both reply bit-exact,
+    with results that share no memory with each other or the input."""
+    svc = numpy_service(policy=ServicePolicy(coalesce_max_batch=max_batch))
+    grid = GRID.copy()
+    tickets = [svc.submit(**{**request(t), "grid": grid}) for t in ("a", "b")]
+    svc.run_pending()
+    results = [t.result(0) for t in tickets]
+    assert [r.batch_size for r in results] == [2 if max_batch > 1 else 0] * 2
+    first, second = (r.result for r in results)
+    assert np.array_equal(first, REF_4) and np.array_equal(second, REF_4)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, grid)
+    assert not np.shares_memory(second, grid)
+    assert grid.tobytes() == GRID.tobytes()
+    svc.close()
+
+
 def test_submit_batch_mixes_tickets_and_inline_rejections() -> None:
     svc = numpy_service(
         policy=ServicePolicy(max_queue_depth=2),
