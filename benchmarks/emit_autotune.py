@@ -52,12 +52,16 @@ import time
 from pathlib import Path
 
 from repro.core import StencilSpec, make_grid, native
+from repro.core.native import usable_cpus
+from repro.fpga.board import NALLATECH_385A
+from repro.models.tuner import Tuner
 from repro.runtime.artifacts import ArtifactCache
 from repro.runtime.autotune import (
     CACHE_DIR_ENV,
     Autotuner,
     PlanSelectionCache,
     cpu_fingerprint,
+    design_label,
 )
 
 #: serve-phase rounds, one request per path each (the gate's paired
@@ -118,13 +122,54 @@ def _winner(config) -> dict:
     }
 
 
+def model_of(name: str, k: int) -> dict:
+    """The shortlist's prediction for each candidate of case ``name``.
+
+    The same ranking :meth:`Autotuner.resolve` measures (this process's
+    ``usable_cpus()`` workers, clamp boundary), keyed like
+    ``measured_ms``: the FPGA model's milliseconds, the pool imbalance,
+    the busiest worker's cells over the served passes, and the rank.
+    """
+    spec, shape, iterations = CASES[name]
+    designs = Tuner(spec, NALLATECH_385A).shortlist(
+        shape, iterations, k=k, workers=usable_cpus()
+    )
+    return {
+        design_label(d.config): {
+            "rank": rank,
+            "fpga_ms": round(d.estimate.time_s * 1e3, 6),
+            "imbalance": round(d.imbalance, 4),
+            "makespan_cells": d.makespan_cells,
+        }
+        for rank, d in enumerate(designs)
+    }
+
+
+def rank_agreement(model: dict, measured_ms: dict) -> float | None:
+    """Share of measured candidate pairs the model orders as measured.
+
+    Over every pair of audited candidates, the pair agrees when the
+    model's rank and the measured milliseconds put the same one first
+    (a concordant pair, Kendall's sense).  None with fewer than two
+    candidates.
+    """
+    labels = sorted(measured_ms, key=lambda lb: model[lb]["rank"])
+    pairs = [
+        (a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+    ]
+    if not pairs:
+        return None
+    agree = sum(measured_ms[a] < measured_ms[b] for a, b in pairs)
+    return round(agree / len(pairs), 4)
+
+
 def cold_child(name: str) -> None:
     """The cold resolve, run as the whole of a fresh process.
 
     Resolves case ``name`` against the autotune directory in the
     environment and prints one JSON line: the resolve's seconds, the
-    part of them spent compiling, its provenance, the winner and the
-    candidates' timings.
+    part of them spent compiling, its provenance, the winner, the
+    candidates' timings and the model's prediction for each.
     """
     spec, shape, iterations = CASES[name]
     compile_s = []
@@ -138,14 +183,18 @@ def cold_child(name: str) -> None:
             compile_s.append(time.perf_counter() - t)
 
     native._compile = timed_compile
+    tuner = Autotuner()
     t0 = time.perf_counter()
-    plan = Autotuner().resolve(spec, shape, iterations=iterations)
+    plan = tuner.resolve(spec, shape, iterations=iterations)
+    cold_s = time.perf_counter() - t0
     print(json.dumps({
-        "cold_s": time.perf_counter() - t0,
+        "cold_s": cold_s,
         "compile_s": sum(compile_s),
         "source": plan.source,
         "winner": _winner(plan.config),
         "measured_ms": plan.measured_ms,
+        "workers": usable_cpus(),
+        "model": model_of(name, tuner.shortlist_k),
     }))
 
 
@@ -223,6 +272,16 @@ def run_case(name, cache_dir) -> dict:
         "iterations": iterations,
         "winner": _winner(warm.config),
         "candidates_measured_ms": cold["measured_ms"],
+        "workers": cold["workers"],
+        "candidates_model": cold["model"],
+        "model_rank_agreement": rank_agreement(
+            cold["model"], cold["measured_ms"]
+        ),
+        "model_pick_won": bool(
+            cold["measured_ms"]
+            and min(cold["model"], key=lambda lb: cold["model"][lb]["rank"])
+            == min(cold["measured_ms"], key=cold["measured_ms"].get)
+        ),
         "cold_resolve_s": round(cold_s, 4),
         "cold_compile_s": round(cold["compile_s"], 4),
         "cold_compiles": cold["compiles"],

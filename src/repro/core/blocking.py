@@ -154,6 +154,21 @@ class BlockingConfig:
             )
         return math.ceil(iterations / self.partime)
 
+    def served_passes(self, iterations: int) -> list[tuple[int, int]]:
+        """``(steps, count)`` of the passes a run of ``iterations`` serves.
+
+        ``iterations // partime`` full passes, then one tail pass of the
+        remainder when ``partime`` does not divide ``iterations`` — the
+        order the accelerator executes them in.
+        """
+        if iterations < 0:
+            raise ConfigurationError(
+                f"iterations must be >= 0, got {iterations}",
+                param="iterations", value=iterations, constraint="iterations >= 0",
+            )
+        full, tail = divmod(iterations, self.partime)
+        return [(s, n) for s, n in ((self.partime, full), (tail, 1)) if s and n]
+
     def aligned_input_size(self, requested: int, axis: str = "x") -> int:
         """Round ``requested`` up to a multiple of csize for a blocked axis.
 

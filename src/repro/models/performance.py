@@ -149,9 +149,10 @@ class PerformanceModel:
         cycles_per_pass = cells_per_pass / config.parvec
         t_compute = model_passes * cycles_per_pass / fmax_hz
 
-        bytes_per_pass = 4 * field_count * (
-            cells_per_pass + decomp.cells_written_per_pass()
-        )
+        # a pass writes every cell back once: the written cells are the
+        # grid (BlockDecomposition.cells_written_per_pass, without walking
+        # the blocks)
+        bytes_per_pass = 4 * field_count * (cells_per_pass + cells)
         bw = self.board.effective_bandwidth_gbps(fmax_mhz) * 1e9
         t_memory = model_passes * bytes_per_pass / bw
 

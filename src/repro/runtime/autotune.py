@@ -4,14 +4,19 @@ The paper tunes ``(bsize, parvec, partime)`` offline: the analytical
 models shortlist a handful of design points and only the survivors are
 place-and-routed.  This module closes the same loop for the software
 engines: :class:`repro.models.tuner.Tuner` shortlists candidates by
-predicted runtime, :class:`Autotuner` micro-benchmarks the survivors on
-the real engine ladder (seeded, short, all over the same number of
-time steps, and only after each candidate's output is audited
-bit-identical to one :func:`~repro.core.reference.reference_run`
-golden), and the winner
-is persisted in a content-addressed :class:`PlanSelectionCache` so
-repeated traffic for the same workload runs the tuned plan with zero
-re-search.
+predicted runtime on this host's driver pool (the FPGA model's time
+scaled by how evenly the pass's blocks split across the pool's
+workers), :class:`Autotuner` micro-benchmarks the survivors on the real
+engine ladder (seeded, short, and only after each candidate's output is
+audited bit-identical to :func:`~repro.core.reference.reference_run`
+goldens), and the winner is persisted in a content-addressed
+:class:`PlanSelectionCache` so repeated traffic for the same workload
+runs the tuned plan with zero re-search.
+
+A candidate is timed on the passes it would serve: one full pass of
+``partime`` steps and, when ``partime`` does not divide the workload's
+iterations, the tail pass of the remainder, composed as
+``(iterations // partime) * t_full + t_tail``.
 
 Cache identity
 --------------
@@ -83,8 +88,10 @@ DISABLE_ENV = "REPRO_NO_AUTOTUNE"
 #: Version 2: candidates are measured with the default, affinity-sized
 #: driver pool instead of one worker.  Version 3: every candidate is
 #: timed over the same number of steps (the largest shortlisted
-#: ``partime``, capped by the workload's iterations).
-CACHE_VERSION = 3
+#: ``partime``, capped by the workload's iterations).  Version 4: the
+#: shortlist is ranked on the driver pool's imbalance, and candidates are
+#: timed on their served full and tail passes.
+CACHE_VERSION = 4
 
 
 _CPU_MODEL: str | None = None
@@ -203,6 +210,14 @@ class TunedPlan:
         )
 
 
+def design_label(config: BlockingConfig) -> str:
+    """The key of a candidate in :attr:`TunedPlan.measured_ms`."""
+    return (
+        f"bsize=({config.bsize_x},{config.bsize_y})"
+        f"/pv{config.parvec}/pt{config.partime}"
+    )
+
+
 def _config_payload(config: BlockingConfig) -> dict:
     return {
         "dims": config.dims,
@@ -225,6 +240,22 @@ def _config_from_payload(payload: dict) -> BlockingConfig:
         parvec=int(payload["parvec"]),
         partime=int(payload["partime"]),
     )
+
+
+def _goldens(
+    grid: np.ndarray, spec: StencilSpec, boundary: str, steps: set[int]
+) -> dict[int, np.ndarray]:
+    """:func:`reference_run` of ``grid`` after each count in ``steps``.
+
+    Advances one reference run through the counts in increasing order,
+    so the goldens cost the largest count's steps, not their sum.
+    """
+    goldens: dict[int, np.ndarray] = {}
+    state, done = grid, 0
+    for n in sorted(steps):
+        state = reference_run(state, spec, n - done, boundary)
+        goldens[n], done = state, n
+    return goldens
 
 
 class PlanSelectionCache:
@@ -283,14 +314,15 @@ class PlanSelectionCache:
 class Autotuner:
     """Shortlist by model, measure on the engine ladder, cache the winner.
 
-    Every shortlisted candidate runs the same ``min(iterations, largest
-    shortlisted partime)`` time steps, so the timings compare equal
-    work and the candidate with the deepest pipeline still completes
-    one full pass.  ``repeats`` is the min-of-N timing discipline;
-    ``shortlist_k`` caps how many model-ranked candidates are
-    measured.  One instance is
-    thread-safe: concurrent resolutions of the same digest may both
-    measure (benign — both persist the same winner modulo timing noise).
+    The shortlist is ranked for a pool of :func:`~repro.core.native
+    .usable_cpus` workers, the count :func:`cpu_fingerprint` puts in the
+    cache key and the driver sizes its pool by.  Each candidate is timed
+    on its served pass structure (:meth:`_measure`), so the timings
+    compare the whole workload.  ``repeats`` is the min-of-N timing
+    discipline per pass; ``shortlist_k`` caps how many model-ranked
+    candidates are measured.  One instance is thread-safe: concurrent
+    resolutions of the same digest may both measure (benign — both
+    persist the same winner modulo timing noise).
     """
 
     def __init__(
@@ -321,8 +353,12 @@ class Autotuner:
 
     # ------------------------------------------------------------------ #
 
-    def _model_best(self, spec: StencilSpec, shape, iterations) -> TunedDesign:
-        return Tuner(spec, self.board).shortlist(shape, iterations, k=1)[0]
+    def _shortlist(
+        self, spec: StencilSpec, shape, iterations, boundary, k: int
+    ) -> list[TunedDesign]:
+        return Tuner(spec, self.board).shortlist(
+            shape, iterations, k=k, workers=usable_cpus(), boundary=boundary
+        )
 
     def _measure(
         self,
@@ -330,17 +366,22 @@ class Autotuner:
         design: TunedDesign,
         boundary: str,
         engine: str,
-        golden: np.ndarray,
+        goldens: dict[int, np.ndarray],
         grid: np.ndarray,
-        iters: int,
+        iterations: int,
     ) -> float | None:
-        """Best-of-N seconds for one candidate, or None if unusable.
+        """Seconds of the served passes for one candidate, or None if unusable.
 
-        The candidate's output is audited bit-identical to the
-        reference golden *before* any timing is recorded — a plan that
+        The served passes are ``iterations // partime`` full passes and
+        a tail pass of the remainder (:meth:`~repro.core.blocking
+        .BlockingConfig.served_passes`); each is timed best-of-N and the
+        workload's time composed from them.
+        Every pass is audited bit-identical to the reference golden for
+        its step count *before* any timing is recorded — a plan that
         cannot reproduce the reference bits is never selected, however
         fast it is.
         """
+        passes = design.config.served_passes(iterations)
         try:
             acc = FPGAAccelerator(
                 spec, design.config, boundary=boundary, engine=engine
@@ -348,15 +389,19 @@ class Autotuner:
         except ConfigurationError:
             return None
         try:
-            out, _ = acc.run(grid, iters)
-            if not np.array_equal(out, golden):
-                return None  # bit-exactness audit failed: disqualified
-            best = float("inf")
-            for _ in range(self.repeats):
-                t0 = time.perf_counter()
-                acc.run(grid, iters)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            for steps, _ in passes:
+                out, _ = acc.run(grid, steps)
+                if not np.array_equal(out, goldens[steps]):
+                    return None  # bit-exactness audit failed: disqualified
+            total = 0.0
+            for steps, count in passes:
+                best = float("inf")
+                for _ in range(self.repeats):
+                    t0 = time.perf_counter()
+                    acc.run(grid, steps)
+                    best = min(best, time.perf_counter() - t0)
+                total += count * best
+            return total
         finally:
             acc.close()
 
@@ -383,7 +428,7 @@ class Autotuner:
             )
         cpu = cpu_fingerprint()
         if os.environ.get(DISABLE_ENV):
-            design = self._model_best(spec, shape, iterations)
+            design = self._shortlist(spec, shape, iterations, boundary, 1)[0]
             return TunedPlan(
                 config=design.config,
                 engine=engine,
@@ -412,37 +457,36 @@ class Autotuner:
                 self._memo[key] = plan
             return plan
 
-        designs = Tuner(spec, self.board).shortlist(
-            shape, iterations, k=self.shortlist_k
+        designs = self._shortlist(
+            spec, shape, iterations, boundary, self.shortlist_k
         )
         rng = np.random.default_rng(self.seed)
         grid = rng.standard_normal(shape).astype(np.float32)
-        # equal work: every candidate advances the grid the same steps,
-        # so one golden audits them all
-        iters = min(
-            iterations, max(max(1, d.config.partime) for d in designs)
+        goldens = _goldens(
+            grid,
+            spec,
+            boundary,
+            {
+                steps
+                for d in designs
+                for steps, _ in d.config.served_passes(iterations)
+            },
         )
-        golden = reference_run(grid, spec, iters, boundary)
         measured: dict[str, float] = {}
         winner: TunedDesign | None = None
         winner_s = float("inf")
         for design in designs:
             seconds = self._measure(
-                spec, design, boundary, engine, golden, grid, iters
+                spec, design, boundary, engine, goldens, grid, iterations
             )
             if seconds is None:
                 continue
-            label = (
-                f"bsize=({design.config.bsize_x},{design.config.bsize_y})"
-                f"/pv{design.config.parvec}/pt{design.config.partime}"
-            )
-            measured[label] = round(seconds * 1e3, 4)
+            measured[design_label(design.config)] = round(seconds * 1e3, 4)
             if seconds < winner_s:
                 winner, winner_s = design, seconds
         if winner is None:
-            design = self._model_best(spec, shape, iterations)
             return TunedPlan(
-                config=design.config,
+                config=designs[0].config,
                 engine=engine,
                 source="model",
                 digest=digest,

@@ -77,6 +77,20 @@ def test_num_blocks_and_passes() -> None:
         cfg.passes(-1)
 
 
+def test_served_passes_are_full_passes_then_the_tail() -> None:
+    cfg = cfg2d(bsize_x=64, partime=3, radius=2)
+    assert cfg.served_passes(9) == [(3, 3)]
+    assert cfg.served_passes(10) == [(3, 3), (1, 1)]
+    assert cfg.served_passes(2) == [(2, 1)]  # shorter than one full pass
+    assert cfg.served_passes(0) == []
+    for n in range(12):
+        served = cfg.served_passes(n)
+        assert sum(s * c for s, c in served) == n
+        assert sum(c for _, c in served) == cfg.passes(n)
+    with pytest.raises(ConfigurationError):
+        cfg.served_passes(-1)
+
+
 def test_aligned_input_size() -> None:
     cfg = cfg2d(bsize_x=64, partime=3, radius=2)  # csize 52
     assert cfg.aligned_input_size(100) == 104

@@ -21,6 +21,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -223,44 +224,84 @@ def test_resolve_validates_inputs(tmp_path) -> None:
         Autotuner(repeats=0)
 
 
-#: A 3D radius-4 workload whose shortlist mixes parvec 8 and 16 (and
-#: partime 7 and 3): the case that used to compile one driver per width.
+#: A 3D radius-4 workload whose two-worker shortlist mixes parvec 16 and
+#: 8 (and partime 3 and 7): the case that used to compile one driver per
+#: width.  At 8 iterations partime 3 serves two full passes and a tail of
+#: 2, partime 7 one full pass and a tail of 1.
 MIXED_SPEC = StencilSpec.star(3, 4)
 MIXED_SHAPE = (8, 32, 32)
+MIXED_ITERATIONS = 8
+MIXED_WORKERS = 2
 
 
-def _mixed_shortlist() -> list:
-    designs = Tuner(MIXED_SPEC, NALLATECH_385A).shortlist(MIXED_SHAPE, 4, k=3)
+def _mixed_shortlist(monkeypatch) -> list:
+    # rank for a fixed pool, whatever this host's CPU count
+    monkeypatch.setattr(autotune, "usable_cpus", lambda: MIXED_WORKERS)
+    designs = Tuner(MIXED_SPEC, NALLATECH_385A).shortlist(
+        MIXED_SHAPE, MIXED_ITERATIONS, k=3, workers=MIXED_WORKERS
+    )
     assert len({d.config.parvec for d in designs}) > 1  # premise
     assert len({d.config.partime for d in designs}) > 1  # premise
     return designs
 
 
-def test_every_candidate_is_timed_on_equal_work(tmp_path, monkeypatch) -> None:
-    designs = _mixed_shortlist()
+def test_every_candidate_is_timed_on_its_served_passes(
+    tmp_path, monkeypatch
+) -> None:
+    designs = _mixed_shortlist(monkeypatch)
     calls = []
+    clock = [0.0]
 
     class Recording(FPGAAccelerator):
         def run(self, grid, iterations, *args, **kwargs):
             calls.append((self.config, iterations))
+            clock[0] += iterations * 1e-3  # 1 ms per step on this clock
             return super().run(grid, iterations, *args, **kwargs)
 
     monkeypatch.setattr(autotune, "FPGAAccelerator", Recording)
+    monkeypatch.setattr(
+        autotune, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+    )
     plan = tuner(tmp_path, shortlist_k=3, repeats=2).resolve(
-        MIXED_SPEC, MIXED_SHAPE, iterations=4, engine="numpy"
+        MIXED_SPEC, MIXED_SHAPE, iterations=MIXED_ITERATIONS, engine="numpy"
     )
     assert plan.source == "measured" and len(plan.measured_ms) == 3
-    # min(iterations, largest shortlisted partime) steps for everyone
-    steps = min(4, max(d.config.partime for d in designs))
-    assert {iters for _, iters in calls} == {steps}
-    # one audit run plus `repeats` timed runs per candidate
     for design in designs:
-        assert sum(cfg == design.config for cfg, _ in calls) == 3
+        partime = design.config.partime
+        served = [partime, MIXED_ITERATIONS % partime]
+        # one audited run plus `repeats` timed runs of the full pass and
+        # of the tail pass: what the workload serves, not a common count
+        runs = sorted(n for cfg, n in calls if cfg == design.config)
+        assert runs == sorted(served * 3)
+    # (iterations // partime) * t_full + t_tail: at a fixed cost per
+    # step, every candidate's composed time is the workload's 8 steps
+    assert set(plan.measured_ms.values()) == {8.0}
+
+
+def test_shortlist_is_ranked_for_the_pool_the_key_names(
+    tmp_path, monkeypatch
+) -> None:
+    """Both the measured path and the kill-switch path rank candidates for
+    the worker count that :func:`cpu_fingerprint` puts in the key."""
+    seen = []
+    real = Tuner.shortlist
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tuner, "shortlist", spy)
+    monkeypatch.setattr(autotune, "usable_cpus", lambda: 3)
+    assert cpu_fingerprint().endswith("/cores=3")
+    tuner(tmp_path).resolve(SPEC, SHAPE, iterations=2, engine="numpy")
+    monkeypatch.setenv(DISABLE_ENV, "1")
+    tuner(tmp_path).resolve(SPEC, SHAPE, iterations=2, engine="numpy")
+    assert seen == [3, 3]
 
 
 @needs_driver
 def test_cold_mixed_width_resolve_compiles_once(tmp_path, monkeypatch) -> None:
-    _mixed_shortlist()
+    _mixed_shortlist(monkeypatch)
     build_dir = tmp_path / "tmp"
     build_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(build_dir))
@@ -274,7 +315,7 @@ def test_cold_mixed_width_resolve_compiles_once(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setattr(native, "_compile", counting)
     plan = tuner(tmp_path / "cache", shortlist_k=3).resolve(
-        MIXED_SPEC, MIXED_SHAPE, iterations=4, engine="auto"
+        MIXED_SPEC, MIXED_SHAPE, iterations=MIXED_ITERATIONS, engine="auto"
     )
     assert plan.source == "measured" and len(plan.measured_ms) == 3
     assert len(compiles) == 1

@@ -66,3 +66,22 @@ def test_paired_median_reads_a_steady_slowdown() -> None:
     tuned = [p * 1.08 for p in pinned]
     assert emit.paired_overhead(tuned, pinned) == pytest.approx(0.08)
     assert emit.apply_gate([_case(0.08)])
+
+
+def test_rank_agreement_counts_concordant_pairs() -> None:
+    model = {"a": {"rank": 0}, "b": {"rank": 1}, "c": {"rank": 2}}
+    assert emit.rank_agreement(model, {"a": 1.0, "b": 2.0, "c": 3.0}) == 1.0
+    assert emit.rank_agreement(model, {"a": 3.0, "b": 2.0, "c": 1.0}) == 0.0
+    # b and c swapped: one of three pairs disagrees
+    assert emit.rank_agreement(model, {"a": 1.0, "b": 3.0, "c": 2.0}) == 0.6667
+    # a candidate that failed its audit is left out of the pairs
+    assert emit.rank_agreement(model, {"b": 2.0, "c": 1.0}) == 0.0
+    assert emit.rank_agreement(model, {"a": 1.0}) is None
+
+
+def test_model_of_keys_the_candidates_like_the_measurement() -> None:
+    model = emit.model_of("3d-radius4-small", 3)
+    assert sorted(m["rank"] for m in model.values()) == [0, 1, 2]
+    for label, m in model.items():
+        assert label.startswith("bsize=(")
+        assert m["imbalance"] >= 1.0 and m["makespan_cells"] > 0
