@@ -135,7 +135,7 @@ def pool_load(
 
 
 def _plan_key(config: BlockingConfig, blocked: list[int]) -> tuple:
-    """What the driver executes: two designs with one key run one plan.
+    """The pass plan a design compiles to: two designs with one key run one plan.
 
     Block sizes that cover an axis, or reach past it by different
     amounts, decompose it alike; the vector width is ``parvec``.

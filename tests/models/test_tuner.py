@@ -212,7 +212,7 @@ def test_shortlist_offers_equal_splits_for_the_pool() -> None:
 
 
 def _geometry(config: BlockingConfig, shape) -> tuple:
-    """What the driver runs for a design: vector width, partime, blocks."""
+    """The pass plan a design compiles to: vector width, partime, blocks."""
     blocks = PassPlan(config, shape).blocks
     return (
         config.parvec,
