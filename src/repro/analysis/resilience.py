@@ -271,7 +271,6 @@ TYPED_FAILURES = frozenset(
         "FaultDetectedError",
         "WatchdogTimeoutError",
         "DeadlineExceededError",
-        "SchedulerSaturatedError",
         "ConfigurationError",
     }
 )
@@ -320,8 +319,8 @@ def run_chaos_campaign(
     """Randomized fault schedules through the multi-device scheduler.
 
     Each batch arms a fresh random :class:`FaultPlan` (derived from
-    ``seed`` — the whole campaign is reproducible), submits a few jobs
-    and drains the scheduler.  Every result is checked against the
+    ``seed`` — the whole campaign is reproducible) and runs a few jobs
+    through the scheduler under it.  Every result is checked against the
     invariant: completed jobs must be bit-identical to
     :func:`reference_run`; failed jobs must carry a typed error.
     """
@@ -336,23 +335,21 @@ def run_chaos_campaign(
             retry_policy=RETRY_POLICY,
             default_checkpoint=CheckpointPolicy(every=4),
         )
-        iters: list[int] = []
-        for j in range(jobs_per_batch):
-            n = int(rng.choice([4, 6, 10]))
-            iters.append(n)
-            sched.submit(
-                StencilJob(
-                    job_id=f"b{b}-j{j}",
-                    spec=CHAOS_SPEC,
-                    config=CHAOS_CONFIG,
-                    grids=(grid,),
-                    iterations=n,
-                )
+        jobs = [
+            StencilJob(
+                job_id=f"b{b}-j{j}",
+                spec=CHAOS_SPEC,
+                config=CHAOS_CONFIG,
+                grids=(grid,),
+                iterations=int(rng.choice([4, 6, 10])),
             )
+            for j in range(jobs_per_batch)
+        ]
         with arm(plan):
-            results = sched.run_until_idle()
+            results = [sched.execute_job(job) for job in jobs]
         completed = failed_typed = violations = 0
-        for res, n in zip(results, iters):
+        for res, job in zip(results, jobs):
+            n = job.iterations
             if res.status == "completed":
                 if n not in references:
                     references[n] = reference_run(grid, CHAOS_SPEC, n)
@@ -519,9 +516,8 @@ def run_chaos() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 
 #: Typed terminations the serving layer may legitimately report under
-#: overload, on top of the scheduler's own set.  ``ShedError`` and
-#: ``QueueTimeoutError`` subclass ``SchedulerSaturatedError`` but the
-#: service reports concrete types, so they are listed explicitly.
+#: overload, on top of the scheduler's own set: the service's two
+#: overload rejections, by their concrete type names.
 OVERLOAD_TYPED = TYPED_FAILURES | {"ShedError", "QueueTimeoutError"}
 
 #: Per-request wall-clock budget in the overload campaign.  The

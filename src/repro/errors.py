@@ -36,7 +36,7 @@ Which layer raises what:
   these as transient.
 * **overload** (:class:`SchedulerSaturatedError`, :class:`ShedError`,
   :class:`QueueTimeoutError`) — bounded-queue backpressure from the
-  scheduler and the serving layer; these are *typed rejections*, carry
+  serving layer; these are *typed rejections*, carry
   a ``retry_after_s`` hint when one can be derived from the performance
   model, and never imply data loss.
 * **deadline** (:class:`DeadlineExceededError`) — a job's time budget
@@ -48,9 +48,9 @@ Which layer raises what:
   device could absorb its shard.  The recoverable cases (a one-shot
   corruption, a loss with survivors) never surface: the sharded runner
   retries the transfer or re-shards first.
-* **shutdown** (:class:`SchedulerShutdownError`) — work still pending
-  when :meth:`~repro.runtime.scheduler.StencilScheduler.close` was
-  asked not to drain; every abandoned job gets this typed failure
+* **shutdown** (:class:`SchedulerShutdownError`) — a request still in
+  flight when :meth:`~repro.runtime.service.StencilService.close` stopped
+  waiting for it; every abandoned request gets this typed failure
   instead of being dropped silently.
 * **validation** (:class:`ValidationError`) — two engines disagreed
   numerically.
@@ -177,10 +177,10 @@ class SchedulerError(ReproError):
 class SchedulerSaturatedError(SchedulerError):
     """A bounded admission queue is full (overload backpressure).
 
-    Raised by :meth:`repro.runtime.scheduler.StencilScheduler.submit`
-    (and specialised by the serving layer's :class:`ShedError` /
-    :class:`QueueTimeoutError`) instead of letting pending work grow
-    without bound; callers are expected to back off and resubmit.
+    The base of the serving layer's two rejections, :class:`ShedError`
+    and :class:`QueueTimeoutError`, which it raises instead of letting
+    queued work grow without bound; callers are expected to back off
+    and resubmit.
 
     Structured context, following the :class:`ConfigurationError`
     ``details()`` pattern: ``queued`` (jobs waiting when the rejection
@@ -274,12 +274,13 @@ class DeadlineExceededError(SchedulerError):
 
 
 class SchedulerShutdownError(SchedulerError):
-    """The scheduler (or service) was closed with this job still pending.
+    """The service was closed with this request still in flight.
 
-    Delivered as the typed failure of every job abandoned by
-    :meth:`repro.runtime.scheduler.StencilScheduler.close` when the
-    caller asked not to drain.  The job never produced a result and no
-    partial state exists; resubmitting to a live scheduler is safe.
+    Delivered through the ticket of every request that
+    :meth:`repro.runtime.service.StencilService.close` stopped waiting
+    for (its drain timed out mid-launch).  The request's result is
+    discarded, even if its launch later completes; resubmitting to a
+    live service is safe.
     """
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,10 @@ POWER_SAMPLE_INTERVAL_S = 0.010
 #: Disarmed launch keys a program memoises modeled batch times for; the
 #: memo is cleared when full, so a program fed many shapes stays bounded.
 BATCH_TIME_MEMO = 64
+
+#: Completion events a :class:`CommandQueue` keeps: the most recent
+#: ones, so a queue that serves launches indefinitely stays bounded.
+EVENT_LOG = 256
 
 
 class Buffer:
@@ -165,8 +170,9 @@ class Event:
 
     An operation that exhausts its retries still records a terminal
     ``*-failed`` event (spanning every attempt plus the backoff waits)
-    before raising, so the clock, the event log and the byte counters
-    always agree.
+    before raising, so the clock, the byte counters and the event log
+    always agree.  The log (:attr:`CommandQueue.events`) holds the
+    queue's most recent :data:`EVENT_LOG` events.
     """
 
     name: str
@@ -446,7 +452,7 @@ class CommandQueue:
         self.device = device if device is not None else HostDevice()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.clock_s = 0.0
-        self.events: list[Event] = []
+        self.events: deque[Event] = deque(maxlen=EVENT_LOG)
         self.transfer_bytes = 0
         # Keyed by the Buffer object itself through weak references: a
         # garbage-collected buffer drops its mirror with it.  (An id()

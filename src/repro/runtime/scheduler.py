@@ -7,8 +7,8 @@ should be a pass or a device — never the whole job queue.  This module
 puts a resilient scheduler in front of a fleet of simulated
 :class:`~repro.runtime.host.HostDevice` boards:
 
-* **dispatch** — a FIFO of jobs is drained onto the healthy device with
-  the smallest simulated clock (deterministic load-balancing; ties
+* **dispatch** — each job is placed on the healthy device with the
+  smallest simulated clock (deterministic load-balancing; ties
   break by device index).  There are two job types.  A
   :class:`StencilJob` is one or more same-shape grids that run as one
   launch over one slab; a single grid is a batch of one, so every such
@@ -21,10 +21,12 @@ puts a resilient scheduler in front of a fleet of simulated
   single-device job would be offered), one pair of deadline checks and
   one breaker/health settle step, and both charge the time they spent
   to their devices' clocks whether they complete or fail;
-* **admission control** — the pending queue is bounded:
-  :meth:`StencilScheduler.submit` raises
-  :class:`~repro.errors.SchedulerSaturatedError` instead of growing
-  without bound;
+* **synchronous execution** — the scheduler holds no queue of its own:
+  :meth:`StencilScheduler.execute_job` and
+  :meth:`StencilScheduler.execute_sharded` run one job to completion
+  on the caller's thread and keep nothing keyed by job id between
+  calls.  Admission, queueing and overload shedding live in the
+  serving layer (:class:`~repro.runtime.service.StencilService`);
 * **health tracking & quarantine** — each device tracks the fault rate
   over a sliding window of recent jobs; a device whose rate exceeds the
   threshold is quarantined, and re-admitted only after a *probe* job
@@ -71,8 +73,6 @@ from repro.errors import (
     DeadlineExceededError,
     DeviceLostError,
     FaultDetectedError,
-    SchedulerSaturatedError,
-    SchedulerShutdownError,
 )
 from repro.faults import hooks as fault_hooks
 from repro.models.performance import PerformanceModel
@@ -185,8 +185,7 @@ class JobResult:
     ``engines`` what each actually ran (``"numpy"`` once its circuit
     breaker tripped): one entry for a single-device job, one per shard
     in shard order for a sharded job (``"lost"`` for a board that died
-    mid-run), none for a job failed while still pending.
-    ``dispatches`` counts placements tried.
+    mid-run).  ``dispatches`` counts placements tried.
     """
 
     job_id: str
@@ -366,7 +365,7 @@ _PROBE_ITERATIONS = 2
 
 
 class StencilScheduler:
-    """Dispatch a bounded queue of stencil jobs across N simulated devices.
+    """Run stencil jobs one at a time across N simulated devices.
 
     Parameters
     ----------
@@ -375,9 +374,6 @@ class StencilScheduler:
         :class:`~repro.runtime.host.HostDevice`) or an explicit list.
     retry_policy:
         Queue-level retry policy shared by all devices.
-    max_pending:
-        Admission bound: :meth:`submit` raises
-        :class:`~repro.errors.SchedulerSaturatedError` beyond it.
     engine:
         Preferred execution engine for healthy devices, one of
         :data:`~repro.core.accelerator.ENGINES` (``"auto"``,
@@ -413,7 +409,6 @@ class StencilScheduler:
         devices: int | list[HostDevice] = 2,
         *,
         retry_policy: RetryPolicy | None = None,
-        max_pending: int = 64,
         engine: str = "auto",
         quarantine_threshold: float = 0.5,
         health_window: int = 4,
@@ -432,8 +427,6 @@ class StencilScheduler:
             devices = [HostDevice() for _ in range(devices)]
         if not devices:
             raise ConfigurationError("scheduler needs at least one device")
-        if max_pending < 1:
-            raise ConfigurationError(f"max_pending must be >= 1, got {max_pending}")
         if not 0.0 < quarantine_threshold <= 1.0:
             raise ConfigurationError(
                 f"quarantine_threshold must be in (0, 1], got {quarantine_threshold}"
@@ -444,7 +437,6 @@ class StencilScheduler:
                 f"max_dispatches must be >= 1, got {max_dispatches}"
             )
         self.engine = engine
-        self.max_pending = max_pending
         self.quarantine_threshold = quarantine_threshold
         self.min_health_samples = min_health_samples
         self.probe_after_jobs = probe_after_jobs
@@ -454,8 +446,6 @@ class StencilScheduler:
             _Worker(i, dev, retry_policy, breaker_threshold, health_window)
             for i, dev in enumerate(devices)
         ]
-        self._pending: deque[StencilJob] = deque()
-        self._submitted: set[str] = set()
         self._jobs_completed = 0
         self._probe_grid = make_grid(_PROBE_SHAPE, "mixed", seed=3)
         # explicit None test: an *empty* shared cache is falsy (__len__)
@@ -468,9 +458,8 @@ class StencilScheduler:
 
     # -- admission --------------------------------------------------------- #
 
-    def _admit(self, job: StencilJob | ShardedJob, method: str) -> None:
-        """The admission check of every entry point: an open scheduler
-        and a job id never seen before."""
+    def _admit(self, method: str) -> None:
+        """The admission check of every entry point: an open scheduler."""
         if self._closed:
             raise ConfigurationError(
                 "scheduler is closed",
@@ -478,22 +467,6 @@ class StencilScheduler:
                 value=True,
                 constraint=f"{method}() requires an open scheduler",
             )
-        if job.job_id in self._submitted:
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
-
-    def submit(self, job: StencilJob) -> None:
-        """Admit a job, or raise :class:`SchedulerSaturatedError`."""
-        self._admit(job, "submit")
-        if len(self._pending) >= self.max_pending:
-            raise SchedulerSaturatedError(
-                f"pending queue is full ({self.max_pending} jobs); "
-                "back off and resubmit",
-                queued=len(self._pending),
-                capacity=self.max_pending,
-            )
-        job = self._resolve_config(job)
-        self._submitted.add(job.job_id)
-        self._pending.append(job)
 
     def _resolve_config(self, job: StencilJob) -> StencilJob:
         """Fill in ``config=None`` from the plan-selection cache.
@@ -502,8 +475,8 @@ class StencilScheduler:
         empirical autotuner (``repro.runtime.autotune``) picked for this
         ``(stencil, shape, engine, cpu)`` — a persisted winner on a warm
         key, a short shortlist-and-measure on a cold one, the analytical
-        model under ``REPRO_NO_AUTOTUNE``.  Resolution happens once at
-        admission, so every later dispatch/retry sees a pinned config.
+        model under ``REPRO_NO_AUTOTUNE``.  Resolution happens once,
+        before placement, so every re-dispatch sees a pinned config.
         """
         if job.config is not None:
             return job
@@ -517,32 +490,18 @@ class StencilScheduler:
         )
         return replace(job, config=config)
 
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
     # -- dispatch ---------------------------------------------------------- #
 
-    def run_until_idle(self) -> list[JobResult]:
-        """Drain the pending queue; returns one result per admitted job."""
-        results: list[JobResult] = []
-        while self._pending:
-            results.append(self._dispatch(self._pending.popleft()))
-        return results
-
     def execute_job(self, job: StencilJob) -> JobResult:
-        """Run one job to completion now, bypassing the pending queue.
+        """Run one job to completion now, on the caller's thread.
 
         The serving layer's dispatch loop calls this: admission,
         fair-queueing and wall-clock deadlines live in the service,
         while device choice, re-dispatch, health, quarantine and
-        breakers stay here with exactly the :meth:`run_until_idle`
-        semantics (same re-dispatch loop, same health accounting).
+        breakers stay here.
         """
-        self._admit(job, "execute_job")
-        job = self._resolve_config(job)
-        self._submitted.add(job.job_id)
-        return self._dispatch(job)
+        self._admit("execute_job")
+        return self._dispatch(self._resolve_config(job))
 
     #: Alias of :meth:`execute_job`, kept because ``perfbench/ledger.py``
     #: wraps both names.
@@ -589,7 +548,7 @@ class StencilScheduler:
         run's lockstep simulated time and its health and breaker settle
         from its own fault count.
         """
-        self._admit(job, "execute_sharded")
+        self._admit("execute_sharded")
         if job.shards > len(self.workers):
             raise ConfigurationError(
                 f"job {job.job_id!r} wants {job.shards} shards but the "
@@ -597,7 +556,6 @@ class StencilScheduler:
                 param="shards", value=job.shards,
                 constraint="shards <= len(devices)",
             )
-        self._submitted.add(job.job_id)
         workers = self._pick_workers(job.shards)
         preferred = job.engine or self.engine
         engines = tuple(w.engine(preferred) for w in workers)
@@ -963,51 +921,20 @@ class StencilScheduler:
 
     # -- lifecycle ---------------------------------------------------------- #
 
-    def close(self, drain: bool = False) -> list[JobResult]:
-        """Shut down: settle pending work, release the owned program cache.
+    def close(self) -> None:
+        """Shut down: refuse further jobs, release the owned program cache.
 
-        Jobs still in the pending queue are never silently dropped.
-        With ``drain=True`` the queue is drained first
-        (:meth:`run_until_idle`) and those results returned; with the
-        default ``drain=False`` every pending job is failed typed with
-        :class:`~repro.errors.SchedulerShutdownError` and those failure
-        results returned.  Idempotent — a second close returns ``[]``.
-
-        A shared (caller-supplied) cache is the caller's to close — the
-        serving layer closes its cache after its scheduler so coalesced
-        programs outlive individual schedulers.  After ``close()``,
-        :meth:`submit` and :meth:`execute_job` raise
-        :class:`ConfigurationError`.
+        Idempotent.  A shared (caller-supplied) cache is the caller's to
+        close — the serving layer closes its cache after its scheduler
+        so coalesced programs outlive individual schedulers.  After
+        ``close()``, :meth:`execute_job` and :meth:`execute_sharded`
+        raise :class:`ConfigurationError`.
         """
         if self._closed:
-            return []
-        settled: list[JobResult] = []
-        if drain:
-            settled = self.run_until_idle()
+            return
         self._closed = True
-        while self._pending:
-            job = self._pending.popleft()
-            n_grids = len(job.grids)
-            err = SchedulerShutdownError(
-                f"scheduler closed with job {job.job_id!r} still pending; "
-                "resubmit to a live scheduler or use close(drain=True)"
-            )
-            settled.append(
-                JobResult(
-                    job_id=job.job_id,
-                    status="failed",
-                    devices=(),
-                    engines=(),
-                    results=(None,) * n_grids,
-                    error_types=(type(err).__name__,) * n_grids,
-                    errors=(str(err),) * n_grids,
-                    dispatches=0,
-                )
-            )
-            self._jobs_completed += 1
         if self._owns_cache:
             self.program_cache.close()
-        return settled
 
     # -- introspection ------------------------------------------------------ #
 

@@ -80,7 +80,7 @@ from repro.runtime.admission import (
     TokenBucket,
     WeightedFairQueue,
 )
-from repro.runtime.artifacts import ArtifactCache, artifact_key
+from repro.runtime.artifacts import ArtifactCache, artifact_key, spec_key
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.scheduler import JobResult, StencilJob, StencilScheduler
 
@@ -502,7 +502,6 @@ class StencilService:
         self._perf = PerformanceModel(self.scheduler.workers[0].device.board)
         self._estimates: dict[tuple, float] = {}
         self._seq = itertools.count()
-        self._inflight = 0
         self._inflight_reqs: dict[str, _Request] = {}
         self._closing = False
         self._closed = False
@@ -726,35 +725,6 @@ class StencilService:
             self._work.notify()
             return request.ticket
 
-    def submit_batch(self, requests: list[dict]) -> list[ServiceTicket]:
-        """Admit many requests; synchronous rejections become failed tickets.
-
-        Each dict holds :meth:`submit` arguments (``tenant``, ``spec``,
-        ``config``, ``grid``, ...).  A request the admission ladder
-        rejects yields an already-fulfilled ticket carrying the typed
-        error instead of raising, so batch callers handle one shape.
-        """
-        tickets: list[ServiceTicket] = []
-        for kwargs in requests:
-            try:
-                tickets.append(self.submit(**kwargs))
-            except ShedError as err:
-                ticket = ServiceTicket(
-                    f"{kwargs.get('tenant', '?')}/shed", kwargs.get("tenant", "?")
-                )
-                ticket._fulfil(
-                    ServiceResult(
-                        request_id=ticket.request_id,
-                        tenant=ticket.tenant,
-                        status="failed",
-                        error_type=type(err).__name__,
-                        error=str(err),
-                        retry_after_s=err.retry_after_s,
-                    )
-                )
-                tickets.append(ticket)
-        return tickets
-
     # -- dispatch ------------------------------------------------------------ #
 
     def run_pending(self) -> int:
@@ -796,7 +766,6 @@ class StencilService:
                 batch = [entry.item, *self._collect_batch_locked(entry.item)]
                 for req in batch:
                     self._inflight_reqs[req.request_id] = req
-                self._inflight += len(batch)
             try:
                 self._process(batch)
             except BaseException as err:  # noqa: BLE001 - tickets must terminate
@@ -823,15 +792,14 @@ class StencilService:
                 with self._work:
                     for req in batch:
                         self._inflight_reqs.pop(req.request_id, None)
-                    self._inflight -= len(batch)
 
     @staticmethod
     def _bucket_key(req: _Request) -> tuple:
         """The coalescing class of a request, by workload *content*.
 
         Two requests batch together iff their keys are equal: same
-        stencil numeric identity (dims, radius, center, coefficient
-        bytes — never ``spec == spec``, whose dataclass comparison of
+        stencil numeric identity (:func:`~repro.runtime.artifacts.spec_key`:
+        dims, radius, center, coefficient bytes — never ``spec == spec``, whose dataclass comparison of
         NumPy coefficient arrays raises on equal-but-distinct objects,
         which silently restricted coalescing to requests sharing one
         spec *instance*), same config, grid shape, iteration count and
@@ -839,12 +807,7 @@ class StencilService:
         dispatch drains exactly the head's bucket and leaves the other
         buckets queued for their own turn.
         """
-        s = req.spec
-        return (
-            s.dims,
-            s.radius,
-            float(s.center),
-            s.coefficients.tobytes(),
+        return spec_key(req.spec) + (
             req.config,
             tuple(req.grid.shape),
             req.iterations,
@@ -1160,7 +1123,7 @@ class StencilService:
         ``retry_after_s`` hint on queue-full sheds and timeouts).
         Clamped to :data:`MIN_RETRY_AFTER_S` — a momentarily empty
         backlog must not hand clients a zero-delay retry hint."""
-        depth = self._queue.depth + self._inflight
+        depth = self._queue.depth + len(self._inflight_reqs)
         if depth == 0:
             return MIN_RETRY_AFTER_S
         per_job = 0.0

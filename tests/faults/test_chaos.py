@@ -9,18 +9,22 @@ failure so any escape is reproducible).
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.resilience import (
+    SEED,
     run_chaos_campaign,
     run_replay_cost,
 )
 from repro.experiments import EXPERIMENTS
 
 FIXED_SEEDS = (2018, 385, 4242)
+BENCH_RECOVERY = Path(__file__).resolve().parents[2] / "BENCH_recovery.json"
 
 
 # -- fixed-seed invariant cases ---------------------------------------------- #
@@ -42,6 +46,24 @@ def test_chaos_campaign_is_deterministic() -> None:
     a = run_chaos_campaign(seed=2018, batches=2, jobs_per_batch=2)
     b = run_chaos_campaign(seed=2018, batches=2, jobs_per_batch=2)
     assert a == b
+
+
+def test_chaos_campaign_reproduces_committed_bench_recovery() -> None:
+    # the full emitter's campaign (benchmarks/emit_recovery.py), batch
+    # for batch: any drift in fault draws or outcomes shows up here
+    committed = json.loads(BENCH_RECOVERY.read_text())["chaos"]
+    assert committed["seed"] == SEED
+    batches = run_chaos_campaign(seed=SEED, batches=4, jobs_per_batch=3)
+    assert [
+        {
+            "seed": b.seed,
+            "faults": list(b.fault_names),
+            "completed": b.completed,
+            "failed_typed": b.failed_typed,
+            "violations": b.violations,
+        }
+        for b in batches
+    ] == committed["batches"]
 
 
 # -- short randomized sweep --------------------------------------------------- #

@@ -368,13 +368,11 @@ def test_scheduler_resolves_job_with_no_config(monkeypatch) -> None:
     job = StencilJob(job_id="untuned", spec=SPEC, config=None, grids=(grid,),
                      iterations=4)
     try:
-        sched.submit(job)
-        results = sched.run_until_idle()
+        result = sched.execute_job(job)
     finally:
         sched.close()
-    assert [r.status for r in results] == ["completed"]
-    assert np.array_equal(results[0].result,
-                          reference_run(grid, SPEC, 4))
+    assert result.status == "completed"
+    assert np.array_equal(result.result, reference_run(grid, SPEC, 4))
 
 
 def test_service_resolves_request_with_no_config(monkeypatch) -> None:

@@ -44,13 +44,10 @@ def job(job_id: str, **kwargs) -> StencilJob:
 
 
 def run_one(sched: StencilScheduler, j: StencilJob, plan: FaultPlan | None):
-    sched.submit(j)
     if plan is None:
-        (result,) = sched.run_until_idle()
-    else:
-        with arm(plan):
-            (result,) = sched.run_until_idle()
-    return result
+        return sched.execute_job(j)
+    with arm(plan):
+        return sched.execute_job(j)
 
 
 def clean_elapsed_s(checkpoint: CheckpointPolicy | None = None) -> float:

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, StencilSpec, make_grid, reference_run
-from repro.errors import (
-    ConfigurationError,
-    SchedulerSaturatedError,
-)
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SEUFault, TransferFault, arm
 from repro.runtime import (
     CheckpointPolicy,
@@ -49,8 +46,6 @@ def test_scheduler_validation() -> None:
     with pytest.raises(ConfigurationError):
         StencilScheduler(devices=[])
     with pytest.raises(ConfigurationError):
-        StencilScheduler(max_pending=0)
-    with pytest.raises(ConfigurationError):
         StencilScheduler(quarantine_threshold=0.0)
     with pytest.raises(ConfigurationError):
         StencilScheduler(engine="simd")
@@ -60,38 +55,12 @@ def test_scheduler_validation() -> None:
         CircuitBreaker(threshold=0)
 
 
-def test_duplicate_job_id_rejected() -> None:
-    sched = StencilScheduler(devices=1)
-    sched.submit(job("same"))
-    with pytest.raises(ConfigurationError):
-        sched.submit(job("same"))
-
-
-# -- admission control ------------------------------------------------------- #
-
-
-def test_bounded_admission_saturates() -> None:
-    sched = StencilScheduler(devices=1, max_pending=2)
-    sched.submit(job("a"))
-    sched.submit(job("b"))
-    assert sched.pending == 2
-    with pytest.raises(SchedulerSaturatedError):
-        sched.submit(job("c"))
-    # draining the queue restores admission
-    results = sched.run_until_idle()
-    assert [r.status for r in results] == ["completed", "completed"]
-    sched.submit(job("c"))
-    assert sched.pending == 1
-
-
 # -- dispatch --------------------------------------------------------------- #
 
 
 def test_jobs_balance_across_devices() -> None:
     sched = StencilScheduler(devices=2)
-    for i in range(4):
-        sched.submit(job(f"j{i}"))
-    results = sched.run_until_idle()
+    results = [sched.execute_job(job(f"j{i}")) for i in range(4)]
     assert all(r.status == "completed" for r in results)
     assert all(np.array_equal(r.result, REF_4) for r in results)
     # min-clock dispatch alternates identical jobs across identical boards
@@ -102,18 +71,14 @@ def test_jobs_balance_across_devices() -> None:
 
 def test_explicit_device_list_accepted() -> None:
     sched = StencilScheduler(devices=[HostDevice(), HostDevice()])
-    sched.submit(job("j"))
-    results = sched.run_until_idle()
-    assert results[0].status == "completed"
+    assert sched.execute_job(job("j")).status == "completed"
 
 
 def test_results_cover_every_admitted_job() -> None:
     sched = StencilScheduler(devices=2)
     ids = [f"j{i}" for i in range(5)]
-    for jid in ids:
-        sched.submit(job(jid))
-    results = sched.run_until_idle()
-    assert sorted(r.job_id for r in results) == sorted(ids)
+    results = [sched.execute_job(job(jid)) for jid in ids]
+    assert [r.job_id for r in results] == ids
 
 
 # -- deadlines --------------------------------------------------------------- #
@@ -121,8 +86,7 @@ def test_results_cover_every_admitted_job() -> None:
 
 def test_deadline_fail_fast_before_dispatch() -> None:
     sched = StencilScheduler(devices=1)
-    sched.submit(job("late", deadline_s=1e-12))
-    (result,) = sched.run_until_idle()
+    result = sched.execute_job(job("late", deadline_s=1e-12))
     assert result.status == "failed"
     assert result.error_type == "DeadlineExceededError"
     assert "not dispatched" in result.error
@@ -140,9 +104,8 @@ def test_deadline_missed_after_retries_discards_result() -> None:
         devices=1,
         retry_policy=RetryPolicy(max_retries=2, backoff_s=1.0),
     )
-    sched.submit(job("tight", deadline_s=0.5))
     with arm(plan):
-        (result,) = sched.run_until_idle()
+        result = sched.execute_job(job("tight", deadline_s=0.5))
     assert result.status == "failed"
     assert result.error_type == "DeadlineExceededError"
     assert result.result is None  # late results are discarded, never returned
@@ -151,8 +114,7 @@ def test_deadline_missed_after_retries_discards_result() -> None:
 
 def test_generous_deadline_met() -> None:
     sched = StencilScheduler(devices=1)
-    sched.submit(job("ok", deadline_s=10.0))
-    (result,) = sched.run_until_idle()
+    result = sched.execute_job(job("ok", deadline_s=10.0))
     assert result.status == "completed"
     assert result.elapsed_s <= 10.0
 
@@ -169,9 +131,8 @@ def test_faulty_device_quarantined_then_probed_back() -> None:
     )
     # retried-but-recovered job still counts as a fault for health
     plan = FaultPlan(seed=4, faults=(TransferFault(direction="write", mode="corrupt"),))
-    sched.submit(job("faulty"))
     with arm(plan):
-        (r1,) = sched.run_until_idle()
+        r1 = sched.execute_job(job("faulty"))
     assert r1.status == "completed"
     worker = sched.workers[0]
     assert worker.quarantined
@@ -179,8 +140,7 @@ def test_faulty_device_quarantined_then_probed_back() -> None:
 
     # with every device quarantined the scheduler probes immediately;
     # the clean probe re-admits the device and the job completes there
-    sched.submit(job("next"))
-    (r2,) = sched.run_until_idle()
+    r2 = sched.execute_job(job("next"))
     assert r2.status == "completed"
     assert not worker.quarantined
     assert any("re-admitted" in e for e in worker.events)
@@ -191,9 +151,7 @@ def test_quarantined_device_sits_out_until_probe_due() -> None:
     sick = sched.workers[0]
     sick.quarantined = True
     sick.quarantined_at_job = 0
-    for i in range(4):
-        sched.submit(job(f"j{i}"))
-    results = sched.run_until_idle()
+    results = [sched.execute_job(job(f"j{i}")) for i in range(4)]
     assert all(r.status == "completed" for r in results)
     # the first two jobs may only use the healthy device; once two jobs
     # completed, the probe re-admits device 0
@@ -224,9 +182,8 @@ def test_fault_failure_redispatches_to_another_device() -> None:
     # after the one-shot fault was consumed, and completes bit-exact
     plan = FaultPlan(seed=6, faults=(TransferFault(direction="write", mode="fail"),))
     sched = StencilScheduler(devices=2, retry_policy=RetryPolicy(max_retries=0))
-    sched.submit(job("bounced"))
     with arm(plan):
-        (result,) = sched.run_until_idle()
+        result = sched.execute_job(job("bounced"))
     assert result.status == "completed"
     assert result.dispatches == 2
     assert result.devices == (1,)
@@ -236,9 +193,8 @@ def test_fault_failure_redispatches_to_another_device() -> None:
 def test_single_device_fault_failure_is_final() -> None:
     plan = FaultPlan(seed=7, faults=(TransferFault(direction="write", mode="fail"),))
     sched = StencilScheduler(devices=1, retry_policy=RetryPolicy(max_retries=0))
-    sched.submit(job("doomed"))
     with arm(plan):
-        (result,) = sched.run_until_idle()
+        result = sched.execute_job(job("doomed"))
     assert result.status == "failed"
     assert result.error_type == "FaultDetectedError"
     assert result.dispatches == 1
@@ -246,8 +202,7 @@ def test_single_device_fault_failure_is_final() -> None:
 
 def test_deadline_failures_are_never_redispatched() -> None:
     sched = StencilScheduler(devices=2)
-    sched.submit(job("late", deadline_s=1e-12))
-    (result,) = sched.run_until_idle()
+    result = sched.execute_job(job("late", deadline_s=1e-12))
     assert result.status == "failed"
     assert result.dispatches == 1  # an identical board models identical time
 
@@ -270,12 +225,9 @@ def test_breaker_trips_after_consecutive_faulted_jobs() -> None:
         breaker_threshold=2,
     )
     with arm(plan):
-        sched.submit(job("f1"))
-        (r1,) = sched.run_until_idle()
-        sched.submit(job("f2"))
-        (r2,) = sched.run_until_idle()
-        sched.submit(job("ok"))
-        (r3,) = sched.run_until_idle()
+        r1 = sched.execute_job(job("f1"))
+        r2 = sched.execute_job(job("f2"))
+        r3 = sched.execute_job(job("ok"))
     assert r1.status == r2.status == "failed"
     worker = sched.workers[0]
     assert worker.breaker.tripped
@@ -300,8 +252,7 @@ def test_native_compile_failure_degrades_to_numpy(
 ) -> None:
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     sched = StencilScheduler(devices=1, engine="native")
-    sched.submit(job("j"))
-    (result,) = sched.run_until_idle()
+    result = sched.execute_job(job("j"))
     assert result.status == "completed"
     assert result.engines == ("native",)  # what was asked for at dispatch...
     worker = sched.workers[0]
@@ -310,8 +261,7 @@ def test_native_compile_failure_degrades_to_numpy(
     assert any("degraded to numpy" in e for e in worker.events)
     assert np.array_equal(result.result, REF_4)
     # subsequent jobs dispatch straight to the degraded engine
-    sched.submit(job("k"))
-    (r2,) = sched.run_until_idle()
+    r2 = sched.execute_job(job("k"))
     assert r2.engines == ("numpy",)
 
 
@@ -322,11 +272,10 @@ def test_job_checkpoint_heals_fault_in_place() -> None:
     ref = reference_run(GRID, SPEC, 100)
     plan = FaultPlan(seed=11, faults=(SEUFault(at_touch=91, site="block-buffer"),))
     sched = StencilScheduler(devices=1)
-    sched.submit(
-        job("healed", iterations=100, checkpoint=CheckpointPolicy(every=8))
-    )
     with arm(plan):
-        (result,) = sched.run_until_idle()
+        result = sched.execute_job(
+            job("healed", iterations=100, checkpoint=CheckpointPolicy(every=8))
+        )
     assert result.status == "completed"
     assert result.rollbacks == 1
     assert 0 < result.replayed_passes <= 8
@@ -337,9 +286,8 @@ def test_job_checkpoint_heals_fault_in_place() -> None:
 def test_default_checkpoint_applies_to_bare_jobs() -> None:
     plan = FaultPlan(seed=11, faults=(SEUFault(at_touch=91, site="block-buffer"),))
     sched = StencilScheduler(devices=1, default_checkpoint=8)
-    sched.submit(job("bare", iterations=100))
     with arm(plan):
-        (result,) = sched.run_until_idle()
+        result = sched.execute_job(job("bare", iterations=100))
     assert result.status == "completed"
     assert result.rollbacks == 1
 
@@ -349,8 +297,7 @@ def test_default_checkpoint_applies_to_bare_jobs() -> None:
 
 def test_device_report_shape() -> None:
     sched = StencilScheduler(devices=2)
-    sched.submit(job("j"))
-    sched.run_until_idle()
+    sched.execute_job(job("j"))
     report = sched.device_report()
     assert len(report) == 2
     assert report[0]["jobs_run"] == 1
@@ -369,29 +316,6 @@ def test_device_report_shape() -> None:
 
 
 # -- serving-layer extensions: structured errors, execute_job, cache -------- #
-
-
-def test_saturation_error_carries_structured_context() -> None:
-    sched = StencilScheduler(devices=1, max_pending=1)
-    sched.submit(job("a"))
-    with pytest.raises(SchedulerSaturatedError) as exc:
-        sched.submit(job("b"))
-    err = exc.value
-    assert err.queued == 1 and err.capacity == 1
-    assert "queued=1" in err.details() and "capacity=1" in err.details()
-
-
-def test_execute_job_matches_run_until_idle() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    direct = sched.execute_job(job("direct"))
-    sched.submit(job("queued"))
-    queued = sched.run_until_idle()[0]
-    assert direct.status == queued.status == "completed"
-    assert np.array_equal(direct.result, REF_4)
-    assert np.array_equal(queued.result, REF_4)
-    # execute_job shares the duplicate-id namespace with submit()
-    with pytest.raises(ConfigurationError):
-        sched.execute_job(job("queued"))
 
 
 def test_execute_job_redispatches_on_transient_fault() -> None:
@@ -422,9 +346,7 @@ def test_job_engine_override_pins_tier() -> None:
 
 def test_program_cache_coalesces_identical_jobs() -> None:
     sched = StencilScheduler(devices=2, engine="numpy")
-    for i in range(4):
-        sched.submit(job(f"same-{i}"))
-    results = sched.run_until_idle()
+    results = [sched.execute_job(job(f"same-{i}")) for i in range(4)]
     assert all(r.status == "completed" for r in results)
     snap = sched.program_cache.snapshot()
     assert snap["flights"] == 1  # one build, three cache hits
@@ -440,9 +362,7 @@ def test_shared_cache_is_not_closed_by_scheduler() -> None:
     sched.close()
     sched.close()  # idempotent
     with pytest.raises(ConfigurationError):
-        sched.submit(job("late"))
-    with pytest.raises(ConfigurationError):
-        sched.execute_job(job("late2"))
+        sched.execute_job(job("late"))
     # the shared cache survives the scheduler; its owner closes it
     prog = cache.get(SPEC, CONFIG, engine="numpy")
     assert not prog.closed
@@ -493,7 +413,7 @@ def test_fully_degraded_board_releases_fast_path_pools() -> None:
     sched.close()
 
 
-# -- shutdown semantics ------------------------------------------------------ #
+# -- SLO validation ---------------------------------------------------------- #
 
 
 def test_non_finite_deadlines_rejected() -> None:
@@ -503,35 +423,6 @@ def test_non_finite_deadlines_rejected() -> None:
         assert exc.value.param == "deadline_s"
         with pytest.raises(ConfigurationError):
             sharded_job("j", deadline_s=bad)
-
-
-def test_close_fails_pending_jobs_typed() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    sched.submit(job("p1"))
-    sched.submit(job("p2"))
-    shed = sched.close()
-    assert [r.job_id for r in shed] == ["p1", "p2"]
-    for r in shed:
-        assert r.status == "failed"
-        assert r.error_type == "SchedulerShutdownError"
-        assert r.devices == () and r.engines == () and r.result is None
-    assert sched.pending == 0
-    # idempotent: a second close has nothing left to settle
-    assert sched.close() == []
-    with pytest.raises(ConfigurationError):
-        sched.submit(job("late"))
-
-
-def test_close_drain_finishes_pending_jobs() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    sched.submit(job("d1"))
-    sched.submit(job("d2"))
-    results = sched.close(drain=True)
-    assert [r.job_id for r in results] == ["d1", "d2"]
-    for r in results:
-        assert r.status == "completed"
-        assert np.array_equal(r.result, REF_4)
-    assert sched.close() == []
 
 
 # -- sharded jobs ------------------------------------------------------------ #
@@ -588,9 +479,6 @@ def test_sharded_job_admission_typed() -> None:
     sched = StencilScheduler(devices=2, engine="numpy")
     with pytest.raises(ConfigurationError):
         sched.execute_sharded(sharded_job("too-wide", shards=3))
-    sched.execute_sharded(sharded_job("once", shards=2))
-    with pytest.raises(ConfigurationError):
-        sched.execute_sharded(sharded_job("once", shards=2))
     sched.close()
     with pytest.raises(ConfigurationError):
         sched.execute_sharded(sharded_job("after-close"))

@@ -77,16 +77,6 @@ def test_execute_batch_matches_single_jobs() -> None:
         sched.close()
 
 
-def test_execute_batch_duplicate_id_rejected() -> None:
-    sched = StencilScheduler(devices=1)
-    try:
-        sched.execute_batch(batch_job("dup"))
-        with pytest.raises(ConfigurationError):
-            sched.execute_batch(batch_job("dup"))
-    finally:
-        sched.close()
-
-
 def test_impossible_deadline_fails_whole_batch_typed() -> None:
     sched = StencilScheduler(devices=1)
     try:
@@ -207,7 +197,7 @@ def test_hit_grid_fails_alone_and_the_batch_is_not_redispatched() -> None:
         kernels = [e for e in sched.workers[result.devices[0]].queue.events
                    if e.name.endswith("kernel")]
         assert len(kernels) == 1
-        assert sched.workers[1 - result.devices[0]].queue.events == []
+        assert not sched.workers[1 - result.devices[0]].queue.events
     finally:
         sched.close()
 

@@ -103,21 +103,6 @@ def test_requests_on_one_grid_reply_unaliased(max_batch) -> None:
     svc.close()
 
 
-def test_submit_batch_mixes_tickets_and_inline_rejections() -> None:
-    svc = numpy_service(
-        policy=ServicePolicy(max_queue_depth=2),
-    )
-    tickets = svc.submit_batch([request(), request(), request()])
-    assert len(tickets) == 3
-    assert not tickets[0].done and not tickets[1].done
-    third = tickets[2].result(0)  # rejected synchronously, ticket pre-failed
-    assert third.status == "failed" and third.error_type == "ShedError"
-    assert third.retry_after_s is not None and third.retry_after_s > 0
-    svc.run_pending()
-    assert all(t.result(0).status == "completed" for t in tickets[:2])
-    svc.close()
-
-
 # -- admission ladder -------------------------------------------------------- #
 
 
@@ -183,7 +168,10 @@ def test_full_queue_of_equal_priority_rejects_submitter() -> None:
     svc.submit(**request(priority=1))
     with pytest.raises(ShedError) as exc:
         svc.submit(**request(priority=1))
-    assert exc.value.queued == 2 and exc.value.capacity == 2
+    err = exc.value
+    assert err.queued == 2 and err.capacity == 2
+    assert err.retry_after_s is not None and err.retry_after_s > 0
+    assert "queued=2" in err.details() and "capacity=2" in err.details()
     svc.run_pending()
     svc.close()
 
