@@ -24,6 +24,7 @@ under their own mutex.  Neither reads the wall clock; callers pass
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,6 +153,11 @@ class WeightedFairQueue:
         q = self._queues.get(tenant)
         return len(q) if q else 0
 
+    def __iter__(self) -> Iterator[QueueEntry]:
+        """Every queued entry, tenant by tenant, each tenant in FIFO order."""
+        for q in self._queues.values():
+            yield from q
+
     # -- mutation -------------------------------------------------------- #
 
     def push(
@@ -234,16 +240,15 @@ class WeightedFairQueue:
         when nothing qualifies.
         """
         victim: QueueEntry | None = None
-        for q in self._queues.values():
-            for entry in q:
-                if entry.priority >= below_priority:
-                    continue
-                if (
-                    victim is None
-                    or entry.priority < victim.priority
-                    or (entry.priority == victim.priority and entry.seq > victim.seq)
-                ):
-                    victim = entry
+        for entry in self:
+            if entry.priority >= below_priority:
+                continue
+            if (
+                victim is None
+                or entry.priority < victim.priority
+                or (entry.priority == victim.priority and entry.seq > victim.seq)
+            ):
+                victim = entry
         if victim is not None:
             self._queues[victim.tenant].remove(victim)
             self._size -= 1

@@ -79,6 +79,7 @@ from repro.models.performance import PerformanceModel
 from repro.runtime.artifacts import ArtifactCache
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.host import (
+    EVENT_LOG,
     Buffer,
     CommandQueue,
     HostDevice,
@@ -338,7 +339,8 @@ class _Worker:
         self.jobs_run = 0
         self.quarantined = False
         self.quarantined_at_job: int | None = None  # global job counter
-        self.events: list[str] = []
+        #: The most recent :data:`~repro.runtime.host.EVENT_LOG` lines.
+        self.events: deque[str] = deque(maxlen=EVENT_LOG)
 
     def engine(self, preferred: str) -> str:
         return FLOOR_ENGINE if self.breaker.tripped else preferred

@@ -94,6 +94,10 @@ ENGINE_LADDER: tuple[str | None, ...] = (None, None, FLOOR_ENGINE)
 #: deadline, shed or configuration failure is never retried.
 RETRYABLE_ERRORS = frozenset({"FaultDetectedError", "WatchdogTimeoutError"})
 
+#: Workloads the drain estimate memoises modeled service times for; the
+#: memo is cleared when full, so a service fed many shapes stays bounded.
+ESTIMATE_MEMO = 64
+
 
 @dataclass(frozen=True)
 class TenantQuota:
@@ -319,6 +323,13 @@ class _Request:
     key: tuple = field(default=(), repr=False)
 
 
+#: Per-tenant counter keys, in :meth:`ServiceMetrics.snapshot` order.
+COUNTERS = (
+    "submitted", "completed", "failed", "shed", "queue_timeouts",
+    "deadline_misses", "degraded", "coalesced", "batched", "retries",
+)
+
+
 class ServiceMetrics:
     """Thread-safe per-tenant counters and latency percentiles.
 
@@ -346,25 +357,10 @@ class ServiceMetrics:
         self._buckets: dict[str, dict[str, int]] = {}
 
     def _tenant(self, tenant: str) -> dict[str, int]:
-        return self._counters.setdefault(
-            tenant,
-            {
-                "submitted": 0,
-                "completed": 0,
-                "failed": 0,
-                "shed": 0,
-                "queue_timeouts": 0,
-                "deadline_misses": 0,
-                "degraded": 0,
-                "coalesced": 0,
-                "batched": 0,
-                "retries": 0,
-            },
-        )
-
-    def count(self, tenant: str, key: str, n: int = 1) -> None:
-        with self._lock:
-            self._tenant(tenant)[key] += n
+        counters = self._counters.get(tenant)
+        if counters is None:
+            counters = self._counters[tenant] = dict.fromkeys(COUNTERS, 0)
+        return counters
 
     def record(
         self,
@@ -372,11 +368,12 @@ class ServiceMetrics:
         bucket: str | None = None,
         size: int = 0,
     ) -> None:
-        """Apply one launch's bookkeeping under one lock acquisition.
+        """Apply one batch of bookkeeping under one lock acquisition.
 
         Each outcome is ``(tenant, keys, latency_s, queue_wait_s)``:
         every key counts once, and a ``latency_s`` of ``None`` records
-        no sample (a retry, counted before its request finishes).
+        no sample (an admission, a refused submit, or a retry counted
+        before its request finishes).
 
         ``bucket`` names a coalesced launch of ``size`` requests.
         Buckets are workload-shaped (one per distinct
@@ -411,10 +408,6 @@ class ServiceMetrics:
                 )
                 out[bucket] = stats
             return out
-
-    def observe(self, tenant: str, latency_s: float, queue_wait_s: float) -> None:
-        with self._lock:
-            self._observe_locked(tenant, latency_s, queue_wait_s)
 
     def _observe_locked(
         self, tenant: str, latency_s: float, queue_wait_s: float
@@ -532,61 +525,47 @@ class StencilService:
     def close(self, drain: bool = True, timeout_s: float = 60.0) -> None:
         """Stop admitting; drain or shed the queue; release resources.
 
-        ``drain=True`` lets already-admitted work finish (bounded by
-        ``timeout_s``); ``drain=False`` fails every queued request with
-        a typed :class:`ShedError`.  Idempotent.  The service closes
-        its scheduler and then its artifact cache — programs outlive
-        the scheduler but not the service.
+        ``drain=True`` lets the running dispatch thread finish the
+        already-admitted work (bounded by ``timeout_s``); whatever is
+        still queued after that — all of it on a service whose dispatch
+        thread never started — fails with a typed :class:`ShedError`,
+        so call :meth:`run_pending` first to run it.  ``drain=False``
+        sheds every queued request at once.  A request still in flight
+        when the wait ends fails with a typed
+        :class:`~repro.errors.SchedulerShutdownError`.  Idempotent.
+        The service closes its scheduler and then its artifact cache —
+        programs outlive the scheduler but not the service.
         """
         with self._work:
             if self._closed:
                 return
             self._closing = True
             if not drain:
-                for entry in self._queue.drain():
-                    self._finish_locked(
-                        entry.item,
-                        self._rejection(
-                            entry.item, "service shutting down", shed=True
-                        ),
-                    )
+                self._shed_queue_locked()
             self._work.notify_all()
             thread = self._thread
         if thread is not None and thread.is_alive():
             thread.join(timeout=timeout_s)
         with self._work:
-            for entry in self._queue.drain():  # drain timed out (or no thread)
-                self._finish_locked(
-                    entry.item,
-                    self._rejection(
-                        entry.item, "service shutting down", shed=True
-                    ),
-                )
+            self._shed_queue_locked()  # drain timed out (or no thread)
             # a join timeout leaves the dispatch thread mid-batch: fail
             # those tickets typed now (first writer wins, so a straggler
             # completion landing later is discarded, never double-counted)
             for req in list(self._inflight_reqs.values()):
-                elapsed = time.monotonic() - req.admitted_s
-                self._finish_locked(
-                    req,
-                    ServiceResult(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        status="failed",
-                        error_type="SchedulerShutdownError",
-                        error=str(
-                            SchedulerShutdownError(
-                                f"service closed while request "
-                                f"{req.request_id!r} was in flight"
-                            )
-                        ),
-                        wall_elapsed_s=elapsed,
-                    ),
+                err = SchedulerShutdownError(
+                    f"service closed while request {req.request_id!r} "
+                    f"was in flight"
                 )
+                self._finish(req, self._failed(req, type(err).__name__, str(err)))
             self._inflight_reqs.clear()
             self._closed = True
         self.scheduler.close()
         self.artifacts.close()
+
+    def _shed_queue_locked(self) -> None:
+        """Fail every queued request typed: the service is shutting down."""
+        for entry in self._queue.drain():
+            self._shed(entry.item, "service shutting down")
 
     # -- tenants ------------------------------------------------------------ #
 
@@ -670,7 +649,7 @@ class StencilService:
             quota = self._quota(tenant)
             wait_s = self._bucket(tenant).try_acquire(now)
             if wait_s > 0.0:
-                self.metrics.count(tenant, "shed")
+                self.metrics.record([(tenant, ("shed",), None, 0.0)])
                 raise ShedError(
                     f"tenant {tenant!r} exceeded its rate quota "
                     f"({quota.rate_per_s}/s, burst {quota.burst:g})",
@@ -682,7 +661,7 @@ class StencilService:
             if self._queue.depth >= self._queue.capacity:
                 victim = self._queue.evict_lowest(below_priority=priority)
                 if victim is None:
-                    self.metrics.count(tenant, "shed")
+                    self.metrics.record([(tenant, ("shed",), None, 0.0)])
                     raise ShedError(
                         f"queue is full ({self._queue.capacity}) and no "
                         f"lower-priority job can be shed for {tenant!r}",
@@ -691,14 +670,10 @@ class StencilService:
                         capacity=self._queue.capacity,
                         retry_after_s=self._drain_estimate_s(),
                     )
-                self._finish_locked(
+                self._shed(
                     victim.item,
-                    self._rejection(
-                        victim.item,
-                        f"shed while queued: displaced by priority "
-                        f"{priority} work (own priority {victim.priority})",
-                        shed=True,
-                    ),
+                    f"shed while queued: displaced by priority "
+                    f"{priority} work (own priority {victim.priority})",
                 )
             request_id = f"{tenant}/{next(self._seq)}"
             request = _Request(
@@ -717,7 +692,7 @@ class StencilService:
                 ticket=ServiceTicket(request_id, tenant),
             )
             request.key = self._bucket_key(request)
-            self.metrics.count(tenant, "submitted")
+            self.metrics.record([(tenant, ("submitted",), None, 0.0)])
             self._queue.push(
                 tenant, quota.weight, priority, request,
                 expires=deadline_s is not None,
@@ -743,55 +718,57 @@ class StencilService:
                 constraint="use start=False for synchronous draining",
             )
         processed = 0
-        while True:
-            with self._work:
-                self._sweep_locked(time.monotonic())
-                entry = self._queue.pop()
-                if entry is None:
-                    return processed
-                batch = [entry.item, *self._collect_batch_locked(entry.item)]
-            self._process(batch)
-            processed += len(batch)
+        while n := self._dispatch_step():
+            processed += n
+        return processed
 
     def _dispatch_loop(self) -> None:
         while True:
+            if self._dispatch_step():
+                continue
             with self._work:
-                self._sweep_locked(time.monotonic())
-                entry = self._queue.pop()
-                if entry is None:
+                while not self._queue.depth:
                     if self._closing:
                         return
                     self._work.wait(timeout=0.05)
-                    continue
-                batch = [entry.item, *self._collect_batch_locked(entry.item)]
+
+    def _dispatch_step(self) -> int:
+        """Dispatch the next batch to termination; returns its size (0
+        when nothing is queued).
+
+        Sweeps expired requests, pops the next request and its coalesced
+        siblings, and registers them in flight (so :meth:`close` and
+        :meth:`_drain_estimate_s` see them) until they finish.  A crash
+        in :meth:`_process` never strands a ticket: every unfulfilled
+        one fails typed before the step returns.
+        """
+        with self._work:
+            self._sweep_locked(time.monotonic())
+            entry = self._queue.pop()
+            if entry is None:
+                return 0
+            batch = [entry.item, *self._collect_batch_locked(entry.item)]
+            for req in batch:
+                self._inflight_reqs[req.request_id] = req
+        try:
+            self._process(batch)
+        except BaseException as err:  # noqa: BLE001 - tickets must terminate
+            error_type = (
+                "SchedulerShutdownError"
+                if self._is_closing()
+                else type(err).__name__
+            )
+            for req in batch:
+                self._finish(
+                    req, self._failed(req, error_type, f"dispatch failed: {err}")
+                )
+            if not isinstance(err, Exception):
+                raise
+        finally:
+            with self._work:
                 for req in batch:
-                    self._inflight_reqs[req.request_id] = req
-            try:
-                self._process(batch)
-            except BaseException as err:  # noqa: BLE001 - tickets must terminate
-                # a dispatch-loop crash (or a close() racing an in-flight
-                # coalesced batch) must never strand a ticket: fail every
-                # unfulfilled one typed before the loop unwinds
-                for req in batch:
-                    self._finish(
-                        req,
-                        ServiceResult(
-                            request_id=req.request_id,
-                            tenant=req.tenant,
-                            status="failed",
-                            error_type="SchedulerShutdownError"
-                            if self._is_closing()
-                            else type(err).__name__,
-                            error=f"dispatch failed: {err}",
-                            wall_elapsed_s=time.monotonic() - req.admitted_s,
-                        ),
-                    )
-                if not isinstance(err, Exception):
-                    raise
-            finally:
-                with self._work:
-                    for req in batch:
-                        self._inflight_reqs.pop(req.request_id, None)
+                    self._inflight_reqs.pop(req.request_id, None)
+        return len(batch)
 
     @staticmethod
     def _bucket_key(req: _Request) -> tuple:
@@ -882,26 +859,21 @@ class StencilService:
         for entry in self._queue.remove_if(expired):
             req: _Request = entry.item
             waited = now - req.admitted_s
-            self.metrics.count(req.tenant, "queue_timeouts")
-            self._finish_locked(
+            error = QueueTimeoutError(
+                f"request {req.request_id!r} waited "
+                f"{waited:.4f} s without being dispatched",
+                tenant=req.tenant,
+                waited_s=waited,
+            )
+            self._finish(
                 req,
-                ServiceResult(
-                    request_id=req.request_id,
-                    tenant=req.tenant,
-                    status="failed",
-                    error_type="QueueTimeoutError",
-                    error=str(
-                        QueueTimeoutError(
-                            f"request {req.request_id!r} waited "
-                            f"{waited:.4f} s without being dispatched",
-                            tenant=req.tenant,
-                            waited_s=waited,
-                        )
-                    ),
+                self._failed(
+                    req, "QueueTimeoutError", str(error),
                     retry_after_s=self._drain_estimate_s(),
                     queue_wait_s=waited,
                     wall_elapsed_s=waited,
                 ),
+                extra=("queue_timeouts",),
             )
 
     def _process(self, reqs: list[_Request]) -> None:
@@ -979,16 +951,11 @@ class StencilService:
                 for req in live:
                     self._finish(
                         req,
-                        ServiceResult(
-                            request_id=req.request_id,
-                            tenant=req.tenant,
-                            status="failed",
-                            error_type=type(err).__name__,
-                            error=str(err),
+                        self._failed(
+                            req, type(err).__name__, str(err),
                             **markers,
                             retries=retries,
                             queue_wait_s=started - req.admitted_s,
-                            wall_elapsed_s=time.monotonic() - req.admitted_s,
                         ),
                         tally,
                     )
@@ -1106,12 +1073,15 @@ class StencilService:
         return base * factor
 
     def _estimate_job_s(self, req: _Request) -> float:
-        """Modeled service time of one request (memoised per workload)."""
+        """Modeled service time of one request (memoised per workload,
+        at most :data:`ESTIMATE_MEMO` workloads)."""
         key = artifact_key(
             req.spec, req.config, self.scheduler.workers[0].device.board
         ) + (tuple(req.grid.shape), req.iterations)
         est = self._estimates.get(key)
         if est is None:
+            if len(self._estimates) >= ESTIMATE_MEMO:
+                self._estimates.clear()
             est = self._perf.predict_measured(
                 req.spec, req.config, tuple(req.grid.shape), req.iterations
             ).time_s
@@ -1126,18 +1096,29 @@ class StencilService:
         depth = self._queue.depth + len(self._inflight_reqs)
         if depth == 0:
             return MIN_RETRY_AFTER_S
-        per_job = 0.0
-        for entries in self._queue._queues.values():
-            for entry in entries:
-                per_job = max(per_job, self._estimate_job_s(entry.item))
+        per_job = max(
+            (self._estimate_job_s(entry.item) for entry in self._queue),
+            default=0.0,
+        )
         devices = max(1, len(self.scheduler.workers))
         # modeled kernel time is simulated; wall dispatch dominates, so
         # floor the hint at one scheduling quantum per queued job
         return max(depth * per_job / devices, depth * 1e-3, MIN_RETRY_AFTER_S)
 
-    def _rejection(
-        self, req: _Request, message: str, *, shed: bool
+    def _failed(
+        self, req: _Request, error_type: str, error: str, **fields
     ) -> ServiceResult:
+        """The one failed reply: ``req``'s typed error plus ``fields``;
+        ``wall_elapsed_s`` defaults to the request's wall time so far."""
+        fields.setdefault("wall_elapsed_s", time.monotonic() - req.admitted_s)
+        return ServiceResult(
+            req.request_id, req.tenant, "failed",
+            error_type=error_type, error=error, **fields,
+        )
+
+    def _shed(self, req: _Request, message: str) -> None:
+        """Fail a request taken off the queue with a typed
+        :class:`ShedError` (lock held)."""
         err = ShedError(
             message,
             tenant=req.tenant,
@@ -1145,16 +1126,16 @@ class StencilService:
             capacity=self._queue.capacity,
             retry_after_s=self._drain_estimate_s(),
         )
-        self.metrics.count(req.tenant, "shed")
-        return ServiceResult(
-            request_id=req.request_id,
-            tenant=req.tenant,
-            status="failed",
-            error_type=type(err).__name__,
-            error=str(err),
-            retry_after_s=err.retry_after_s,
-            queue_wait_s=time.monotonic() - req.admitted_s,
-            wall_elapsed_s=time.monotonic() - req.admitted_s,
+        waited = time.monotonic() - req.admitted_s
+        self._finish(
+            req,
+            self._failed(
+                req, type(err).__name__, str(err),
+                retry_after_s=err.retry_after_s,
+                queue_wait_s=waited,
+                wall_elapsed_s=waited,
+            ),
+            extra=("shed",),
         )
 
     def _fail_deadline(
@@ -1174,12 +1155,8 @@ class StencilService:
             why += "; late result discarded"
         self._finish(
             req,
-            ServiceResult(
-                request_id=req.request_id,
-                tenant=req.tenant,
-                status="failed",
-                error_type="DeadlineExceededError",
-                error=why,
+            self._failed(
+                req, "DeadlineExceededError", why,
                 retries=retries,
                 queue_wait_s=queue_wait,
                 wall_elapsed_s=elapsed,
@@ -1215,14 +1192,6 @@ class StencilService:
             self.metrics.record([outcome])
         else:
             tally.append(outcome)
-
-    def _finish_locked(self, req: _Request, result: ServiceResult) -> None:
-        """Finish while already holding the service lock (sweeps, sheds)."""
-        if not req.ticket._fulfil(result):
-            return
-        self.metrics.record(
-            [(req.tenant, ("failed",), result.wall_elapsed_s, result.queue_wait_s)]
-        )
 
     # -- introspection -------------------------------------------------------- #
 

@@ -10,8 +10,9 @@ the number of requests served.
 from __future__ import annotations
 
 from repro.core import BlockingConfig, StencilSpec, make_grid
-from repro.runtime import StencilScheduler, StencilService
+from repro.runtime import ServicePolicy, StencilScheduler, StencilService
 from repro.runtime.host import EVENT_LOG
+from repro.runtime.service import ESTIMATE_MEMO
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
@@ -71,3 +72,21 @@ def test_retained_sizes_do_not_grow_with_requests_served() -> None:
         assert _retained(svc) == after_n
     finally:
         svc.close()
+
+
+def test_drain_estimate_memo_is_bounded() -> None:
+    # one queued request per distinct shape, more shapes than the memo
+    # holds: the drain estimate models each, and the memo stays bounded
+    shapes = [(8, 32 + i) for i in range(ESTIMATE_MEMO + 8)]
+    svc = StencilService(
+        StencilScheduler(devices=1, engine="numpy"),
+        policy=ServicePolicy(max_queue_depth=len(shapes)),
+        start=False,
+    )
+    try:
+        for shape in shapes:
+            svc.submit("t0", SPEC, CONFIG, make_grid(shape, "mixed", seed=1))
+        assert svc._drain_estimate_s() > 0.0
+        assert 0 < len(svc._estimates) <= ESTIMATE_MEMO
+    finally:
+        svc.close(drain=False)

@@ -16,6 +16,7 @@ from repro.runtime import (
     StencilJob,
     StencilScheduler,
 )
+from repro.runtime.host import EVENT_LOG
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=64, parvec=4, partime=2)
@@ -313,6 +314,19 @@ def test_device_report_shape() -> None:
             "clock_s",
             "events",
         }
+
+
+def test_worker_log_keeps_the_newest_event_log_lines() -> None:
+    sched = StencilScheduler(devices=1, engine="numpy")
+    worker = sched.workers[0]
+    for i in range(EVENT_LOG + 5):
+        worker.log(f"line {i}")
+    assert len(worker.events) == EVENT_LOG
+    assert worker.events[0] == "device 0: line 5"
+    assert worker.events[-1] == f"device 0: line {EVENT_LOG + 4}"
+    events = sched.device_report()[0]["events"]
+    assert isinstance(events, list) and events == list(worker.events)
+    sched.close()
 
 
 # -- serving-layer extensions: structured errors, execute_job, cache -------- #
@@ -632,7 +646,7 @@ def test_sharded_job_rejected_by_plan_takes_no_health_sample(grid) -> None:
     assert result.result is None and result.elapsed_s == 0.0
     for w in sched.workers:
         assert w.jobs_run == 0 and not w.window
-        assert w.queue.clock_s == 0.0 and w.events == []
+        assert w.queue.clock_s == 0.0 and not w.events
     sched.close()
 
 

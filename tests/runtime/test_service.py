@@ -446,8 +446,7 @@ def test_metrics_reservoir_is_bounded() -> None:
 
     m = ServiceMetrics(window=4)
     for i in range(100):
-        m.count("t", "completed")
-        m.observe("t", latency_s=float(i), queue_wait_s=0.0)
+        m.record([("t", ("completed",), float(i), 0.0)])
     snap = m.snapshot()["t"]
     assert snap["latency_samples"] == 4
     # only the 4 most recent samples (96..99) survive in the window
@@ -458,7 +457,7 @@ def test_metrics_zero_samples_emit_no_percentiles() -> None:
     from repro.runtime.service import ServiceMetrics
 
     m = ServiceMetrics()
-    m.count("t", "submitted")
+    m.record([("t", ("submitted",), None, 0.0)])
     snap = m.snapshot()["t"]
     assert "p50_ms" not in snap and "p99_ms" not in snap
 
@@ -467,8 +466,7 @@ def test_metrics_single_sample_pins_percentiles() -> None:
     from repro.runtime.service import ServiceMetrics
 
     m = ServiceMetrics()
-    m.count("t", "completed")
-    m.observe("t", latency_s=0.25, queue_wait_s=0.0)
+    m.record([("t", ("completed",), 0.25, 0.0)])
     snap = m.snapshot()["t"]
     assert snap["p50_ms"] == snap["p99_ms"] == pytest.approx(250.0)
     assert snap["latency_samples"] == 1

@@ -144,3 +144,51 @@ def test_close_is_idempotent_and_joins_the_dispatch_thread() -> None:
     svc.close(drain=True, timeout_s=30.0)  # second close is a no-op
     assert svc._thread is not None and not svc._thread.is_alive()
     _drain_typed([ticket])
+
+
+def _crashing_service(seen_in_flight: list) -> StencilService:
+    """A service whose scheduler raises an untyped error on every job."""
+    svc = StencilService(
+        StencilScheduler(devices=1, engine="numpy"),
+        policy=ServicePolicy(max_queue_depth=16),
+        start=False,
+    )
+
+    def crash(job):
+        seen_in_flight.append(len(svc._inflight_reqs))
+        raise RuntimeError("scheduler blew up")
+
+    svc.scheduler.execute_job = crash
+    return svc
+
+
+def test_dispatch_crash_fails_the_popped_batch_typed_on_both_paths() -> None:
+    # run_pending and the dispatch thread share one dispatch step: a crash
+    # in it fails every ticket of the popped batch, strands none, leaves
+    # nothing registered in flight, and the service still closes
+    for threaded in (False, True):
+        seen: list = []
+        svc = _crashing_service(seen)
+        tickets = [
+            svc.submit(
+                tenant="erin", spec=SPEC, config=CONFIG, grid=GRID,
+                iterations=1,
+            )
+            for _ in range(3)
+        ]
+        if threaded:
+            svc.start()
+        else:
+            assert svc.run_pending() == 3
+        for ticket in tickets:
+            assert ticket.wait(30.0), f"ticket {ticket.request_id} stranded"
+            result = ticket.result(0)
+            assert result.status == "failed"
+            # the reply names the class the dispatch step caught
+            assert result.error_type == "RuntimeError"
+            assert result.error == "dispatch failed: scheduler blew up"
+        svc.close(drain=True, timeout_s=30.0)
+        assert seen == [3]  # one coalesced launch, counted while in flight
+        assert svc.queue_depth == 0 and not svc._inflight_reqs
+        counters = svc.report()["tenants"]["erin"]
+        assert counters["submitted"] == counters["failed"] == 3
