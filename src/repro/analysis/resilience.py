@@ -21,14 +21,6 @@ of pass-granular checkpointing: replaying the tail since the last
 snapshot must beat a whole-run retry by at least 3x in replayed passes
 on a long run faulted near the end (the numbers behind
 ``BENCH_recovery.json``).
-
-A further experiment, ``sharding``, points the same chaos machinery at
-the multi-device :class:`~repro.runtime.ShardedRunner`: randomized
-device faults, halo corruption, wedged exchange FIFOs and board losses
-must leave every run bit-exact or typed with replay confined to the
-faulted shards, and restoring a lost shard from its latest per-shard
-snapshot must beat whole-run retry by at least 3x (the numbers behind
-``BENCH_sharding.json``).
 """
 
 from __future__ import annotations
@@ -52,8 +44,6 @@ from repro.faults import (
     TransferFault,
     arm,
 )
-from repro.core.sharding import ShardPlan
-from repro.faults import DeviceLossFault, HaloCorruptFault
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.host import (
     Buffer,
@@ -64,7 +54,6 @@ from repro.runtime.host import (
     benchmark_kernel,
 )
 from repro.runtime.scheduler import StencilJob, StencilScheduler
-from repro.runtime.sharded import ShardedRunner
 
 #: Campaign workload: small enough for CI, large enough for several
 #: blocks per pass (so block-level faults have real structure to hit).
@@ -815,296 +804,5 @@ def run_overload() -> ExperimentResult:
                 }
                 for c in cells
             ],
-        },
-    )
-
-# --------------------------------------------------------------------- #
-# sharding: shard-granular fault isolation across simulated devices
-# --------------------------------------------------------------------- #
-
-#: Sharding workload: four shards still leave every interior a full
-#: halo deep (24 rows / 4 shards = 6 >= partime * radius = 2).
-SHARD_SPEC = StencilSpec.star(2, 1)
-SHARD_CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
-SHARD_GRID_SHAPE = (24, 64)
-
-#: Typed errors a sharded run may legitimately raise under injection.
-SHARD_TYPED = frozenset(
-    {
-        "FaultDetectedError",
-        "HaloExchangeError",
-        "DeviceLostError",
-        "WatchdogTimeoutError",
-        "ConfigurationError",
-    }
-)
-
-
-def _random_shard_fault_plan(
-    rng: np.random.Generator, shards: int, edge_names: tuple[str, ...]
-) -> FaultPlan:
-    """One seeded random fault against a sharded run: 1-2 faults."""
-    menu = (
-        lambda: SEUFault(
-            site="block-buffer", at_touch=int(rng.integers(0, 60))
-        ),
-        lambda: HaloCorruptFault(
-            at_exchange=int(rng.integers(0, 8)),
-            edge=str(rng.choice(edge_names)) if rng.random() < 0.5 else None,
-        ),
-        lambda: ChannelStallFault(
-            channel=str(rng.choice(edge_names)),
-            op="write",
-            at_op=int(rng.integers(0, 4)),
-            duration=int(rng.integers(100, 400)),  # straddles the watchdog
-        ),
-        lambda: DeviceLossFault(
-            at_pass=int(rng.integers(0, 3)),
-            device=int(rng.integers(0, shards)),
-        ),
-    )
-    n_faults = int(rng.integers(1, 3))
-    faults = tuple(
-        menu[int(rng.integers(0, len(menu)))]() for _ in range(n_faults)
-    )
-    return FaultPlan(seed=int(rng.integers(0, 2**31)), faults=faults)
-
-
-@dataclass(frozen=True)
-class ShardScenario:
-    """One armed sharded run of the campaign."""
-
-    seed: int
-    shards: int
-    boundary: str
-    fault_names: tuple[str, ...]
-    status: str  # "bit-exact" | "failed-typed" | "violation"
-    error_type: str | None
-    faulty_shards: int
-    confined: bool
-    rollbacks: int
-    replayed_passes: int
-    halo_detections: int
-    reshards: int
-
-
-def run_sharding_campaign(
-    seed: int = SEED, scenarios: int = 8, iterations: int = 8
-) -> list[ShardScenario]:
-    """Randomized device/halo faults against :class:`ShardedRunner`.
-
-    Every scenario arms a fresh random fault schedule (derived from
-    ``seed``) against a randomly drawn shard count and boundary mode,
-    then checks the sharding invariant: the run either completes
-    bit-identical to :func:`reference_run` or raises a typed error, and
-    any replay stays confined to the faulted shards (re-sharding after
-    a board loss is the one sanctioned global event).
-    """
-    rng = np.random.default_rng(seed)
-    grid = make_grid(SHARD_GRID_SHAPE, "mixed", seed=seed % 1000)
-    passes = -(-iterations // SHARD_CONFIG.partime)
-    references: dict[str, np.ndarray] = {}
-    out: list[ShardScenario] = []
-    for _ in range(scenarios):
-        shards = int(rng.choice([2, 4]))
-        boundary = str(rng.choice(["clamp", "periodic"]))
-        edge_names = tuple(
-            e.name
-            for e in ShardPlan(
-                SHARD_CONFIG, SHARD_GRID_SHAPE, boundary, shards
-            ).edges
-        )
-        plan = _random_shard_fault_plan(rng, shards, edge_names)
-        if boundary not in references:
-            references[boundary] = reference_run(
-                grid, SHARD_SPEC, iterations, boundary=boundary
-            )
-        error_type = None
-        stats = None
-        with ShardedRunner(
-            SHARD_SPEC,
-            SHARD_CONFIG,
-            boundary,
-            shards=shards,
-            engine="numpy",
-            checkpoint=2,
-        ) as runner:
-            try:
-                with arm(plan):
-                    res = runner.run(grid, iterations)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                error_type = type(exc).__name__
-                status = (
-                    "failed-typed" if error_type in SHARD_TYPED
-                    else "violation"
-                )
-            else:
-                stats = res.stats
-                status = (
-                    "bit-exact"
-                    if np.array_equal(res.grid, references[boundary])
-                    else "violation"
-                )
-        faulty = sum(1 for f in runner.device_faults if f)
-        confined = (
-            stats is None
-            or faulty == 0
-            or stats.reshards > 0
-            or stats.replayed_passes <= passes * faulty
-        )
-        out.append(
-            ShardScenario(
-                seed=plan.seed,
-                shards=shards,
-                boundary=boundary,
-                fault_names=tuple(type(f).__name__ for f in plan.faults),
-                status=status,
-                error_type=error_type,
-                faulty_shards=faulty,
-                confined=confined,
-                rollbacks=stats.rollbacks if stats else 0,
-                replayed_passes=stats.replayed_passes if stats else 0,
-                halo_detections=stats.halo_detections if stats else 0,
-                reshards=stats.reshards if stats else 0,
-            )
-        )
-    return out
-
-
-def run_sharding_replay_cost(
-    iterations: int = 400,
-    fault_at_fraction: float = 0.9,
-    checkpoint_every: int = 10,
-    shards: int = 2,
-) -> dict:
-    """Shard-tail replay vs whole-run retry after a late board loss.
-
-    The same long sharded run loses one board at ``fault_at_fraction``
-    of its passes, twice: once with ``checkpoint_every`` per-shard
-    snapshots (the lost shard's state restores from its latest snapshot
-    and only the tail replays) and once with an interval no run reaches
-    (the whole-run-retry baseline: restore lands on the pass-0 base
-    snapshot).  Both recover onto the survivors and must end bit-exact.
-    """
-    grid = make_grid(SHARD_GRID_SHAPE, "mixed", seed=11)
-    passes = -(-iterations // SHARD_CONFIG.partime)
-    fault_pass = int(passes * fault_at_fraction)
-    if fault_pass % checkpoint_every == 0:
-        fault_pass += checkpoint_every // 2  # keep a real tail to replay
-    loss = DeviceLossFault(at_pass=fault_pass, device=shards - 1)
-    reference = reference_run(grid, SHARD_SPEC, iterations)
-
-    def measure(every: int) -> dict:
-        with ShardedRunner(
-            SHARD_SPEC,
-            SHARD_CONFIG,
-            shards=shards,
-            engine="numpy",
-            checkpoint=every,
-        ) as runner:
-            with arm(FaultPlan(seed=SEED, faults=(loss,))):
-                res = runner.run(grid, iterations)
-        return {
-            "every": every,
-            "replayed_passes": res.stats.replayed_passes,
-            "rollbacks": res.stats.rollbacks,
-            "reshards": res.stats.reshards,
-            "sim_time_s": res.stats.sim_time_s,
-            "bit_exact": bool(np.array_equal(res.grid, reference)),
-        }
-
-    whole = measure(10**9)  # only the pass-0 base snapshot exists
-    tail = measure(checkpoint_every)
-    ratio = whole["replayed_passes"] / max(1, tail["replayed_passes"])
-    return {
-        "iterations": iterations,
-        "passes": passes,
-        "fault_pass": fault_pass,
-        "checkpoint_every": checkpoint_every,
-        "shards": shards,
-        "whole_run": whole,
-        "tail_replay": tail,
-        "replay_cost_ratio": ratio,
-        "meets_3x_target": bool(ratio >= 3.0),
-    }
-
-
-def run_sharding() -> ExperimentResult:
-    """Build the sharding report (experiment id ``sharding``)."""
-    scenarios = run_sharding_campaign()
-    replay = run_sharding_replay_cost()
-
-    rows = [
-        (
-            f"{i}",
-            f"{s.shards}x{s.boundary}",
-            "+".join(s.fault_names),
-            s.status + (f" ({s.error_type})" if s.error_type else ""),
-            f"{s.faulty_shards}",
-            f"{s.replayed_passes}",
-            "yes" if s.confined else "NO",
-        )
-        for i, s in enumerate(scenarios)
-    ]
-    table = render_table(
-        ["run", "layout", "faults", "outcome", "faulty", "replayed",
-         "confined"],
-        rows,
-        title=f"Shard chaos campaign (seed {SEED}, grid "
-        f"{SHARD_GRID_SHAPE}, checkpoint every 2 passes)",
-    )
-    tail = replay["tail_replay"]
-    whole = replay["whole_run"]
-    table += (
-        f"\n\nRecovery cost, {replay['iterations']}-iteration sharded run "
-        f"losing a board at pass {replay['fault_pass']}/{replay['passes']}:\n"
-        f"  whole-run retry : {whole['replayed_passes']} replayed passes\n"
-        f"  shard tail      : {tail['replayed_passes']} replayed passes "
-        f"(checkpoint every {replay['checkpoint_every']})\n"
-        f"  ratio           : {replay['replay_cost_ratio']:.1f}x "
-        "(target >= 3x)\n"
-    )
-
-    n = len(scenarios)
-    ok = sum(s.status in ("bit-exact", "failed-typed") for s in scenarios)
-    confined = sum(s.confined for s in scenarios)
-    comparisons = [
-        compare_values(
-            "runs bit-exact or failed typed", 1.0, ok / n, 0.0
-        ),
-        compare_values(
-            "replay confined to faulted shards", 1.0, confined / n, 0.0
-        ),
-        compare_values(
-            "shard tail replay >= 3x cheaper than whole-run retry",
-            1.0,
-            1.0 if replay["meets_3x_target"] else 0.0,
-            0.0,
-        ),
-    ]
-    return ExperimentResult(
-        exp_id="sharding",
-        title="Fault-isolated sharding: halo exchange and shard recovery",
-        text=table,
-        comparisons=comparisons,
-        data={
-            "scenarios": [
-                {
-                    "seed": s.seed,
-                    "shards": s.shards,
-                    "boundary": s.boundary,
-                    "faults": list(s.fault_names),
-                    "status": s.status,
-                    "error_type": s.error_type,
-                    "faulty_shards": s.faulty_shards,
-                    "confined": s.confined,
-                    "rollbacks": s.rollbacks,
-                    "replayed_passes": s.replayed_passes,
-                    "halo_detections": s.halo_detections,
-                    "reshards": s.reshards,
-                }
-                for s in scenarios
-            ],
-            "replay_cost": replay,
         },
     )

@@ -12,7 +12,6 @@ from repro.core.reference import reference_step, reference_run
 from repro.core.blocking import BlockingConfig, BlockDecomposition
 from repro.core.batch import BatchPlan, BatchResult
 from repro.core.accelerator import FPGAAccelerator, AcceleratorStats
-from repro.core.sharding import HaloEdge, Shard, ShardPlan
 
 __all__ = [
     "Direction",
@@ -26,7 +25,4 @@ __all__ = [
     "BatchResult",
     "FPGAAccelerator",
     "AcceleratorStats",
-    "HaloEdge",
-    "Shard",
-    "ShardPlan",
 ]

@@ -216,8 +216,8 @@ def golden_check(result: np.ndarray, expected_crc: int | None, stats) -> None:
 
     While a fault plan is armed, or when ``expected_crc`` is given, the
     result's CRC32 is recorded in ``stats.output_crc32``; a mismatch
-    raises :class:`~repro.errors.FaultDetectedError`.  Every run — one
-    device or sharded — ends in this check.
+    raises :class:`~repro.errors.FaultDetectedError`.  Every run ends
+    in this check.
     """
     if expected_crc is None and fault_hooks.ACTIVE is None:
         return

@@ -12,16 +12,14 @@ callers that need structured context look for a ``details()`` method
     │   └── ResourceExceededError
     ├── SimulationError
     │   └── FaultDetectedError
-    │       ├── WatchdogTimeoutError
-    │       └── HaloExchangeError   (edge/shard/passes, details())
+    │       └── WatchdogTimeoutError
     ├── SchedulerError
     │   ├── SchedulerSaturatedError (queued/capacity/tenant/retry_after_s,
     │   │   │                        details())
     │   │   ├── ShedError
     │   │   └── QueueTimeoutError   (adds waited_s)
     │   ├── DeadlineExceededError
-    │   ├── SchedulerShutdownError
-    │   └── DeviceLostError         (device/shard, details())
+    │   └── SchedulerShutdownError
     └── ValidationError
 
 Which layer raises what:
@@ -42,12 +40,6 @@ Which layer raises what:
 * **deadline** (:class:`DeadlineExceededError`) — a job's time budget
   (simulated clock at the scheduler, wall clock at the service) cannot
   be or was not met; late results are discarded, never silently late.
-* **sharding** (:class:`HaloExchangeError`, :class:`DeviceLostError`) —
-  a cross-shard halo transfer stayed corrupted or stalled past its
-  retry budget, or a simulated board vanished mid-run and no surviving
-  device could absorb its shard.  The recoverable cases (a one-shot
-  corruption, a loss with survivors) never surface: the sharded runner
-  retries the transfer or re-shards first.
 * **shutdown** (:class:`SchedulerShutdownError`) — a request still in
   flight when :meth:`~repro.runtime.service.StencilService.close` stopped
   waiting for it; every abandoned request gets this typed failure
@@ -127,47 +119,6 @@ class FaultDetectedError(SimulationError):
 class WatchdogTimeoutError(FaultDetectedError):
     """A watchdog expired: a stalled channel, a kernel running past its
     deadline, or a cycle simulation that failed to converge."""
-
-
-class HaloExchangeError(FaultDetectedError):
-    """A cross-shard halo transfer failed past its retry budget.
-
-    Raised by the sharded runner (:mod:`repro.runtime.sharded`) when a
-    halo strip's CRC still mismatches after the transfer was retried,
-    or when the transport channel stalled past the exchange watchdog.
-    One-shot corruptions never surface as this error — the first retry
-    re-reads the sender's intact interior.
-
-    Structured context, following the :class:`ConfigurationError`
-    ``details()`` pattern: ``edge`` (the :attr:`HaloEdge.name
-    <repro.core.sharding.HaloEdge.name>` of the failing transfer),
-    ``shard`` (the receiving shard index) and ``passes`` (how many
-    compute passes had completed when the exchange failed).
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        edge: str | None = None,
-        shard: int | None = None,
-        passes: int | None = None,
-    ):
-        super().__init__(message)
-        self.edge = edge
-        self.shard = shard
-        self.passes = passes
-
-    def details(self) -> str:
-        """Render the structured fields (empty string when unset)."""
-        parts = []
-        if self.edge is not None:
-            parts.append(f"edge={self.edge}")
-        if self.shard is not None:
-            parts.append(f"shard={self.shard}")
-        if self.passes is not None:
-            parts.append(f"passes={self.passes}")
-        return "; ".join(parts)
 
 
 class SchedulerError(ReproError):
@@ -282,39 +233,6 @@ class SchedulerShutdownError(SchedulerError):
     discarded, even if its launch later completes; resubmitting to a
     live service is safe.
     """
-
-
-class DeviceLostError(SchedulerError):
-    """A simulated board vanished mid-run and the work could not move.
-
-    The sharded runner re-shards onto surviving devices when a board is
-    lost; this error surfaces only when no survivor remains (or the
-    remaining geometry cannot hold the shard plan's halo invariant).
-
-    Structured context, following the :class:`ConfigurationError`
-    ``details()`` pattern: ``device`` (the lost board's index) and
-    ``shard`` (the shard it was running when it died).
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        device: int | None = None,
-        shard: int | None = None,
-    ):
-        super().__init__(message)
-        self.device = device
-        self.shard = shard
-
-    def details(self) -> str:
-        """Render the structured fields (empty string when unset)."""
-        parts = []
-        if self.device is not None:
-            parts.append(f"device={self.device}")
-        if self.shard is not None:
-            parts.append(f"shard={self.shard}")
-        return "; ".join(parts)
 
 
 class ValidationError(ReproError):

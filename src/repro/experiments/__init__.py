@@ -66,12 +66,6 @@ def _overload(**kwargs):
     return run_overload(**kwargs)
 
 
-def _sharding(**kwargs):
-    from repro.analysis.resilience import run_sharding
-
-    return run_sharding(**kwargs)
-
-
 def _lint(**kwargs):
     # Imported lazily: repro.lint pulls in the area/fmax models and walks
     # the source tree, which table/figure experiments never need.
@@ -83,7 +77,6 @@ def _lint(**kwargs):
 EXPERIMENTS["resilience"] = _resilience
 EXPERIMENTS["chaos"] = _chaos
 EXPERIMENTS["overload"] = _overload
-EXPERIMENTS["sharding"] = _sharding
 EXPERIMENTS["lint"] = _lint
 
 __all__ = ["EXPERIMENTS", "ExperimentResult"]

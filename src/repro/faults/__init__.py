@@ -28,11 +28,9 @@ from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.plan import (
     ChannelCorruptFault,
     ChannelStallFault,
-    DeviceLossFault,
     Fault,
     FaultPlan,
     FmaxDerateFault,
-    HaloCorruptFault,
     MemoryStallFault,
     SensorDropoutFault,
     SEUFault,
@@ -94,8 +92,6 @@ __all__ = [
     "SensorDropoutFault",
     "FmaxDerateFault",
     "MemoryStallFault",
-    "HaloCorruptFault",
-    "DeviceLossFault",
     "arm",
     "disarm",
     "active",

@@ -26,10 +26,8 @@ from repro.faults import hooks
 from repro.faults.plan import (
     ChannelCorruptFault,
     ChannelStallFault,
-    DeviceLossFault,
     FaultPlan,
     FmaxDerateFault,
-    HaloCorruptFault,
     MemoryStallFault,
     SensorDropoutFault,
     SEUFault,
@@ -99,8 +97,6 @@ class FaultInjector:
         self._channel_writes = 0
         self._transfers = {"write": 0, "read": 0}
         self._kernel_queries = 0
-        self._halo_exchanges: dict[str, int] = {}
-        self._halo_exchanges_all = 0
 
     # -- helpers --------------------------------------------------------- #
 
@@ -247,53 +243,6 @@ class FaultInjector:
                 f"corrupted {direction} transfer {index}: word {idx} bit {bit}",
             )
         return data
-
-    # -- hook: sharded halo exchange --------------------------------------- #
-
-    def corrupt_halo(self, edge: str, data: np.ndarray) -> np.ndarray:
-        """Maybe corrupt a halo strip in flight between two shards.
-
-        ``edge`` is the :attr:`repro.core.sharding.HaloEdge.name` of the
-        transfer; ``data`` is the strip as sent (CRC already computed by
-        the sender).  Returns the strip that "arrives" — a corrupted
-        copy if a fault fired, the original otherwise.
-        """
-        global_idx = self._halo_exchanges_all
-        self._halo_exchanges_all += 1
-        edge_idx = self._halo_exchanges.get(edge, 0)
-        self._halo_exchanges[edge] = edge_idx + 1
-        for i, fault in self._each(HaloCorruptFault):
-            if self._done[i]:
-                continue
-            if fault.edge is None:
-                if global_idx != fault.at_exchange:
-                    continue
-            elif fault.edge != edge or edge_idx != fault.at_exchange:
-                continue
-            word, bit = self._word_bit(i, fault)
-            data = data.copy()
-            idx = _flip_array_bit(data, word, bit)
-            self._record(
-                i,
-                fault,
-                f"corrupted halo {edge!r} exchange {edge_idx}: "
-                f"word {idx} bit {bit}",
-            )
-        return data
-
-    def device_lost(self, device: int, pass_index: int) -> bool:
-        """True if simulated board ``device`` dies at this pass boundary."""
-        lost = False
-        for i, fault in self._each(DeviceLossFault):
-            if self._done[i] or fault.device != device:
-                continue
-            if fault.at_pass != pass_index:
-                continue
-            self._record(
-                i, fault, f"device {device} lost after pass {pass_index}"
-            )
-            lost = True
-        return lost
 
     # -- hook: power sensor ------------------------------------------------ #
 

@@ -14,7 +14,7 @@ detect, and recover from — byte-identical faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 from repro.errors import ConfigurationError
 
@@ -192,54 +192,6 @@ class MemoryStallFault:
             raise ConfigurationError(f"duration must be >= 1, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class HaloCorruptFault:
-    """Flip a bit in a halo strip crossing between two shards.
-
-    Fires on the ``at_exchange``-th halo transfer — counted on the named
-    edge (a :attr:`repro.core.sharding.HaloEdge.name`, e.g.
-    ``"halo:0->1:lo"``), or across all edges when ``edge`` is ``None``.
-    The strip's CRC (computed at the sender before this hook runs)
-    catches the flip at the receiver, and the one-shot retry re-reads
-    the sender's intact interior.
-    """
-
-    at_exchange: int = 0
-    edge: str | None = None
-    word: int | None = None
-    bit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.at_exchange < 0:
-            raise ConfigurationError(
-                f"at_exchange must be >= 0, got {self.at_exchange}"
-            )
-        if self.bit is not None and not 0 <= self.bit < 32:
-            raise ConfigurationError(f"bit must be in [0, 32), got {self.bit}")
-        if self.word is not None and self.word < 0:
-            raise ConfigurationError(f"word must be >= 0, got {self.word}")
-
-
-@dataclass(frozen=True)
-class DeviceLossFault:
-    """Lose one simulated board at a pass boundary of a sharded run.
-
-    The sharded runner observes the loss when it polls the device after
-    pass ``at_pass`` completes, restores the lost shard's state from its
-    snapshots, and re-shards onto the survivors — or raises a typed
-    :class:`~repro.errors.DeviceLostError` when none remain.
-    """
-
-    at_pass: int = 0
-    device: int = 0
-
-    def __post_init__(self) -> None:
-        if self.at_pass < 0:
-            raise ConfigurationError(f"at_pass must be >= 0, got {self.at_pass}")
-        if self.device < 0:
-            raise ConfigurationError(f"device must be >= 0, got {self.device}")
-
-
 Fault = Union[
     SEUFault,
     ChannelCorruptFault,
@@ -248,21 +200,9 @@ Fault = Union[
     SensorDropoutFault,
     FmaxDerateFault,
     MemoryStallFault,
-    HaloCorruptFault,
-    DeviceLossFault,
 ]
 
-_FAULT_TYPES = (
-    SEUFault,
-    ChannelCorruptFault,
-    ChannelStallFault,
-    TransferFault,
-    SensorDropoutFault,
-    FmaxDerateFault,
-    MemoryStallFault,
-    HaloCorruptFault,
-    DeviceLossFault,
-)
+_FAULT_TYPES = get_args(Fault)
 
 
 @dataclass(frozen=True)

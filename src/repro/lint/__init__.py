@@ -39,7 +39,7 @@ from repro.lint.findings import (
     render_rule_catalog,
 )
 from repro.lint.kernel import CATALOG_MAX_RADIUS, lint_equation, lint_equations
-from repro.lint.plan_pass import lint_batch_plan, lint_plan, lint_shard_plan
+from repro.lint.plan_pass import lint_batch_plan, lint_plan
 from repro.lint.purity import lint_driver_source, lint_source, lint_tree
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "lint_equations",
     "lint_batch_plan",
     "lint_plan",
-    "lint_shard_plan",
     "lint_source",
     "lint_tree",
     "render_rule_catalog",

@@ -17,7 +17,7 @@ from repro.lint.concurrency import lint_concurrency_tree, lint_driver_concurrenc
 from repro.lint.config_pass import lint_configs
 from repro.lint.findings import LintReport, render_rule_catalog
 from repro.lint.kernel import lint_equations
-from repro.lint.plan_pass import lint_plan, lint_shard_plan
+from repro.lint.plan_pass import lint_plan
 from repro.lint.purity import lint_driver_source, lint_tree
 
 PASS_NAMES = ("kernel", "config", "plan", "purity", "concurrency")
@@ -36,8 +36,6 @@ def run_default_lint(
         findings = []
         for plan in targets.shipped_plans():
             findings.extend(lint_plan(plan))
-        for shard_plan in targets.shipped_shard_plans():
-            findings.extend(lint_shard_plan(shard_plan))
         report.extend("plan", findings)
     if "purity" in passes:
         root = source_root if source_root is not None else targets.source_root()

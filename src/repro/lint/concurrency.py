@@ -89,7 +89,7 @@ _CLOSE_METHODS = ("close", "shutdown", "stop", "__exit__")
 #: for: the wait releases the lock).
 _BLOCKING_ATTRS = frozenset({
     "sleep", "join", "result", "acquire", "run", "run_pass", "run_batch",
-    "execute_job", "execute_batch", "execute_sharded", "wait",
+    "execute_job", "execute_batch", "wait",
 })
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*(unguarded|blocking-ok)\b\s*(.*)$")

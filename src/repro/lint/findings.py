@@ -109,8 +109,6 @@ RULES: dict[str, Rule] = _catalog([
      "driver tables do not round-trip the plan's geometry or padding"),
     ("P307", Severity.ERROR, "plan",
      "slab layout given to the driver overlaps or misindexes grids"),
-    ("P308", Severity.ERROR, "plan",
-     "shard plan partition or halo-exchange geometry is not exact"),
     # ---- hot-path purity pass ----------------------------------------- #
     ("H401", Severity.ERROR, "purity",
      "fault-injection hook used outside a disarmed guard"),

@@ -43,14 +43,6 @@ updates or writes a single cell:
   Batching must change scheduling, never geometry: with P306 this
   proves a pass over the slab executes exactly ``n_grids`` copies of
   the already-proved plan.
-* P308 — a :class:`repro.core.sharding.ShardPlan` decomposes exactly:
-  shard interiors tile the streamed axis once each, every halo row is
-  fed by exactly one exchange edge, every edge ships ``config.halo``
-  rows sourced from inside the sender's interior, and the global rows a
-  halo tracks equal the global rows its source strip owns (modulo the
-  extent under periodic boundaries).  This is the no-execution proof
-  that the sharded runner's exchange reconstructs the single-device
-  run's neighborhoods bit-for-bit.
 """
 
 from __future__ import annotations
@@ -62,7 +54,6 @@ import numpy as np
 from repro.core.batch import BatchPlan
 from repro.core.native import slab_layout, vector_width_for
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
-from repro.core.sharding import ShardPlan
 from repro.lint.findings import Finding
 
 
@@ -604,117 +595,6 @@ def _check_slab_layout(bplan: BatchPlan, locus: str) -> list[Finding]:
             "with these strides and the plan's geometry",
         )
     return findings
-
-
-def _check_shard_geometry(plan: ShardPlan, locus: str) -> list[Finding]:
-    """P308: partition, halo tiling and exchange-source exactness."""
-    findings: list[Finding] = []
-    extent = plan.grid_shape[0]
-    halo = plan.halo
-
-    def bad(message: str, hint: str = "") -> None:
-        findings.append(
-            Finding(rule="P308", message=message, locus=locus, hint=hint)
-        )
-
-    # interiors tile the streamed axis exactly once
-    coverage = np.zeros(extent, dtype=np.int32)
-    for shard in plan.shards:
-        if not 0 <= shard.start < shard.stop <= extent:
-            bad(
-                f"shard {shard.index} interior [{shard.start}, "
-                f"{shard.stop}) is out of bounds for extent {extent}",
-                hint="out-of-range interiors silently clip on gather, "
-                "losing rows",
-            )
-            continue
-        coverage[shard.start:shard.stop] += 1
-    uncovered = int(np.count_nonzero(coverage == 0))
-    multi = int(np.count_nonzero(coverage > 1))
-    if uncovered or multi:
-        bad(
-            f"{uncovered} streamed row(s) owned by no shard, {multi} by "
-            "more than one",
-            hint="shard interiors must partition axis 0 exactly once",
-        )
-
-    # every halo zone is fed by exactly one incoming edge, and every
-    # edge ships `halo` rows from strictly inside its sender's interior
-    incoming: dict[int, np.ndarray] = {
-        s.index: np.zeros(s.sub_rows, dtype=np.int32) for s in plan.shards
-    }
-    for shard in plan.shards:
-        # the interior never receives exchange rows
-        incoming[shard.index][shard.interior] += 1
-    for edge in plan.edges:
-        src, dst = plan.shards[edge.src], plan.shards[edge.dst]
-        s_lo, s_hi = edge.src_rows
-        d_lo, d_hi = edge.dst_rows
-        if s_hi - s_lo != halo or d_hi - d_lo != halo:
-            bad(
-                f"edge {edge.name} ships {s_hi - s_lo} -> {d_hi - d_lo} "
-                f"rows; the exchange depth is partime * radius = {halo}",
-                hint="a thin strip leaves stale halo cells for the next "
-                "pass to read",
-            )
-            continue
-        if not (src.halo_lo <= s_lo and s_hi <= src.halo_lo + src.rows):
-            bad(
-                f"edge {edge.name} sources rows [{s_lo}, {s_hi}) outside "
-                f"the sender's interior "
-                f"[{src.halo_lo}, {src.halo_lo + src.rows})",
-                hint="halo rows are garbage after a pass; strips must "
-                "come from freshly-computed interior cells only",
-            )
-            continue
-        if not 0 <= d_lo < d_hi <= dst.sub_rows:
-            bad(
-                f"edge {edge.name} lands on rows [{d_lo}, {d_hi}) outside "
-                f"the receiver's sub-grid [0, {dst.sub_rows})"
-            )
-            continue
-        incoming[edge.dst][d_lo:d_hi] += 1
-        # the global rows the halo tracks must be the global rows the
-        # source strip owns (mod extent under periodic wrap)
-        src_global = np.arange(s_lo, s_hi) + (src.start - src.halo_lo)
-        dst_global = np.arange(d_lo, d_hi) + (dst.start - dst.halo_lo)
-        if plan.periodic:
-            src_global = np.mod(src_global, extent)
-            dst_global = np.mod(dst_global, extent)
-        if not np.array_equal(src_global, dst_global):
-            bad(
-                f"edge {edge.name}: source strip owns global rows "
-                f"[{int(src_global[0])}, {int(src_global[-1])}] but the "
-                f"halo tracks [{int(dst_global[0])}, "
-                f"{int(dst_global[-1])}]",
-                hint="a skewed exchange feeds the stencil its neighbor "
-                "rows from the wrong place — bit-exactness is lost "
-                "silently",
-            )
-    for shard in plan.shards:
-        cover = incoming[shard.index]
-        wrong = np.flatnonzero(cover != 1)
-        if wrong.size:
-            first = int(wrong[0])
-            bad(
-                f"shard {shard.index} local row {first} is covered "
-                f"{int(cover[first])} times (interior plus incoming "
-                "edges must cover every sub-grid row exactly once)",
-                hint="an unfed halo row reads stale cells; a doubly-fed "
-                "one depends on exchange order",
-            )
-    return findings
-
-
-def lint_shard_plan(plan: ShardPlan) -> list[Finding]:
-    """Prove a shard plan's exchange geometry; never moves a cell."""
-    c = plan.config
-    shape = "x".join(str(s) for s in plan.grid_shape)
-    locus = (
-        f"shards[{plan.n_shards}x-{c.dims}d-rad{c.radius}-t{c.partime}"
-        f"-{plan.boundary}-{shape}]"
-    )
-    return _check_shard_geometry(plan, locus)
 
 
 def lint_plan(plan: PassPlan) -> list[Finding]:

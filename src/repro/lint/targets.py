@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.analysis.paper_data import PAPER_TABLE_III
 from repro.core.native import driver_source
 from repro.core.plan import PassPlan
-from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
 from repro.dsl.ast import Equation, Expr, Grid
 from repro.lint.config_pass import ConfigPoint
@@ -93,24 +92,6 @@ def shipped_plans() -> list[PassPlan]:
         plans.append(PassPlan(config, point.grid_shape, "clamp"))
         if (config.dims, config.radius) == (2, 1):
             plans.append(PassPlan(config, point.grid_shape, "periodic"))
-    return plans
-
-
-def shipped_shard_plans() -> list["ShardPlan"]:
-    """Plan-pass targets: shard decompositions of the Table III rows.
-
-    Each paper geometry is split 2 and 4 ways under clamp, plus one
-    periodic representative per dimensionality (the wrap edge is the
-    structurally distinct case).  Pure geometry — nothing executes.
-    """
-    plans: list[ShardPlan] = []
-    for point in shipped_config_points():
-        config = point.to_blocking_config()
-        assert point.grid_shape is not None
-        for shards in (2, 4):
-            plans.append(ShardPlan(config, point.grid_shape, "clamp", shards))
-        if (config.dims, config.radius) in ((2, 1), (3, 1)):
-            plans.append(ShardPlan(config, point.grid_shape, "periodic", 3))
     return plans
 
 

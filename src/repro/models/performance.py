@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.blocking import BlockDecomposition, BlockingConfig
-from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
 from repro.errors import ConfigurationError
 from repro.fpga.board import Board
@@ -234,85 +233,6 @@ class PerformanceModel:
             compute_bound=est.compute_bound,
             pipeline_efficiency=est.pipeline_efficiency,
             dram_bytes=n_grids * est.dram_bytes,
-        )
-
-    def predict_sharded(
-        self,
-        spec: StencilSpec,
-        config: BlockingConfig,
-        grid_shape: tuple[int, ...],
-        iterations: int,
-        shards: int = 2,
-        boundary: str = "clamp",
-        link_gbps: float = 6.0,
-        fmax_mhz: float | None = None,
-        field_count: int = 1,
-    ) -> PerformanceEstimate:
-        """Modeled measured time of a sharded run on ``shards`` devices.
-
-        Mirrors the lockstep accounting of
-        :class:`repro.runtime.sharded.ShardedRunner` exactly (a tested
-        invariant): every hardware pass costs the per-pass time of the
-        *largest* sub-grid (the barrier waits for the slowest shard),
-        and every exchange round serializes all halo strips on the host
-        link at ``link_gbps``::
-
-            t = passes * t_pass(max_sub_shape)
-              + (passes - 1) * n_edges * halo_bytes / (link_gbps * 1e9)
-
-        ``link_gbps`` is a parameter rather than an import so the model
-        layer stays independent of :mod:`repro.runtime` (the runtime
-        passes its own PCIe constant in); the default matches it.
-        Returned fields are run totals: ``cycles`` and ``dram_bytes``
-        sum over every shard (plus exchange traffic on the DRAM side);
-        throughput counts the *global* grid's cell updates, so the
-        speedup over :meth:`predict_measured` of the unsharded grid is
-        the multi-device scaling prediction.
-        """
-        if not link_gbps > 0:
-            raise ConfigurationError(
-                f"link_gbps must be > 0, got {link_gbps}",
-                param="link_gbps", value=link_gbps, constraint="link_gbps > 0",
-            )
-        plan = ShardPlan(config, tuple(grid_shape), boundary, shards)
-        per_pass = self.predict_measured(
-            spec, config, plan.max_sub_shape, config.partime, fmax_mhz,
-            field_count,
-        )
-        hw_passes = config.passes(iterations)
-        exchange_bytes = (
-            (hw_passes - 1) * len(plan.edges) * plan.halo_bytes_per_edge()
-        )
-        t = hw_passes * per_pass.time_s + exchange_bytes / (link_gbps * 1e9)
-
-        cycles = 0
-        dram = exchange_bytes
-        shape_counts: dict[tuple[int, ...], int] = {}
-        for shard in plan.shards:
-            shape = plan.sub_shape(shard)
-            shape_counts[shape] = shape_counts.get(shape, 0) + 1
-        for shape, n in shape_counts.items():
-            est = self.predict_measured(
-                spec, config, shape, iterations, fmax_mhz, field_count
-            )
-            cycles += n * est.cycles
-            dram += n * est.dram_bytes
-        cells = 1
-        for s in grid_shape:
-            cells *= int(s)
-        gcell = cells * iterations / t / 1e9
-        return PerformanceEstimate(
-            time_s=t,
-            gcell_s=gcell,
-            gflop_s=gcell * spec.flops_per_cell,
-            gbs=gcell * spec.bytes_per_cell,
-            cycles=cycles,
-            passes=hw_passes,
-            model_passes=iterations / config.partime,
-            fmax_mhz=per_pass.fmax_mhz,
-            compute_bound=per_pass.compute_bound,
-            pipeline_efficiency=per_pass.pipeline_efficiency,
-            dram_bytes=dram,
         )
 
     def batch_amortization(

@@ -16,11 +16,9 @@ from repro.runtime.host import (
 from repro.runtime.scheduler import (
     CircuitBreaker,
     JobResult,
-    ShardedJob,
     StencilJob,
     StencilScheduler,
 )
-from repro.runtime.sharded import ShardedResult, ShardedRunner, ShardedStats
 from repro.runtime.service import (
     ServiceMetrics,
     ServicePolicy,
@@ -46,10 +44,6 @@ __all__ = [
     "ServicePolicy",
     "ServiceResult",
     "ServiceTicket",
-    "ShardedJob",
-    "ShardedResult",
-    "ShardedRunner",
-    "ShardedStats",
     "StencilJob",
     "StencilProgram",
     "StencilScheduler",

@@ -9,22 +9,16 @@ puts a resilient scheduler in front of a fleet of simulated
 
 * **dispatch** — each job is placed on the healthy device with the
   smallest simulated clock (deterministic load-balancing; ties
-  break by device index).  There are two job types.  A
+  break by device index).  There is one job type: a
   :class:`StencilJob` is one or more same-shape grids that run as one
-  launch over one slab; a single grid is a batch of one, so every such
-  job takes one path (:meth:`StencilScheduler.execute_job`) and
-  returns one :class:`JobResult` with a slot per grid.  A
-  :class:`ShardedJob` decomposes one grid across several devices and
-  returns a one-grid :class:`JobResult` with a device and an engine
-  per shard.  Both share one SLO validator, one admission check, one
-  placement (a sharded job takes the first ``shards`` devices a
-  single-device job would be offered), one pair of deadline checks and
-  one breaker/health settle step, and both charge the time they spent
-  to their devices' clocks whether they complete or fail;
+  launch over one slab on one device; a single grid is a batch of one,
+  so every job takes one path (:meth:`StencilScheduler.execute_job`)
+  and returns one :class:`JobResult` with a slot per grid.  A job
+  charges the time it spent to its device's clock whether it
+  completes or fails;
 * **synchronous execution** — the scheduler holds no queue of its own:
-  :meth:`StencilScheduler.execute_job` and
-  :meth:`StencilScheduler.execute_sharded` run one job to completion
-  on the caller's thread and keep nothing keyed by job id between
+  :meth:`StencilScheduler.execute_job` runs one job to completion on
+  the caller's thread and keeps nothing keyed by job id between
   calls.  Admission, queueing and overload shedding live in the
   serving layer (:class:`~repro.runtime.service.StencilService`);
 * **health tracking & quarantine** — each device tracks the fault rate
@@ -66,16 +60,13 @@ import numpy as np
 from repro.core.accelerator import ENGINES, FLOOR_ENGINE, check_engine
 from repro.core.blocking import BlockingConfig
 from repro.core.grid import make_grid
-from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
-    DeviceLostError,
     FaultDetectedError,
 )
 from repro.faults import hooks as fault_hooks
-from repro.models.performance import PerformanceModel
 from repro.runtime.artifacts import ArtifactCache
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.host import (
@@ -86,23 +77,6 @@ from repro.runtime.host import (
     RetryPolicy,
     StencilProgram,
 )
-from repro.runtime.sharded import ShardedRunner
-
-
-def _check_slos(job) -> None:
-    """The SLO checks every job type shares: engine, iterations, deadline."""
-    if job.engine is not None:
-        check_engine(job.engine)
-    if job.iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {job.iterations}")
-    if job.deadline_s is not None and not (
-        math.isfinite(job.deadline_s) and job.deadline_s > 0
-    ):
-        raise ConfigurationError(
-            f"deadline_s must be finite and > 0, got {job.deadline_s}",
-            param="deadline_s", value=job.deadline_s,
-            constraint="math.isfinite(deadline_s) and deadline_s > 0",
-        )
 
 
 @dataclass(frozen=True)
@@ -148,7 +122,20 @@ class StencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        _check_slos(self)
+        if self.engine is not None:
+            check_engine(self.engine)
+        if self.iterations < 1:
+            raise ConfigurationError(
+                f"iterations must be >= 1, got {self.iterations}"
+            )
+        if self.deadline_s is not None and not (
+            math.isfinite(self.deadline_s) and self.deadline_s > 0
+        ):
+            raise ConfigurationError(
+                f"deadline_s must be finite and > 0, got {self.deadline_s}",
+                param="deadline_s", value=self.deadline_s,
+                constraint="math.isfinite(deadline_s) and deadline_s > 0",
+            )
         if self.watchdog_factor is not None and self.watchdog_factor <= 0:
             raise ConfigurationError(
                 f"watchdog_factor must be > 0, got {self.watchdog_factor}"
@@ -182,11 +169,9 @@ class JobResult:
     retry failed entries as jobs of their own if they want another
     attempt.  A one-grid job is completed or failed, never partial, and
     reads as one result through :attr:`result`, :attr:`error_type` and
-    :attr:`error`.  ``devices`` are the executing devices and
-    ``engines`` what each actually ran (``"numpy"`` once its circuit
-    breaker tripped): one entry for a single-device job, one per shard
-    in shard order for a sharded job (``"lost"`` for a board that died
-    mid-run).  ``dispatches`` counts placements tried.
+    :attr:`error`.  ``devices`` is the one-entry tuple of the executing
+    device and ``engines`` what it actually ran (``"numpy"`` once its
+    circuit breaker tripped).  ``dispatches`` counts placements tried.
     """
 
     job_id: str
@@ -233,56 +218,6 @@ class JobResult:
     def error(self) -> str | None:
         """A one-grid job's failure message (``None`` when completed)."""
         return self._only(self.errors)
-
-
-@dataclass(frozen=True)
-class ShardedJob:
-    """One grid decomposed across ``shards`` fleet devices as one unit.
-
-    The scheduler backs each shard with a distinct device (healthy
-    boards with the smallest clocks first) and hands the run to the
-    sharded execution layer (:class:`~repro.runtime.sharded
-    .ShardedRunner`): lockstep compute passes, CRC-guarded halo
-    exchange, per-shard tail replay and re-sharding on device loss all
-    happen *inside* the job, which returns a one-grid
-    :class:`JobResult`.  ``deadline_s`` budgets the lockstep
-    simulated time of the whole run (compute + exchange + recovery
-    replay); ``checkpoint`` arms per-shard snapshots; ``engine`` is the
-    preferred engine — each shard runs on its backing worker's
-    breaker-resolved engine, so a degraded board contributes a
-    conservative shard instead of being excluded.
-    """
-
-    job_id: str
-    spec: StencilSpec
-    config: BlockingConfig
-    grid: np.ndarray = field(repr=False)
-    iterations: int = 1
-    shards: int = 2
-    boundary: str = "clamp"
-    deadline_s: float | None = None
-    checkpoint: CheckpointPolicy | int | None = None
-    engine: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_slos(self)
-        if not isinstance(self.config, BlockingConfig):
-            raise ConfigurationError(
-                f"a sharded job needs a BlockingConfig, got {self.config!r}",
-                param="config", value=self.config,
-                constraint="isinstance(config, BlockingConfig)",
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}",
-                param="shards", value=self.shards, constraint="shards >= 1",
-            )
-        if self.boundary not in ("clamp", "periodic"):
-            raise ConfigurationError(
-                f"boundary must be 'clamp' or 'periodic', got {self.boundary!r}",
-                param="boundary", value=self.boundary,
-                constraint="boundary in ('clamp', 'periodic')",
-            )
 
 
 class CircuitBreaker:
@@ -460,16 +395,6 @@ class StencilScheduler:
 
     # -- admission --------------------------------------------------------- #
 
-    def _admit(self, method: str) -> None:
-        """The admission check of every entry point: an open scheduler."""
-        if self._closed:
-            raise ConfigurationError(
-                "scheduler is closed",
-                param="closed",
-                value=True,
-                constraint=f"{method}() requires an open scheduler",
-            )
-
     def _resolve_config(self, job: StencilJob) -> StencilJob:
         """Fill in ``config=None`` from the plan-selection cache.
 
@@ -502,7 +427,13 @@ class StencilScheduler:
         while device choice, re-dispatch, health, quarantine and
         breakers stay here.
         """
-        self._admit("execute_job")
+        if self._closed:
+            raise ConfigurationError(
+                "scheduler is closed",
+                param="closed",
+                value=True,
+                constraint="execute_job() requires an open scheduler",
+            )
         return self._dispatch(self._resolve_config(job))
 
     #: Alias of :meth:`execute_job`, kept because ``perfbench/ledger.py``
@@ -520,7 +451,7 @@ class StencilScheduler:
         dispatches = 0
         tried: frozenset[int] = frozenset()
         while True:
-            (worker,) = self._pick_workers(1, tried)
+            worker = self._pick_worker(tried)
             result = self._execute(worker, job, dispatches + 1)
             tried = tried | {worker.index}
             dispatches = result.dispatches
@@ -533,125 +464,35 @@ class StencilScheduler:
                 self._jobs_completed += 1
                 return result
 
-    def execute_sharded(self, job: ShardedJob) -> JobResult:
-        """Run one sharded job across ``job.shards`` fleet devices now.
-
-        Device choice is :meth:`_pick_workers`: the ``shards`` healthy
-        workers with the smallest clocks back the shards, in shard order
-        (quarantined boards fill in only when there are not enough
-        healthy ones — the scheduler always makes progress).  Each shard
-        runs on its backing worker's breaker-resolved engine.
-        Recovery lives *inside* the run — halo retry, per-shard tail
-        replay, re-sharding on device loss — so a typed failure here is
-        final: the internal redundancy *is* the re-dispatch.  A job the
-        shard plan or the deadline model rejects is not the devices'
-        fault and settles nothing.  Once the run starts, whether it
-        returns or raises, every backing worker's clock advances by the
-        run's lockstep simulated time and its health and breaker settle
-        from its own fault count.
-        """
-        self._admit("execute_sharded")
-        if job.shards > len(self.workers):
-            raise ConfigurationError(
-                f"job {job.job_id!r} wants {job.shards} shards but the "
-                f"fleet has {len(self.workers)} device(s)",
-                param="shards", value=job.shards,
-                constraint="shards <= len(devices)",
-            )
-        workers = self._pick_workers(job.shards)
-        preferred = job.engine or self.engine
-        engines = tuple(w.engine(preferred) for w in workers)
-        grid = np.ascontiguousarray(job.grid, dtype=np.float32)
-        sharded = err = None
-        elapsed_s, attempts = 0.0, 0
-        try:
-            ShardPlan(job.config, grid.shape, job.boundary, job.shards)
-            if job.deadline_s is not None:
-                self._check_modeled(
-                    job,
-                    PerformanceModel(workers[0].device.board).predict_sharded(
-                        job.spec, job.config, grid.shape, job.iterations,
-                        shards=job.shards, boundary=job.boundary,
-                    ).time_s,
-                )
-            runner = ShardedRunner(
-                job.spec, job.config, job.boundary, shards=job.shards,
-                engines=list(engines),
-                checkpoint=(
-                    job.checkpoint
-                    if job.checkpoint is not None
-                    else self.default_checkpoint
-                ),
-            )
-        except (ConfigurationError, DeadlineExceededError) as e:
-            err = e
-        else:
-            attempts = 1
-            with runner:
-                try:
-                    sharded = runner.run(grid, job.iterations)
-                except (FaultDetectedError, DeviceLostError, ConfigurationError) as e:
-                    err = e
-            elapsed_s = runner.sim_time_s
-            engines = runner.engines
-            for w, n_faults in zip(workers, runner.device_faults):
-                # lockstep: every board is held for the whole run
-                w.queue.clock_s += elapsed_s
-                self._settle(w, faulty=n_faults > 0)
-                if err is not None:
-                    w.log(f"sharded job {job.job_id!r} failed: {type(err).__name__}")
-            if err is None:
-                err = self._missed_deadline(job, elapsed_s, workers)
-        self._jobs_completed += 1
-        return JobResult(
-            job_id=job.job_id,
-            status="completed" if err is None else "failed",
-            devices=tuple(w.index for w in workers),
-            engines=engines,
-            results=(sharded.grid if err is None else None,),
-            error_types=(None if err is None else type(err).__name__,),
-            errors=(None if err is None else str(err),),
-            elapsed_s=elapsed_s,
-            attempts=attempts,
-            rollbacks=0 if sharded is None else sharded.stats.rollbacks,
-            replayed_passes=0 if sharded is None else sharded.stats.replayed_passes,
-        )
-
-    def _pick_workers(
-        self, n: int, excluded: frozenset[int] = frozenset()
-    ) -> list[_Worker]:
-        """The ``n`` devices to run on: healthy ones, smallest clock first.
+    def _pick_worker(self, excluded: frozenset[int]) -> _Worker:
+        """The device to run on: the healthy one with the smallest clock.
 
         Quarantined devices are probed when due, and all of them at once
-        when fewer than ``n`` healthy candidates remain.  Devices still
-        quarantined fill in after the healthy ones, and the ``excluded``
-        ones (already tried by this job) only when nothing else is left
+        when no healthy candidate remains.  A device still quarantined
+        is picked only when no healthy one is left, and an ``excluded``
+        one (already tried by this job) only when nothing else is left
         — the scheduler never deadlocks; jobs then either succeed
         (faults are transient) or fail typed.
         """
 
-        def ranked(quarantined: bool) -> list[_Worker]:
-            return sorted(
-                (
-                    w
-                    for w in self.workers
-                    if w.quarantined == quarantined and w.index not in excluded
-                ),
-                key=_by_load,
-            )
+        def candidates(quarantined: bool) -> list[_Worker]:
+            return [
+                w
+                for w in self.workers
+                if w.quarantined == quarantined and w.index not in excluded
+            ]
 
         self._probe_due_workers(force=False)
-        healthy = ranked(False)
-        if len(healthy) < n:
+        healthy = candidates(False)
+        if not healthy:
             self._probe_due_workers(force=True)
-            healthy = ranked(False)
-        pool = healthy if len(healthy) >= n else healthy + ranked(True)
-        return (pool or sorted(self.workers, key=_by_load))[:n]
+            healthy = candidates(False)
+        return min(healthy or candidates(True) or self.workers, key=_by_load)
 
     # -- deadlines ---------------------------------------------------------- #
 
     @staticmethod
-    def _check_modeled(job, estimate_s: float) -> None:
+    def _check_modeled(job: StencilJob, estimate_s: float) -> None:
         """Fail fast: raise :class:`DeadlineExceededError` when the
         modeled time of ``job`` already exceeds its deadline."""
         if job.deadline_s is not None and estimate_s > job.deadline_s:
@@ -662,18 +503,17 @@ class StencilScheduler:
 
     @staticmethod
     def _missed_deadline(
-        job, elapsed_s: float, workers
+        job: StencilJob, elapsed_s: float, worker: _Worker
     ) -> DeadlineExceededError | None:
         """The typed failure of a job that ran past its deadline (its
-        result is discarded, and each of its ``workers`` logs it), or
-        ``None`` when it finished in time."""
+        result is discarded, and ``worker`` logs it), or ``None`` when it
+        finished in time."""
         if job.deadline_s is None or elapsed_s <= job.deadline_s:
             return None
-        for w in workers:
-            w.log(
-                f"job {job.job_id!r} missed deadline "
-                f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
-            )
+        worker.log(
+            f"job {job.job_id!r} missed deadline "
+            f"({elapsed_s:.4f} s > {job.deadline_s:.4f} s); result discarded"
+        )
         return DeadlineExceededError(
             f"job {job.job_id!r}: elapsed {elapsed_s:.4f} s "
             f"exceeds deadline {job.deadline_s:.4f} s"
@@ -898,7 +738,7 @@ class StencilScheduler:
             replayed_passes=event.replayed_passes,
         )
         elapsed_s = queue.clock_s - start_s
-        late = self._missed_deadline(job, elapsed_s, (worker,))
+        late = self._missed_deadline(job, elapsed_s, worker)
         if late is not None:
             return _failed(late, **counts)
         return JobResult(
@@ -929,8 +769,8 @@ class StencilScheduler:
         Idempotent.  A shared (caller-supplied) cache is the caller's to
         close — the serving layer closes its cache after its scheduler
         so coalesced programs outlive individual schedulers.  After
-        ``close()``, :meth:`execute_job` and :meth:`execute_sharded`
-        raise :class:`ConfigurationError`.
+        ``close()``, :meth:`execute_job` raises
+        :class:`ConfigurationError`.
         """
         if self._closed:
             return

@@ -65,12 +65,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro import errors
 from repro.core.accelerator import FLOOR_ENGINE
 from repro.core.blocking import BlockingConfig
 from repro.core.stencil import StencilSpec
 from repro.errors import (
     ConfigurationError,
     QueueTimeoutError,
+    ReproError,
     SchedulerShutdownError,
     ShedError,
 )
@@ -93,6 +95,14 @@ ENGINE_LADDER: tuple[str | None, ...] = (None, None, FLOOR_ENGINE)
 #: Error types the service re-dispatches (transient detections).  A
 #: deadline, shed or configuration failure is never retried.
 RETRYABLE_ERRORS = frozenset({"FaultDetectedError", "WatchdogTimeoutError"})
+
+#: The ``error_type`` names a failed reply may carry: the classes of the
+#: :mod:`repro.errors` taxonomy.
+TYPED_ERRORS = frozenset(
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, ReproError)
+)
 
 #: Workloads the drain estimate memoises modeled service times for; the
 #: memo is cleared when full, so a service fed many shapes stays bounded.
@@ -740,7 +750,10 @@ class StencilService:
         siblings, and registers them in flight (so :meth:`close` and
         :meth:`_drain_estimate_s` see them) until they finish.  A crash
         in :meth:`_process` never strands a ticket: every unfulfilled
-        one fails typed before the step returns.
+        one fails typed before the step returns.  A crash outside the
+        :mod:`repro.errors` taxonomy replies as
+        :class:`~repro.errors.SchedulerError`, and the message names the
+        class that escaped.
         """
         with self._work:
             self._sweep_locked(time.monotonic())
@@ -753,15 +766,15 @@ class StencilService:
         try:
             self._process(batch)
         except BaseException as err:  # noqa: BLE001 - tickets must terminate
-            error_type = (
-                "SchedulerShutdownError"
-                if self._is_closing()
-                else type(err).__name__
-            )
+            if self._is_closing():
+                error_type = "SchedulerShutdownError"
+            elif isinstance(err, ReproError):
+                error_type = type(err).__name__
+            else:
+                error_type = "SchedulerError"
+            message = f"dispatch failed: {type(err).__name__}: {err}"
             for req in batch:
-                self._finish(
-                    req, self._failed(req, error_type, f"dispatch failed: {err}")
-                )
+                self._finish(req, self._failed(req, error_type, message))
             if not isinstance(err, Exception):
                 raise
         finally:
@@ -1109,7 +1122,16 @@ class StencilService:
         self, req: _Request, error_type: str, error: str, **fields
     ) -> ServiceResult:
         """The one failed reply: ``req``'s typed error plus ``fields``;
-        ``wall_elapsed_s`` defaults to the request's wall time so far."""
+        ``wall_elapsed_s`` defaults to the request's wall time so far.
+        ``error_type`` must name a :data:`TYPED_ERRORS` class."""
+        if error_type not in TYPED_ERRORS:
+            raise ConfigurationError(
+                f"failed reply for request {req.request_id!r} names "
+                f"{error_type!r}, which is not a repro.errors class",
+                param="error_type",
+                value=error_type,
+                constraint="error_type in TYPED_ERRORS",
+            )
         fields.setdefault("wall_elapsed_s", time.monotonic() - req.admitted_s)
         return ServiceResult(
             req.request_id, req.tenant, "failed",

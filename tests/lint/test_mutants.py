@@ -16,7 +16,6 @@ import pytest
 from repro.core.batch import BatchPlan
 from repro.core.blocking import BlockingConfig
 from repro.core.plan import PassPlan
-from repro.core.sharding import ShardPlan
 from repro.dsl.ast import Const, Equation, Grid
 from repro.lint import (
     ConfigPoint,
@@ -27,7 +26,6 @@ from repro.lint import (
     lint_driver_source,
     lint_equation,
     lint_plan,
-    lint_shard_plan,
     lint_source,
 )
 
@@ -287,59 +285,6 @@ def _p307_stride_overlap():
     n_grids, ny, nx = bplan.slab_shape
     bplan.slab_shape = (n_grids, ny // 2, nx)
     return lint_batch_plan(bplan)
-
-
-# ----------------------- shard plan mutants ---------------------------- #
-
-def _shard_plan(boundary="clamp", shards=2, shape=(64, 64)):
-    config = BlockingConfig(dims=2, radius=1, bsize_x=32, partime=4)
-    return ShardPlan(config, shape, boundary, shards)
-
-
-def _tamper_edge(plan, index, **fields):
-    edges = list(plan.edges)
-    edges[index] = dataclasses.replace(edges[index], **fields)
-    plan.edges = tuple(edges)
-    return plan
-
-
-def _p308_interior_gap():
-    plan = _shard_plan()
-    object.__setattr__(plan.shards[0], "stop", plan.shards[0].stop - 2)
-    return lint_shard_plan(plan)
-
-
-def _p308_interior_overlap():
-    plan = _shard_plan(shards=4)
-    object.__setattr__(plan.shards[2], "start", plan.shards[2].start - 2)
-    return lint_shard_plan(plan)
-
-
-def _p308_thin_strip():
-    # one exchanged row short: the receiver's outermost halo cell goes stale
-    plan = _shard_plan()
-    lo, hi = plan.edges[0].src_rows
-    return lint_shard_plan(_tamper_edge(plan, 0, src_rows=(lo + 1, hi)))
-
-
-def _p308_halo_sourced():
-    # strip slides one row into the sender's own (garbage) halo zone
-    plan = _shard_plan()
-    lo, hi = plan.edges[1].src_rows
-    return lint_shard_plan(_tamper_edge(plan, 1, src_rows=(lo - 1, hi - 1)))
-
-
-def _p308_skewed_exchange():
-    # strip stays inside the interior but tracks the wrong global rows
-    plan = _shard_plan()
-    lo, hi = plan.edges[1].src_rows
-    return lint_shard_plan(_tamper_edge(plan, 1, src_rows=(lo + 1, hi + 1)))
-
-
-def _p308_unfed_halo():
-    plan = _shard_plan(boundary="periodic")
-    plan.edges = plan.edges[:-1]  # a wrap halo now has no feeder
-    return lint_shard_plan(plan)
 
 
 # -------------------------- purity mutants ----------------------------- #
@@ -787,12 +732,6 @@ MUTANTS = [
     ("p309-window-into-padding", "P306", _p309_window_into_padding,
      "plan["),
     ("p307-stride-overlap", "P307", _p307_stride_overlap, "batch["),
-    ("p308-interior-gap", "P308", _p308_interior_gap, "shards["),
-    ("p308-interior-overlap", "P308", _p308_interior_overlap, "shards["),
-    ("p308-thin-strip", "P308", _p308_thin_strip, "shards["),
-    ("p308-halo-sourced", "P308", _p308_halo_sourced, "shards["),
-    ("p308-skewed-exchange", "P308", _p308_skewed_exchange, "shards["),
-    ("p308-unfed-halo", "P308", _p308_unfed_halo, "shards["),
     ("h401-attr", "H401", _h401_attr, "mutant.py:"),
     ("h401-driver-c", "H401", _h401_driver_hook, "driver<mutant>.c:"),
     ("h401-arg", "H401", _h401_arg, "mutant.py:"),

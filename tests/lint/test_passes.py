@@ -36,18 +36,6 @@ def test_shipped_plans_clean():
         assert lint_plan(plan) == []
 
 
-def test_shipped_shard_plans_clean():
-    from repro.lint import lint_shard_plan
-    from repro.lint.targets import shipped_shard_plans
-
-    plans = shipped_shard_plans()
-    # 8 Table III rows x {2, 4} shards, plus periodic representatives
-    assert len(plans) >= 16
-    assert {p.boundary for p in plans} == {"clamp", "periodic"}
-    for plan in plans:
-        assert lint_shard_plan(plan) == []
-
-
 def test_paper_equation_lowers_to_identical_spec():
     import numpy as np
 
@@ -90,18 +78,6 @@ def test_plan_lint_never_executes(monkeypatch):
     # A 3D shipped geometry too (clamp, paper shape).
     plan3 = next(p for p in shipped_plans() if p.config.dims == 3)
     assert lint_plan(plan3) == []
-    # Shard plans are pure geometry as well (P308 never moves a cell).
-    from repro.core.sharding import ShardPlan
-    from repro.lint import lint_shard_plan
-
-    for boundary in ("clamp", "periodic"):
-        splan = ShardPlan(
-            BlockingConfig(dims=2, radius=2, bsize_x=48, partime=3),
-            (40, 40),
-            boundary,
-            2,
-        )
-        assert lint_shard_plan(splan) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -180,13 +156,13 @@ def test_purity_clean_on_own_source_tree():
 
 
 def test_purity_scan_reaches_runtime_and_analysis():
-    """The tree walk covers the scheduler/sharding and campaign layers."""
+    """The tree walk covers the scheduler, serving and campaign layers."""
     from repro.lint.targets import source_root
 
     root = source_root()
     scanned = {str(p.relative_to(root)) for p in root.rglob("*.py")}
     for expected in (
-        "runtime/sharded.py",
+        "runtime/service.py",
         "runtime/scheduler.py",
         "analysis/resilience.py",
     ):

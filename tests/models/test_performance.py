@@ -222,66 +222,3 @@ def test_batch_amortization_limits() -> None:
     assert big == pytest.approx(1.0, rel=0.05)
     assert big < tiny
 
-
-# -- sharded prediction ------------------------------------------------------- #
-
-
-def _sharded_setup():
-    spec = StencilSpec.star(2, 1)
-    cfg = BlockingConfig(dims=2, radius=1, bsize_x=32, parvec=4, partime=2)
-    return spec, cfg, PerformanceModel(NALLATECH_385A)
-
-
-def test_predict_sharded_matches_simulator_clock() -> None:
-    """The sharded estimate reproduces the lockstep simulator exactly.
-
-    Same pricing path on both sides: per-pass compute on the largest
-    sub-grid, exchanges serialized on the host link — so the fault-free
-    simulated time must agree to float precision, for even and uneven
-    splits.
-    """
-    import math
-
-    from repro.core import make_grid
-    from repro.runtime import ShardedRunner
-
-    spec, cfg, model = _sharded_setup()
-    grid = make_grid((30, 64), "mixed", seed=13)
-    for shards in (2, 4):
-        est = model.predict_sharded(
-            spec, cfg, grid.shape, 7, shards=shards
-        )
-        with ShardedRunner(
-            spec, cfg, shards=shards, engine="numpy", checkpoint=None
-        ) as runner:
-            out = runner.run(grid, 7)
-        assert math.isclose(
-            est.time_s, out.stats.sim_time_s, rel_tol=1e-9
-        )
-        assert est.passes == out.stats.passes
-
-
-def test_predict_sharded_charges_exchange_on_the_link() -> None:
-    spec, cfg, model = _sharded_setup()
-    shape = (30, 64)
-    slow = model.predict_sharded(spec, cfg, shape, 7, link_gbps=0.001)
-    fast = model.predict_sharded(spec, cfg, shape, 7, link_gbps=1000.0)
-    assert slow.time_s > fast.time_s
-    # a single shard has no edges: link bandwidth is irrelevant
-    one_slow = model.predict_sharded(
-        spec, cfg, shape, 7, shards=1, link_gbps=0.001
-    )
-    one_fast = model.predict_sharded(
-        spec, cfg, shape, 7, shards=1, link_gbps=1000.0
-    )
-    assert one_slow.time_s == one_fast.time_s
-
-
-def test_predict_sharded_validation() -> None:
-    spec, cfg, model = _sharded_setup()
-    with pytest.raises(ConfigurationError):
-        model.predict_sharded(spec, cfg, (30, 64), 7, link_gbps=0.0)
-    with pytest.raises(ConfigurationError):
-        model.predict_sharded(spec, cfg, (30, 64), 7, boundary="mirror")
-    with pytest.raises(ConfigurationError):
-        model.predict_sharded(spec, cfg, (3, 64), 7, shards=2)

@@ -39,6 +39,8 @@ def test_job_validation() -> None:
         job("j", deadline_s=0.0)
     with pytest.raises(ConfigurationError):
         job("j", watchdog_factor=-1.0)
+    with pytest.raises(ConfigurationError):
+        job("j", engine="simd")
 
 
 def test_scheduler_validation() -> None:
@@ -435,299 +437,101 @@ def test_non_finite_deadlines_rejected() -> None:
         with pytest.raises(ConfigurationError) as exc:
             job("j", deadline_s=bad)
         assert exc.value.param == "deadline_s"
-        with pytest.raises(ConfigurationError):
-            sharded_job("j", deadline_s=bad)
 
 
-# -- sharded jobs ------------------------------------------------------------ #
-
-from repro.errors import DeviceLostError, HaloExchangeError  # noqa: E402
-from repro.faults import (  # noqa: E402
-    ChannelStallFault,
-    DeviceLossFault,
-    HaloCorruptFault,
-)
-from repro.runtime import ShardedJob, ShardedRunner  # noqa: E402
-
-SHARD_GRID = make_grid((24, 64), "mixed", seed=11)
-SHARD_REF = reference_run(SHARD_GRID, SPEC, 6)
-
-
-def sharded_job(job_id: str, **kwargs) -> ShardedJob:
-    kwargs.setdefault("iterations", 6)
-    kwargs.setdefault("checkpoint", 2)
-    return ShardedJob(
-        job_id=job_id, spec=SPEC, config=CONFIG, grid=SHARD_GRID, **kwargs
-    )
-
-
-def test_sharded_job_validation() -> None:
-    with pytest.raises(ConfigurationError):
-        sharded_job("j", shards=0)
-    with pytest.raises(ConfigurationError):
-        sharded_job("j", boundary="mirror")
-    with pytest.raises(ConfigurationError):
-        sharded_job("j", iterations=0)
-    with pytest.raises(ConfigurationError):
-        sharded_job("j", engine="simd")
-    with pytest.raises(ConfigurationError):
-        sharded_job("j", deadline_s=0.0)
+def test_execute_job_after_close_raises_typed() -> None:
+    sched = StencilScheduler(devices=1, engine="numpy")
+    sched.close()
     with pytest.raises(ConfigurationError) as exc:
-        ShardedJob(job_id="j", spec=SPEC, config=None, grid=SHARD_GRID)
-    assert exc.value.param == "config"
+        sched.execute_job(job("after-close"))
+    assert exc.value.param == "closed"
 
 
-def test_sharded_job_completes_bit_exact() -> None:
-    sched = StencilScheduler(devices=3, engine="numpy")
-    result = sched.execute_sharded(sharded_job("s1", shards=3))
-    assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
-    assert result.devices == (0, 1, 2)
-    assert result.engines == ("numpy",) * 3
-    # lockstep: every backing worker's clock advanced by the run
-    assert all(w.queue.clock_s >= result.elapsed_s for w in sched.workers)
-    sched.close()
+# -- failure accounting ------------------------------------------------------ #
 
 
-def test_sharded_job_admission_typed() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    with pytest.raises(ConfigurationError):
-        sched.execute_sharded(sharded_job("too-wide", shards=3))
-    sched.close()
-    with pytest.raises(ConfigurationError):
-        sched.execute_sharded(sharded_job("after-close"))
-
-
-def test_sharded_deadline_fails_fast_on_model() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    result = sched.execute_sharded(sharded_job("late", deadline_s=1e-12))
+@pytest.mark.parametrize(
+    "bad",
+    [
+        job("bad", deadline_s=1e-12),
+        StencilJob(
+            job_id="bad",
+            spec=SPEC,
+            config=BlockingConfig(dims=2, radius=2, bsize_x=64, partime=2),
+            grids=(GRID,),
+        ),
+    ],
+    ids=["modeled-deadline", "spec-config-mismatch"],
+)
+def test_job_rejected_before_it_runs_takes_no_health_sample(bad) -> None:
+    # typed, and not the board's fault: no health sample, no clock time
+    # and no log line
+    sched = StencilScheduler(devices=1, engine="numpy")
+    result = sched.execute_job(bad)
     assert result.status == "failed"
-    assert result.error_type == "DeadlineExceededError"
-    assert "not dispatched" in result.error
+    assert result.result is None and result.elapsed_s == 0.0
+    worker = sched.workers[0]
+    assert worker.jobs_run == 0 and not worker.window
+    assert worker.queue.clock_s == 0.0 and not worker.events
     sched.close()
 
 
-def test_sharded_deadline_missed_after_replay_discards_result() -> None:
-    # the deadline fits a clean run; an SEU in shard 0's second pass
-    # rolls it back to pass 0, and the replay pushes it past the budget
-    from repro.fpga.board import NALLATECH_385A
-    from repro.models.performance import PerformanceModel
-
-    estimate_s = PerformanceModel(NALLATECH_385A).predict_sharded(
-        SPEC, CONFIG, SHARD_GRID.shape, 6, shards=2
-    ).time_s
-    sched = StencilScheduler(devices=2, engine="numpy")
+def test_failed_job_charges_the_time_it_spent() -> None:
     plan = FaultPlan(
-        seed=3, faults=(SEUFault(site="block-buffer", at_touch=12),)
+        seed=7, faults=(TransferFault(direction="read", mode="fail"),)
+    )
+    sched = StencilScheduler(
+        devices=1, engine="numpy", retry_policy=RetryPolicy(max_retries=0)
     )
     with arm(plan):
-        result = sched.execute_sharded(
-            sharded_job("late", shards=2, deadline_s=estimate_s * 1.000001)
-        )
+        result = sched.execute_job(job("fails"))
     assert result.status == "failed"
-    assert result.error_type == "DeadlineExceededError"
-    assert "not dispatched" not in result.error
+    assert result.error_type == "FaultDetectedError"
     assert result.result is None
-    assert result.replayed_passes >= 1
-    assert result.elapsed_s > estimate_s
-    # lockstep: every backing board was held for the whole late run...
-    assert [w.queue.clock_s for w in sched.workers] == [result.elapsed_s] * 2
-    # ...and each one's health was settled from its own fault count
-    assert all(w.jobs_run == 1 for w in sched.workers)
-    assert sorted(list(w.window) for w in sched.workers) == [[False], [True]]
-    assert any("missed deadline" in e for e in sched.workers[0].events)
-    sched.close()
-
-
-def test_sharded_placement_skips_quarantined_board() -> None:
-    sched = StencilScheduler(devices=3, engine="numpy")
-    sick = sched.workers[0]
-    sick.quarantined = True
-    sick.quarantined_at_job = 0  # probe not due yet
-    sched.workers[1].queue.clock_s = 5.0
-    sched.workers[2].queue.clock_s = 1.0
-    result = sched.execute_sharded(sharded_job("skip", shards=2))
-    assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
-    # the two healthy boards back the shards, least-loaded first
-    assert result.devices == (2, 1)
-    assert sick.queue.clock_s == 0.0 and sick.jobs_run == 0
-    assert sick.quarantined
-    sched.close()
-
-
-def test_sharded_fault_charges_only_faulty_worker() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    plan = FaultPlan(
-        seed=3, faults=(SEUFault(site="block-buffer", at_touch=2),)
-    )
-    with arm(plan):
-        result = sched.execute_sharded(sharded_job("seu", shards=2))
-    assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
-    assert result.rollbacks >= 1
-    # one health sample per backing worker, faulty only on the SEU's
-    assert sorted(list(w.window) for w in sched.workers) == [[False], [True]]
-    sched.close()
-
-
-def test_sharded_device_loss_survives_and_reports() -> None:
-    sched = StencilScheduler(devices=2, engine="numpy")
-    plan = FaultPlan(seed=3, faults=(DeviceLossFault(at_pass=1, device=1),))
-    with arm(plan):
-        result = sched.execute_sharded(sharded_job("loss", shards=2))
-    assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
-    assert "lost" in result.engines
+    # the board was held for everything run before the raise
+    worker = sched.workers[0]
+    assert result.elapsed_s > 0.0
+    assert worker.queue.clock_s == result.elapsed_s
+    assert worker.jobs_run == 1 and list(worker.window) == [True]
     sched.close()
 
 
 def test_checkpoint_quarantine_degradation_interplay() -> None:
-    """Recovered shard on a degraded, quarantined board stays bit-exact.
+    """A checkpointed job on a degraded, re-admitted board stays bit-exact.
 
-    Three sharded runs against the same 2-device fleet: the first two
-    take an SEU on the shard backed by device 0, tripping its breaker
-    (threshold 1, first faulty run) and then quarantining it (fault
-    rate 1.0 over >= 2 samples).  The third run *still* backs a shard
-    with the sick board — resolved to its degraded numpy engine — takes
-    another SEU there, and recovers from its own shard checkpoints to
+    The first two runs take an SEU that a checkpoint rollback heals;
+    each still counts as a faulty health sample, so the first trips
+    the board's breaker (threshold 1) and the second quarantines it
+    (fault rate 1.0 over 2 samples).  With no healthy board left, the
+    third run probes the sick one back in, runs on its degraded NumPy
+    engine, takes another SEU and recovers from its own checkpoints to
     the bit-exact answer.
     """
-    sched = StencilScheduler(
-        devices=2, engine="native", breaker_threshold=1
-    )
+    ref = reference_run(GRID, SPEC, 6)
+    sched = StencilScheduler(devices=1, engine="native", breaker_threshold=1)
+    worker = sched.workers[0]
     for run in ("first", "second"):
         plan = FaultPlan(
             seed=3, faults=(SEUFault(site="block-buffer", at_touch=2),)
         )
         with arm(plan):
-            result = sched.execute_sharded(sharded_job(run, shards=2))
+            result = sched.execute_job(job(run, iterations=6, checkpoint=1))
         assert result.status == "completed"
-        assert np.array_equal(result.result, SHARD_REF)
-    sick = next(w for w in sched.workers if w.breaker.tripped)
-    assert sick.quarantined
-    healthy = next(w for w in sched.workers if w is not sick)
-    assert not healthy.breaker.tripped
+        assert result.rollbacks >= 1
+        assert np.array_equal(result.result, ref)
+    assert worker.breaker.tripped and worker.quarantined
 
     # at_touch=16 clears the re-admission probe's own touches and lands
-    # inside the shard backed by the sick board
+    # inside the job
     plan = FaultPlan(
         seed=3, faults=(SEUFault(site="block-buffer", at_touch=16),)
     )
     with arm(plan):
-        result = sched.execute_sharded(sharded_job("third", shards=2))
+        result = sched.execute_job(job("third", iterations=6, checkpoint=1))
     assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
     assert result.rollbacks >= 1
-    # the probe re-admitted the sick board on its degraded engine, the
-    # SEU hit *its* shard, and shard checkpoints recovered it bit-exact
-    assert any("re-admitted" in e for e in sick.events)
-    sick_slot = result.devices.index(sick.index)
-    assert sick.window[-1] and not healthy.window[-1]
-    assert result.engines[sick_slot] == "numpy"
-    assert result.engines[result.devices.index(healthy.index)] == "native"
-    sched.close()
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [make_grid((3, 64), "mixed", seed=1), make_grid((4, 8, 64), "mixed", seed=1)],
-    ids=["too-few-rows", "wrong-rank"],
-)
-def test_sharded_job_rejected_by_plan_takes_no_health_sample(grid) -> None:
-    # like a misconfigured single-device job: typed, and not the boards'
-    # fault, so no health sample, no clock time and no log line
-    sched = StencilScheduler(devices=2, engine="numpy")
-    result = sched.execute_sharded(
-        ShardedJob(job_id="bad", spec=SPEC, config=CONFIG, grid=grid, shards=2)
-    )
-    assert result.status == "failed"
-    assert result.error_type == "ConfigurationError"
-    assert result.result is None and result.elapsed_s == 0.0
-    for w in sched.workers:
-        assert w.jobs_run == 0 and not w.window
-        assert w.queue.clock_s == 0.0 and not w.events
-    sched.close()
-
-
-def _halo_stall() -> tuple:
-    # the second write on the edge: the run has completed two passes
-    return (
-        ChannelStallFault(
-            channel="halo:0->1:lo", op="write", at_op=1, duration=10_000
-        ),
-    )
-
-
-def _halo_overrun() -> tuple:
-    # every send of round 1 and its retries is corrupted
-    return tuple(
-        HaloCorruptFault(edge="halo:0->1:lo", at_exchange=k) for k in range(1, 4)
-    )
-
-
-def _no_survivor() -> tuple:
-    return (
-        DeviceLossFault(at_pass=1, device=0),
-        DeviceLossFault(at_pass=1, device=1),
-    )
-
-
-@pytest.mark.parametrize(
-    "faults, error",
-    [
-        (_halo_stall, HaloExchangeError),
-        (_halo_overrun, HaloExchangeError),
-        (_no_survivor, DeviceLostError),
-    ],
-    ids=["halo-stall", "halo-retry-overrun", "no-survivor"],
-)
-def test_failed_sharded_job_charges_the_time_it_spent(faults, error) -> None:
-    plan = FaultPlan(seed=5, faults=faults())
-    with ShardedRunner(
-        SPEC, CONFIG, shards=2, engine="numpy", checkpoint=2
-    ) as runner, arm(plan):
-        with pytest.raises(error):
-            runner.run(SHARD_GRID, 6)
-    spent = runner.sim_time_s
-    assert spent > 0.0
-
-    sched = StencilScheduler(devices=2, engine="numpy")
-    with arm(plan):
-        result = sched.execute_sharded(sharded_job("fails", shards=2))
-    assert result.status == "failed"
-    assert result.error_type == error.__name__
-    assert result.result is None
-    # the boards were held for every pass run before the raise
-    assert result.elapsed_s == spent
-    assert [w.queue.clock_s for w in sched.workers] == [spent] * 2
-    assert all(w.jobs_run == 1 for w in sched.workers)
-    sched.close()
-
-
-def test_repeated_sharded_faults_trip_only_that_workers_breaker() -> None:
-    # the per-worker breaker is the one degrade: two faulty sharded jobs
-    # on one board trip its breaker, and the next job backs that
-    # board's shard with the NumPy engine while the other stays native
-    sched = StencilScheduler(devices=2, engine="native", breaker_threshold=2)
-    for run in ("first", "second"):
-        plan = FaultPlan(
-            seed=3, faults=(SEUFault(site="block-buffer", at_touch=2),)
-        )
-        with arm(plan):
-            result = sched.execute_sharded(sharded_job(run, shards=2))
-        assert result.status == "completed"
-        assert np.array_equal(result.result, SHARD_REF)
-        assert result.engines == ("native", "native")
-    tripped = [w for w in sched.workers if w.breaker.tripped]
-    assert len(tripped) == 1
-    sick = tripped[0]
-    assert list(sick.window) == [True, True]
-
-    result = sched.execute_sharded(sharded_job("third", shards=2))
-    assert result.status == "completed"
-    assert np.array_equal(result.result, SHARD_REF)
-    assert sorted(result.devices) == [0, 1]
-    for device, engine in zip(result.devices, result.engines):
-        assert engine == ("numpy" if device == sick.index else "native")
+    assert np.array_equal(result.result, ref)
+    assert any("re-admitted" in e for e in worker.events)
+    assert not worker.quarantined and list(worker.window) == [True]
+    assert result.engines == ("numpy",)
     sched.close()

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
+
+import pytest
 
 from repro import errors as errors_mod
 from repro.core import BlockingConfig, StencilSpec, make_grid
@@ -180,15 +183,30 @@ def test_dispatch_crash_fails_the_popped_batch_typed_on_both_paths() -> None:
             svc.start()
         else:
             assert svc.run_pending() == 3
-        for ticket in tickets:
-            assert ticket.wait(30.0), f"ticket {ticket.request_id} stranded"
-            result = ticket.result(0)
+        for result in _drain_typed(tickets):
             assert result.status == "failed"
-            # the reply names the class the dispatch step caught
-            assert result.error_type == "RuntimeError"
-            assert result.error == "dispatch failed: scheduler blew up"
+            # a class outside the taxonomy replies as SchedulerError, and
+            # the message names the class the dispatch step caught
+            assert result.error_type == "SchedulerError"
+            assert result.error == (
+                "dispatch failed: RuntimeError: scheduler blew up"
+            )
         svc.close(drain=True, timeout_s=30.0)
         assert seen == [3]  # one coalesced launch, counted while in flight
         assert svc.queue_depth == 0 and not svc._inflight_reqs
         counters = svc.report()["tenants"]["erin"]
         assert counters["submitted"] == counters["failed"] == 3
+
+
+def test_failed_reply_rejects_a_name_outside_the_taxonomy() -> None:
+    svc = _crashing_service([])
+    req = SimpleNamespace(
+        request_id="r1", tenant="erin", admitted_s=time.monotonic()
+    )
+    with pytest.raises(ConfigurationError) as exc:
+        svc._failed(req, "RuntimeError", "boom")
+    assert exc.value.param == "error_type"
+    assert exc.value.value == "RuntimeError"
+    reply = svc._failed(req, "SchedulerError", "boom")
+    assert reply.status == "failed" and reply.error_type == "SchedulerError"
+    svc.close(drain=True, timeout_s=30.0)
