@@ -536,17 +536,15 @@ class OverloadCell:
 
 
 def _overload_policy(max_queue_depth: int) -> "ServicePolicy":
+    """The campaign's service policy: a shallow queue so pressure builds,
+    a bounded queued wait and a short retry backoff.  Retries, jitter
+    and the degrade ladder are the service's constants."""
     from repro.runtime.service import ServicePolicy
 
     return ServicePolicy(
         max_queue_depth=max_queue_depth,
         queue_timeout_s=20.0,
-        max_retries=1,
         retry_backoff_s=0.002,
-        seed=SEED,
-        degrade_at=0.5,
-        degrade_hard_at=0.875,
-        degraded_checkpoint=2,
         # the campaign pins the *per-job* backpressure ladder; batched
         # dispatch would drain the chaos queue before pressure builds
         coalesce_max_batch=1,

@@ -331,7 +331,6 @@ class FPGAAccelerator:
         spec: StencilSpec,
         config: BlockingConfig,
         boundary: str = "clamp",
-        stall_watchdog: int | None = None,
         workers: int | None = None,
         engine: str = "auto",
     ):
@@ -347,10 +346,6 @@ class FPGAAccelerator:
             raise ConfigurationError(
                 f"boundary must be 'clamp' or 'periodic', got {boundary!r}"
             )
-        if stall_watchdog is not None and stall_watchdog < 1:
-            raise ConfigurationError(
-                f"stall_watchdog must be >= 1, got {stall_watchdog}"
-            )
         if workers is None:
             workers = usable_cpus()
         elif workers < 1:
@@ -360,9 +355,6 @@ class FPGAAccelerator:
         self.config = config
         self.boundary = boundary
         self.workers = workers
-        self.stall_watchdog = (
-            stall_watchdog if stall_watchdog is not None else self.STALL_WATCHDOG
-        )
         self._terms = stencil_terms(spec, spec.dims)
         self.engine = engine
         self._driver = None
@@ -921,14 +913,14 @@ class FPGAAccelerator:
 
         Armed-mode only.  The write port spins under back-pressure (a
         :class:`repro.faults.ChannelStallFault` can wedge it); spinning
-        past ``stall_watchdog`` raises
+        past :attr:`STALL_WATCHDOG` attempts raises
         :class:`~repro.errors.WatchdogTimeoutError`.  The consumer
         re-checksums what arrives, so in-flight corruption (or an SEU
         injected since the checksum was encoded) raises
         :class:`~repro.errors.FaultDetectedError`; otherwise ``block``
         holds what arrived.
         """
-        item = chan.hop(block, self.stall_watchdog, WatchdogTimeoutError)
+        item = chan.hop(block, self.STALL_WATCHDOG, WatchdogTimeoutError)
         if crc32_array(item) != crc:
             raise fault_hooks.report_detection(
                 FaultDetectedError(

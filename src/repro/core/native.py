@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.pe import stencil_terms
 from repro.core.plan import DRIVER_RECORD_LEN, DriverTables
-from repro.core.stencil import StencilSpec
+from repro.core.stencil import StencilSpec, spec_key
 
 #: Environment variable that disables native kernels when set to a
 #: non-empty value (the pure-NumPy path is used instead).
@@ -847,13 +847,7 @@ def native_driver(
     """
     if os.environ.get(DISABLE_ENV):
         return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-        flags,
-    )
+    key = spec_key(spec) + (flags,)
     if key not in _LIBS:
         _LIBS[key] = _compile(driver_source(spec), flags)
     lib_path = _LIBS[key]

@@ -274,3 +274,23 @@ class StencilSpec:
             f"({self.flops_per_cell} FLOP/cell, {self.bytes_per_cell} B/cell, "
             f"{mode} coefficients)"
         )
+
+
+def spec_key(spec: StencilSpec) -> tuple:
+    """Hashable numeric identity of a stencil: ``(dims, radius, center,
+    coefficient bytes)``, the arithmetic every engine computes.
+
+    The center is taken as float32, the value the native driver compiles
+    in.  A spec is frozen and its coefficients read-only, so the key is
+    built on first use and kept on the spec.
+    """
+    key = spec.__dict__.get("_key")
+    if key is None:
+        key = (
+            spec.dims,
+            spec.radius,
+            float(np.float32(spec.center)),
+            spec.coefficients.tobytes(),
+        )
+        object.__setattr__(spec, "_key", key)
+    return key

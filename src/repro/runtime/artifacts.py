@@ -40,24 +40,15 @@ import threading
 from collections import OrderedDict
 
 from repro.core.blocking import BlockingConfig
-from repro.core.stencil import StencilSpec
+from repro.core.stencil import StencilSpec, spec_key
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A, Board
 from repro.runtime.host import StencilProgram
 
-#: Cache keys are value tuples; ``spec_key`` is the stencil's numeric
-#: identity (StencilSpec carries a NumPy array, so it is not hashable).
+#: Cache keys are value tuples; :func:`~repro.core.stencil.spec_key` is
+#: the stencil's numeric identity (StencilSpec carries a NumPy array, so
+#: it is not hashable).
 ArtifactKey = tuple
-
-
-def spec_key(spec: StencilSpec) -> tuple:
-    """Hashable identity of a stencil's numeric content."""
-    return (
-        spec.dims,
-        spec.radius,
-        float(spec.center),
-        spec.coefficients.tobytes(),
-    )
 
 
 def artifact_key(

@@ -72,7 +72,7 @@ from repro.core.accelerator import FPGAAccelerator
 from repro.core.blocking import BlockingConfig
 from repro.core.native import driver_source, usable_cpus
 from repro.core.reference import reference_run
-from repro.core.stencil import StencilSpec
+from repro.core.stencil import StencilSpec, spec_key
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A, Board
 from repro.models.tuner import TunedDesign, Tuner
@@ -139,23 +139,13 @@ def _cpu_model() -> str:
 _SOURCE_DIGESTS: dict[tuple, str] = {}
 
 
-def _spec_key(spec: StencilSpec) -> tuple:
-    """What identifies ``spec``'s arithmetic: shape, order and weights."""
-    return (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-
-
 def source_digest(spec: StencilSpec) -> str:
     """sha256 of the generated driver source for ``spec``.
 
     The one source every configuration of ``spec`` runs: the SIMD width
     is not compiled in.
     """
-    key = _spec_key(spec)
+    key = spec_key(spec)
     digest = _SOURCE_DIGESTS.get(key)
     if digest is None:
         digest = hashlib.sha256(driver_source(spec).encode()).hexdigest()
@@ -171,12 +161,13 @@ def plan_digest(
     cpu: str,
 ) -> str:
     """Content address of one plan selection (hex sha256)."""
+    dims, radius, center, coefficients = spec_key(spec)
     h = hashlib.sha256()
     h.update(f"v{CACHE_VERSION}\x00".encode())
-    h.update(f"{spec.dims}\x00{spec.radius}\x00".encode())
-    h.update(repr(float(np.float32(spec.center))).encode())
+    h.update(f"{dims}\x00{radius}\x00".encode())
+    h.update(repr(center).encode())
     h.update(b"\x00")
-    h.update(spec.coefficients.tobytes())
+    h.update(coefficients)
     h.update(f"\x00{tuple(int(n) for n in shape)}\x00".encode())
     h.update(f"{boundary}\x00{engine}\x00{cpu}\x00".encode())
     h.update(source_digest(spec).encode())
@@ -437,7 +428,7 @@ class Autotuner:
                 cpu=cpu,
                 measured_ms={},
             )
-        key = (_spec_key(spec), shape, boundary, engine, cpu)
+        key = (spec_key(spec), shape, boundary, engine, cpu)
         with self._memo_lock:
             memo = self._memo.get(key)
         if memo is not None:

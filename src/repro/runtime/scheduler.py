@@ -220,21 +220,41 @@ class JobResult:
         return self._only(self.errors)
 
 
+#: A device whose fault rate over its last :data:`HEALTH_WINDOW` jobs
+#: exceeds :data:`QUARANTINE_THRESHOLD` is quarantined, once it has run
+#: at least :data:`MIN_HEALTH_SAMPLES` of them.
+QUARANTINE_THRESHOLD = 0.5
+HEALTH_WINDOW = 4
+MIN_HEALTH_SAMPLES = 2
+
+#: Jobs the rest of the fleet completes before a quarantined device is
+#: probed for re-admission.  With every device quarantined, probes run
+#: at once: the scheduler always makes progress.
+PROBE_AFTER_JOBS = 2
+
+#: Devices tried per job before its failure is final.
+MAX_DISPATCHES = 2
+
+#: Job failures never re-dispatched: an identical board models the
+#: identical time and rejects the identical configuration.
+FINAL_ERRORS = frozenset({"DeadlineExceededError", "ConfigurationError"})
+
+#: Consecutive faulted launches that trip a device's breaker.
+BREAKER_THRESHOLD = 2
+
+
 class CircuitBreaker:
     """Per-device breaker that degrades the execution engine.
 
     Counts *consecutive* kernel launches that needed fault recovery
     (queue retries or checkpoint rollbacks) or failed outright; at
-    ``threshold`` it trips and the device pins its engine to the
-    conservative pure-NumPy path.  A native compile failure trips it
+    :data:`BREAKER_THRESHOLD` it trips and the device pins its engine to
+    the conservative pure-NumPy path.  A native compile failure trips it
     immediately.  Tripping is one-way for the device's lifetime — a
     board that keeps corrupting its fast path does not get it back.
     """
 
-    def __init__(self, threshold: int = 2):
-        if threshold < 1:
-            raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
+    def __init__(self) -> None:
         self.consecutive_faults = 0
         self.tripped = False
         self.reason: str | None = None
@@ -246,7 +266,7 @@ class CircuitBreaker:
 
     def record_fault(self) -> None:
         self.consecutive_faults += 1
-        if self.consecutive_faults >= self.threshold:
+        if self.consecutive_faults >= BREAKER_THRESHOLD:
             self.trip(
                 f"{self.consecutive_faults} consecutive faulted kernel launches"
             )
@@ -263,14 +283,12 @@ class _Worker:
         index: int,
         device: HostDevice,
         retry_policy: RetryPolicy | None,
-        breaker_threshold: int,
-        health_window: int,
     ):
         self.index = index
         self.device = device
         self.queue = CommandQueue(device, retry_policy=retry_policy)
-        self.breaker = CircuitBreaker(breaker_threshold)
-        self.window: deque[bool] = deque(maxlen=health_window)
+        self.breaker = CircuitBreaker()
+        self.window: deque[bool] = deque(maxlen=HEALTH_WINDOW)
         self.jobs_run = 0
         self.quarantined = False
         self.quarantined_at_job: int | None = None  # global job counter
@@ -316,21 +334,6 @@ class StencilScheduler:
         :data:`~repro.core.accelerator.ENGINES` (``"auto"``,
         ``"native"`` or ``"numpy"``); a device whose circuit breaker
         has tripped always runs ``"numpy"``.
-    quarantine_threshold / health_window / min_health_samples:
-        A device is quarantined when its fault rate over the last
-        ``health_window`` jobs exceeds the threshold (once at least
-        ``min_health_samples`` jobs have been observed).
-    probe_after_jobs:
-        Number of jobs the rest of the fleet must complete before a
-        quarantined device is probed for re-admission.  (If every device
-        is quarantined, probes run immediately — the scheduler always
-        makes progress.)
-    max_dispatches:
-        Devices tried per job before its fault failure is final
-        (deadline failures are never re-dispatched: an identical board
-        models the identical time).
-    breaker_threshold:
-        Consecutive faulted launches that trip a device's breaker.
     default_checkpoint:
         Checkpoint policy applied to jobs that do not carry their own.
     program_cache:
@@ -347,12 +350,6 @@ class StencilScheduler:
         *,
         retry_policy: RetryPolicy | None = None,
         engine: str = "auto",
-        quarantine_threshold: float = 0.5,
-        health_window: int = 4,
-        min_health_samples: int = 2,
-        probe_after_jobs: int = 2,
-        max_dispatches: int = 2,
-        breaker_threshold: int = 2,
         default_checkpoint: CheckpointPolicy | int | None = None,
         program_cache: ArtifactCache | None = None,
     ):
@@ -364,24 +361,11 @@ class StencilScheduler:
             devices = [HostDevice() for _ in range(devices)]
         if not devices:
             raise ConfigurationError("scheduler needs at least one device")
-        if not 0.0 < quarantine_threshold <= 1.0:
-            raise ConfigurationError(
-                f"quarantine_threshold must be in (0, 1], got {quarantine_threshold}"
-            )
         check_engine(engine)
-        if max_dispatches < 1:
-            raise ConfigurationError(
-                f"max_dispatches must be >= 1, got {max_dispatches}"
-            )
         self.engine = engine
-        self.quarantine_threshold = quarantine_threshold
-        self.min_health_samples = min_health_samples
-        self.probe_after_jobs = probe_after_jobs
-        self.max_dispatches = max_dispatches
         self.default_checkpoint = default_checkpoint
         self.workers = [
-            _Worker(i, dev, retry_policy, breaker_threshold, health_window)
-            for i, dev in enumerate(devices)
+            _Worker(i, dev, retry_policy) for i, dev in enumerate(devices)
         ]
         self._jobs_completed = 0
         self._probe_grid = make_grid(_PROBE_SHAPE, "mixed", seed=3)
@@ -444,9 +428,9 @@ class StencilScheduler:
         """Place a job, re-dispatching a whole-job transient failure.
 
         A failed job is tried on another device until it completes or
-        has used ``max_dispatches`` devices; a missed deadline is never
-        re-dispatched (an identical board models the identical time),
-        and neither is a partial job (its per-grid failures are final).
+        has used :data:`MAX_DISPATCHES` devices; a :data:`FINAL_ERRORS`
+        failure is never re-dispatched, and neither is a partial job (its
+        per-grid failures are final).
         """
         dispatches = 0
         tried: frozenset[int] = frozenset()
@@ -457,8 +441,8 @@ class StencilScheduler:
             dispatches = result.dispatches
             if not (
                 result.status == "failed"
-                and result.error_types[0] != "DeadlineExceededError"
-                and dispatches < self.max_dispatches
+                and result.error_types[0] not in FINAL_ERRORS
+                and dispatches < MAX_DISPATCHES
                 and any(w.index not in tried for w in self.workers)
             ):
                 self._jobs_completed += 1
@@ -535,8 +519,8 @@ class StencilScheduler:
         worker.jobs_run += 1
         if (
             not worker.quarantined
-            and len(worker.window) >= self.min_health_samples
-            and worker.fault_rate() > self.quarantine_threshold
+            and len(worker.window) >= MIN_HEALTH_SAMPLES
+            and worker.fault_rate() > QUARANTINE_THRESHOLD
         ):
             worker.quarantined = True
             worker.quarantined_at_job = self._jobs_completed
@@ -552,7 +536,7 @@ class StencilScheduler:
             due = (
                 force
                 or self._jobs_completed
-                >= (worker.quarantined_at_job or 0) + self.probe_after_jobs
+                >= (worker.quarantined_at_job or 0) + PROBE_AFTER_JOBS
             )
             if due:
                 self._probe(worker)

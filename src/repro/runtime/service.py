@@ -68,7 +68,7 @@ import numpy as np
 from repro import errors
 from repro.core.accelerator import FLOOR_ENGINE
 from repro.core.blocking import BlockingConfig
-from repro.core.stencil import StencilSpec
+from repro.core.stencil import StencilSpec, spec_key
 from repro.errors import (
     ConfigurationError,
     QueueTimeoutError,
@@ -82,7 +82,7 @@ from repro.runtime.admission import (
     TokenBucket,
     WeightedFairQueue,
 )
-from repro.runtime.artifacts import ArtifactCache, artifact_key, spec_key
+from repro.runtime.artifacts import ArtifactCache, artifact_key
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.scheduler import JobResult, StencilJob, StencilScheduler
 
@@ -107,6 +107,37 @@ TYPED_ERRORS = frozenset(
 #: Workloads the drain estimate memoises modeled service times for; the
 #: memo is cleared when full, so a service fed many shapes stays bounded.
 ESTIMATE_MEMO = 64
+
+#: Service-level re-dispatches of a transient failure, on top of the
+#: scheduler's own.
+MAX_RETRIES = 1
+
+#: Retry ``n`` backs off ``retry_backoff_s * 2**n`` scaled by a uniform
+#: factor in ``1 +/- RETRY_JITTER``, drawn from a generator seeded with
+#: :data:`RETRY_SEED`: retries of one launch's requests spread out, and
+#: a rerun draws the same delays.
+RETRY_JITTER = 0.5
+RETRY_SEED = 2018
+
+#: Queue-depth fractions of the degrade ladder: from
+#: :data:`DEGRADE_AT` dispatch keeps the scheduler's engine but shrinks
+#: the checkpoint cadence to :data:`DEGRADED_CHECKPOINT`; from
+#: :data:`DEGRADE_HARD_AT` it also pins jobs to the NumPy engine.
+DEGRADE_AT = 0.5
+DEGRADE_HARD_AT = 0.875
+DEGRADED_CHECKPOINT = 2
+
+#: Warm programs the service-owned artifact cache keeps.
+ARTIFACT_CAPACITY = 8
+
+#: Only grids of at most this many cells batch: batching amortizes
+#: per-launch overhead, which only dominates small grids.
+COALESCE_MAX_CELLS = 32**3
+
+#: Latency samples each tenant's reservoir keeps (a ring of the most
+#: recent), so a long-lived service holds O(window) memory per tenant,
+#: not O(requests).
+METRICS_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -140,39 +171,24 @@ DEFAULT_QUOTA = TenantQuota()
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Service-level knobs (queue bounds, retries, degradation ladder).
+    """Service-level knobs: queue bound, queued wait, retry backoff and
+    batch size.
 
-    ``degrade_at`` / ``degrade_hard_at`` are queue-depth fractions: at
-    ``degrade_at`` dispatch keeps the scheduler's engine but shrinks the
-    checkpoint cadence to ``degraded_checkpoint``; at
-    ``degrade_hard_at`` it also pins jobs to the NumPy engine.
+    ``max_queue_depth`` bounds the queue; the degrade ladder
+    (:data:`DEGRADE_AT`, :data:`DEGRADE_HARD_AT`) reads its fill.
     ``queue_timeout_s`` bounds the wall-clock wait of a queued job.
-    Retries use seeded, jittered exponential backoff
-    (``retry_backoff_s * 2**attempt``, +/- ``retry_jitter``), bounded
-    by ``max_retries`` and by the request's remaining deadline budget.
-
-    Batched dispatch: up to ``coalesce_max_batch`` compatible queued
-    requests ride one launch (``1`` turns batching off), but only for
-    grids of at most ``coalesce_max_cells`` cells — batching exists to
-    amortize per-launch overhead, which only dominates small grids.
-    ``metrics_window`` bounds the per-tenant latency reservoir (ring of
-    the most recent samples) so a long-lived service holds O(window)
-    memory per tenant, not O(requests).
+    Retries use seeded, jittered exponential backoff from
+    ``retry_backoff_s`` (:data:`RETRY_JITTER`), bounded by
+    :data:`MAX_RETRIES` and by the request's remaining deadline budget.
+    Up to ``coalesce_max_batch`` compatible queued requests ride one
+    launch (``1`` turns batching off), for grids of at most
+    :data:`COALESCE_MAX_CELLS` cells.
     """
 
     max_queue_depth: int = 64
     queue_timeout_s: float | None = None
-    max_retries: int = 1
     retry_backoff_s: float = 0.005
-    retry_jitter: float = 0.5
-    seed: int = 2018
-    degrade_at: float = 0.5
-    degrade_hard_at: float = 0.875
-    degraded_checkpoint: int = 2
-    artifact_capacity: int = 8
     coalesce_max_batch: int = 32
-    coalesce_max_cells: int = 32**3
-    metrics_window: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -183,39 +199,13 @@ class ServicePolicy:
             raise ConfigurationError(
                 f"queue_timeout_s must be > 0, got {self.queue_timeout_s}"
             )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
         if self.retry_backoff_s <= 0:
             raise ConfigurationError(
                 f"retry_backoff_s must be > 0, got {self.retry_backoff_s}"
             )
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ConfigurationError(
-                f"retry_jitter must be in [0, 1), got {self.retry_jitter}"
-            )
-        if not 0.0 < self.degrade_at <= self.degrade_hard_at <= 1.0:
-            raise ConfigurationError(
-                "degradation thresholds must satisfy "
-                f"0 < degrade_at <= degrade_hard_at <= 1, got "
-                f"{self.degrade_at} / {self.degrade_hard_at}"
-            )
-        if self.degraded_checkpoint < 1:
-            raise ConfigurationError(
-                f"degraded_checkpoint must be >= 1, got {self.degraded_checkpoint}"
-            )
         if self.coalesce_max_batch < 1:
             raise ConfigurationError(
                 f"coalesce_max_batch must be >= 1, got {self.coalesce_max_batch}"
-            )
-        if self.coalesce_max_cells < 1:
-            raise ConfigurationError(
-                f"coalesce_max_cells must be >= 1, got {self.coalesce_max_cells}"
-            )
-        if self.metrics_window < 1:
-            raise ConfigurationError(
-                f"metrics_window must be >= 1, got {self.metrics_window}"
             )
 
 
@@ -344,22 +334,13 @@ class ServiceMetrics:
     """Thread-safe per-tenant counters and latency percentiles.
 
     Latency/queue-wait samples live in a bounded per-tenant ring of the
-    ``window`` most recent observations — a long-lived service holds
-    O(window) memory per tenant no matter how many requests it serves,
-    and the percentiles become *recent* percentiles (the operationally
-    useful kind).  Degenerate sample counts are pinned: zero samples
-    emit no percentile keys; a single sample *is* both p50 and p99.
+    :data:`METRICS_WINDOW` most recent observations, so the percentiles
+    are *recent* percentiles (the operationally useful kind).
+    Degenerate sample counts are pinned: zero samples emit no
+    percentile keys; a single sample *is* both p50 and p99.
     """
 
-    def __init__(self, window: int = 1024) -> None:
-        if window < 1:
-            raise ConfigurationError(
-                f"window must be >= 1, got {window}",
-                param="window",
-                value=window,
-                constraint="the latency reservoir must hold >= 1 sample",
-            )
-        self.window = window
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, dict[str, int]] = {}
         self._latencies: dict[str, deque[float]] = {}
@@ -424,8 +405,8 @@ class ServiceMetrics:
     ) -> None:
         lat = self._latencies.get(tenant)
         if lat is None:
-            lat = self._latencies[tenant] = deque(maxlen=self.window)
-            self._queue_waits[tenant] = deque(maxlen=self.window)
+            lat = self._latencies[tenant] = deque(maxlen=METRICS_WINDOW)
+            self._queue_waits[tenant] = deque(maxlen=METRICS_WINDOW)
         lat.append(latency_s)
         self._queue_waits[tenant].append(queue_wait_s)
 
@@ -484,9 +465,7 @@ class StencilService:
     ):
         self.policy = policy or ServicePolicy()
         if isinstance(scheduler, int):
-            self.artifacts = ArtifactCache(
-                capacity=self.policy.artifact_capacity
-            )
+            self.artifacts = ArtifactCache(capacity=ARTIFACT_CAPACITY)
             scheduler = StencilScheduler(
                 devices=scheduler, program_cache=self.artifacts
             )
@@ -495,13 +474,13 @@ class StencilService:
             # observe the programs the scheduler actually reuses
             self.artifacts = scheduler.program_cache
         self.scheduler = scheduler
-        self.metrics = ServiceMetrics(self.policy.metrics_window)
+        self.metrics = ServiceMetrics()
         self._quotas: dict[str, TenantQuota] = dict(quotas or {})
         self._buckets: dict[str, TokenBucket] = {}
         self._queue = WeightedFairQueue(self.policy.max_queue_depth)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._rng = np.random.default_rng(self.policy.seed)
+        self._rng = np.random.default_rng(RETRY_SEED)
         self._perf = PerformanceModel(self.scheduler.workers[0].device.board)
         self._estimates: dict[tuple, float] = {}
         self._seq = itertools.count()
@@ -788,7 +767,7 @@ class StencilService:
         """The coalescing class of a request, by workload *content*.
 
         Two requests batch together iff their keys are equal: same
-        stencil numeric identity (:func:`~repro.runtime.artifacts.spec_key`:
+        stencil numeric identity (:func:`~repro.core.stencil.spec_key`:
         dims, radius, center, coefficient bytes — never ``spec == spec``, whose dataclass comparison of
         NumPy coefficient arrays raises on equal-but-distinct objects,
         which silently restricted coalescing to requests sharing one
@@ -825,15 +804,14 @@ class StencilService:
         iteration count, checkpoint and deadline knobs — everything the
         batch engine needs for one shared
         :class:`~repro.core.batch.BatchPlan` and one per-batch SLO.
-        Only small grids qualify (``coalesce_max_cells``): batching
-        amortizes per-launch overhead, which large grids never notice.
+        Only small grids qualify (:data:`COALESCE_MAX_CELLS`).
         Pulled requests keep their own tickets, wall deadlines and
         per-request error reporting.
         """
         limit = self.policy.coalesce_max_batch - 1
         if (
             limit < 1
-            or head.grid.size > self.policy.coalesce_max_cells
+            or head.grid.size > COALESCE_MAX_CELLS
             or self._queue.depth == 0
         ):
             return []
@@ -980,7 +958,7 @@ class StencilService:
                 break
             if result.error_types[0] not in RETRYABLE_ERRORS:
                 break
-            if retries >= self.policy.max_retries:
+            if retries >= MAX_RETRIES:
                 break
             delay = self._backoff_s(retries)
             budgets = [
@@ -1051,9 +1029,9 @@ class StencilService:
             return 2
         with self._lock:
             frac = self._queue.depth / self._queue.capacity
-        if frac >= self.policy.degrade_hard_at:
+        if frac >= DEGRADE_HARD_AT:
             return 2
-        if frac >= self.policy.degrade_at:
+        if frac >= DEGRADE_AT:
             return 1
         return 0
 
@@ -1064,7 +1042,7 @@ class StencilService:
         base = req.checkpoint
         if level == 0:
             return base
-        k = self.policy.degraded_checkpoint
+        k = DEGRADED_CHECKPOINT
         if base is None:
             return k
         if isinstance(base, int):
@@ -1078,11 +1056,8 @@ class StencilService:
 
     def _backoff_s(self, retries: int) -> float:
         base = self.policy.retry_backoff_s * (2.0**retries)
-        jitter = self.policy.retry_jitter
-        if jitter == 0.0:
-            return base
         with self._lock:
-            factor = 1.0 + jitter * float(self._rng.uniform(-1.0, 1.0))
+            factor = 1.0 + RETRY_JITTER * float(self._rng.uniform(-1.0, 1.0))
         return base * factor
 
     def _estimate_job_s(self, req: _Request) -> float:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.stencil import BYTES_PER_CELL, Direction, StencilSpec, directions_for
+from repro.core.stencil import (
+    BYTES_PER_CELL,
+    Direction,
+    StencilSpec,
+    directions_for,
+    spec_key,
+)
 from repro.errors import ConfigurationError
 
 # Table I of the paper: (dims, radius) -> (FLOP/cell, B/cell, FLOP/B)
@@ -132,6 +138,17 @@ def test_coefficients_immutable() -> None:
     spec = StencilSpec.star(2, 1)
     with pytest.raises(ValueError):
         spec.coefficients[0, 0] = 99.0
+
+
+def test_spec_key_is_built_once_on_the_compiled_center() -> None:
+    coeffs = StencilSpec.star(2, 1).coefficients
+    spec = StencilSpec(2, 1, 0.1, coeffs)
+    key = spec_key(spec)
+    assert key == (2, 1, float(np.float32(0.1)), coeffs.tobytes())
+    assert spec_key(spec) is key
+    # centers that round to one float32 compute the same cells
+    nudged = StencilSpec(2, 1, 0.1 + 1e-12, coeffs)
+    assert spec_key(nudged) == key
 
 
 def test_describe_mentions_key_facts() -> None:

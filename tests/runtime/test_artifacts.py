@@ -14,8 +14,9 @@ import threading
 import pytest
 
 from repro.core import BlockingConfig, StencilSpec
+from repro.core.stencil import spec_key
 from repro.errors import ConfigurationError
-from repro.runtime.artifacts import ArtifactCache, artifact_key, spec_key
+from repro.runtime.artifacts import ArtifactCache, artifact_key
 
 SPEC = StencilSpec.star(2, 1)
 OTHER_SPEC = StencilSpec.star(2, 2)

@@ -43,7 +43,7 @@ TYPED_ERROR_NAMES = {
 def test_eight_thread_submit_arm_close_stress() -> None:
     svc = StencilService(
         StencilScheduler(devices=2, engine="numpy"),
-        policy=ServicePolicy(max_queue_depth=256, retry_jitter=0.0),
+        policy=ServicePolicy(max_queue_depth=256),
         start=True,
     )
     plan = FaultPlan(

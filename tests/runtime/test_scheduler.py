@@ -17,6 +17,7 @@ from repro.runtime import (
     StencilScheduler,
 )
 from repro.runtime.host import EVENT_LOG
+from repro.runtime.scheduler import HEALTH_WINDOW
 
 SPEC = StencilSpec.star(2, 1)
 CONFIG = BlockingConfig(dims=2, radius=1, bsize_x=64, parvec=4, partime=2)
@@ -49,13 +50,7 @@ def test_scheduler_validation() -> None:
     with pytest.raises(ConfigurationError):
         StencilScheduler(devices=[])
     with pytest.raises(ConfigurationError):
-        StencilScheduler(quarantine_threshold=0.0)
-    with pytest.raises(ConfigurationError):
         StencilScheduler(engine="simd")
-    with pytest.raises(ConfigurationError):
-        StencilScheduler(max_dispatches=0)
-    with pytest.raises(ConfigurationError):
-        CircuitBreaker(threshold=0)
 
 
 # -- dispatch --------------------------------------------------------------- #
@@ -126,18 +121,20 @@ def test_generous_deadline_met() -> None:
 
 
 def test_faulty_device_quarantined_then_probed_back() -> None:
-    sched = StencilScheduler(
-        devices=1,
-        retry_policy=RetryPolicy(max_retries=2),
-        quarantine_threshold=0.4,
-        min_health_samples=1,
-    )
-    # retried-but-recovered job still counts as a fault for health
-    plan = FaultPlan(seed=4, faults=(TransferFault(direction="write", mode="corrupt"),))
-    with arm(plan):
-        r1 = sched.execute_job(job("faulty"))
-    assert r1.status == "completed"
+    sched = StencilScheduler(devices=1, retry_policy=RetryPolicy(max_retries=2))
     worker = sched.workers[0]
+    # retried-but-recovered jobs still count as faults for health: the
+    # first is one sample, too few to judge; the second makes the rate
+    # 2/2, above the threshold
+    for run in ("faulty-1", "faulty-2"):
+        assert not worker.quarantined
+        plan = FaultPlan(
+            seed=4, faults=(TransferFault(direction="write", mode="corrupt"),)
+        )
+        with arm(plan):
+            result = sched.execute_job(job(run))
+        assert result.status == "completed"
+    assert list(worker.window) == [True, True]
     assert worker.quarantined
     assert any("quarantined" in e for e in worker.events)
 
@@ -150,7 +147,7 @@ def test_faulty_device_quarantined_then_probed_back() -> None:
 
 
 def test_quarantined_device_sits_out_until_probe_due() -> None:
-    sched = StencilScheduler(devices=2, probe_after_jobs=2)
+    sched = StencilScheduler(devices=2)
     sick = sched.workers[0]
     sick.quarantined = True
     sick.quarantined_at_job = 0
@@ -221,12 +218,7 @@ def test_breaker_trips_after_consecutive_faulted_jobs() -> None:
             TransferFault(at_transfer=1, direction="write", mode="fail"),
         ),
     )
-    sched = StencilScheduler(
-        devices=1,
-        retry_policy=RetryPolicy(max_retries=0),
-        quarantine_threshold=1.0,  # isolate the breaker from quarantine
-        breaker_threshold=2,
-    )
+    sched = StencilScheduler(devices=1, retry_policy=RetryPolicy(max_retries=0))
     with arm(plan):
         r1 = sched.execute_job(job("f1"))
         r2 = sched.execute_job(job("f2"))
@@ -241,7 +233,7 @@ def test_breaker_trips_after_consecutive_faulted_jobs() -> None:
 
 
 def test_success_resets_breaker_counter() -> None:
-    breaker = CircuitBreaker(threshold=2)
+    breaker = CircuitBreaker()
     breaker.record_fault()
     breaker.record_success()
     breaker.record_fault()
@@ -408,17 +400,16 @@ def test_fully_degraded_board_releases_fast_path_pools() -> None:
         ),
     )
     sched = StencilScheduler(
-        devices=1,
-        engine="auto",
-        breaker_threshold=1,
-        retry_policy=RetryPolicy(max_retries=2),
+        devices=1, engine="auto", retry_policy=RetryPolicy(max_retries=2)
     )
     from repro.runtime.artifacts import artifact_key
 
     fast_key = artifact_key(SPEC, CONFIG, engine="auto")
-    with arm(plan):
-        first = sched.execute_job(job("tripwire"))
-    assert first.status == "completed"  # queue retry recovered the fault
+    # two faulted launches in a row trip the breaker
+    for run in ("tripwire-1", "tripwire-2"):
+        with arm(plan):
+            result = sched.execute_job(job(run))
+        assert result.status == "completed"  # queue retry recovered the fault
     assert sched.workers[0].breaker.tripped
     assert not sched.program_cache.contains(fast_key)
     assert any("released" in e for e in sched.workers[0].events)
@@ -451,28 +442,53 @@ def test_execute_job_after_close_raises_typed() -> None:
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, error_type",
     [
-        job("bad", deadline_s=1e-12),
-        StencilJob(
-            job_id="bad",
-            spec=SPEC,
-            config=BlockingConfig(dims=2, radius=2, bsize_x=64, partime=2),
-            grids=(GRID,),
+        (job("bad", deadline_s=1e-12), "DeadlineExceededError"),
+        (
+            StencilJob(
+                job_id="bad",
+                spec=SPEC,
+                config=BlockingConfig(dims=2, radius=2, bsize_x=64, partime=2),
+                grids=(GRID,),
+            ),
+            "ConfigurationError",
         ),
     ],
     ids=["modeled-deadline", "spec-config-mismatch"],
 )
-def test_job_rejected_before_it_runs_takes_no_health_sample(bad) -> None:
+def test_job_rejected_before_it_runs_takes_no_health_sample(
+    bad, error_type
+) -> None:
     # typed, and not the board's fault: no health sample, no clock time
-    # and no log line
-    sched = StencilScheduler(devices=1, engine="numpy")
+    # and no log line; and final, so no other board of the fleet tries it
+    sched = StencilScheduler(devices=3, engine="numpy")
     result = sched.execute_job(bad)
-    assert result.status == "failed"
+    assert result.status == "failed" and result.error_type == error_type
+    assert result.dispatches == 1
     assert result.result is None and result.elapsed_s == 0.0
-    worker = sched.workers[0]
-    assert worker.jobs_run == 0 and not worker.window
-    assert worker.queue.clock_s == 0.0 and not worker.events
+    for worker in sched.workers:
+        assert worker.jobs_run == 0 and not worker.window
+        assert worker.queue.clock_s == 0.0 and not worker.events
+    sched.close()
+
+
+def test_fault_rate_counts_only_the_last_health_window_jobs() -> None:
+    sched = StencilScheduler(
+        devices=1, engine="numpy", retry_policy=RetryPolicy(max_retries=2)
+    )
+    plan = FaultPlan(
+        seed=4, faults=(TransferFault(direction="write", mode="corrupt"),)
+    )
+    with arm(plan):
+        sched.execute_job(job("faulty"))
+    rates = []
+    for i in range(HEALTH_WINDOW):
+        sched.execute_job(job(f"clean-{i}"))
+        rates.append(sched.device_report()[0]["fault_rate"])
+    # the faulty job counts until HEALTH_WINDOW later jobs push it out
+    assert rates == [1 / (i + 2) for i in range(HEALTH_WINDOW - 1)] + [0.0]
+    assert not sched.workers[0].quarantined
     sched.close()
 
 
@@ -500,15 +516,16 @@ def test_checkpoint_quarantine_degradation_interplay() -> None:
     """A checkpointed job on a degraded, re-admitted board stays bit-exact.
 
     The first two runs take an SEU that a checkpoint rollback heals;
-    each still counts as a faulty health sample, so the first trips
-    the board's breaker (threshold 1) and the second quarantines it
-    (fault rate 1.0 over 2 samples).  With no healthy board left, the
+    each still counts as a faulty launch and a faulty health sample, so
+    together they trip the board's breaker (two in a row) and
+    quarantine it (fault rate 1.0 over 2 samples).  With no healthy
+    board left, the
     third run probes the sick one back in, runs on its degraded NumPy
     engine, takes another SEU and recovers from its own checkpoints to
     the bit-exact answer.
     """
     ref = reference_run(GRID, SPEC, 6)
-    sched = StencilScheduler(devices=1, engine="native", breaker_threshold=1)
+    sched = StencilScheduler(devices=1, engine="native")
     worker = sched.workers[0]
     for run in ("first", "second"):
         plan = FaultPlan(

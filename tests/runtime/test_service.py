@@ -249,7 +249,7 @@ def test_transient_fault_is_retried_within_budget() -> None:
     )
     svc = numpy_service(
         devices=1,
-        policy=ServicePolicy(max_queue_depth=4, max_retries=2, retry_jitter=0.0),
+        policy=ServicePolicy(max_queue_depth=4),
         retry_policy=RetryPolicy(max_retries=0),
     )
     ticket = svc.submit(**request())
@@ -267,16 +267,12 @@ def test_retry_backoff_never_exceeds_deadline_budget() -> None:
     plan = FaultPlan(
         seed=5, faults=(TransferFault(at_transfer=0, direction="write", mode="fail"),)
     )
-    # backoff (10 s) cannot land inside the ~1 s remaining budget:
-    # the service must fail typed *now* instead of sleeping past it
+    # backoff (10 s, jittered to at least 5 s) cannot land inside the
+    # ~1 s remaining budget: the service must fail typed *now* instead of
+    # sleeping past it
     svc = numpy_service(
         devices=1,
-        policy=ServicePolicy(
-            max_queue_depth=4,
-            max_retries=3,
-            retry_backoff_s=10.0,
-            retry_jitter=0.0,
-        ),
+        policy=ServicePolicy(max_queue_depth=4, retry_backoff_s=10.0),
         retry_policy=RetryPolicy(max_retries=0),
     )
     ticket = svc.submit(**request(deadline_s=1.0))
@@ -293,7 +289,7 @@ def test_retry_backoff_never_exceeds_deadline_budget() -> None:
 
 
 def test_non_transient_failures_are_not_retried() -> None:
-    svc = numpy_service(policy=ServicePolicy(max_queue_depth=4, max_retries=3))
+    svc = numpy_service(policy=ServicePolicy(max_queue_depth=4))
     ticket = svc.submit(**request(sim_deadline_s=1e-12))
     svc.run_pending()
     result = ticket.result(0)
@@ -311,17 +307,14 @@ def test_pressure_degrades_engine_with_explicit_marker() -> None:
     # reading for all eight requests
     svc = numpy_service(
         devices=1,
-        policy=ServicePolicy(
-            max_queue_depth=8, degrade_at=0.25, degrade_hard_at=0.75,
-            coalesce_max_batch=1,
-        ),
+        policy=ServicePolicy(max_queue_depth=8, coalesce_max_batch=1),
     )
     tickets = [svc.submit(**request(tenant=f"t{i}")) for i in range(8)]
     svc.run_pending()
     results = [t.result(0) for t in tickets]
     assert all(r.status == "completed" for r in results)
     assert all(np.array_equal(r.result, REF_4) for r in results)
-    # the first dispatches saw a deep queue: hard-degraded to numpy
+    # the first dispatch saw the queue 7/8 full: hard-degraded to numpy
     assert results[0].degraded and results[0].degraded_engine == "numpy"
     # pressure fell as the queue drained; the tail ran at full tier
     assert not results[-1].degraded
@@ -332,7 +325,7 @@ def test_pressure_degrades_engine_with_explicit_marker() -> None:
 
 
 def test_degraded_checkpoint_cadence_shrinks_not_grows() -> None:
-    svc = numpy_service(policy=ServicePolicy(degraded_checkpoint=2))
+    svc = numpy_service()
 
     class Req:
         checkpoint = None
@@ -354,7 +347,7 @@ def _serve_at_level(monkeypatch, engine: str, level: int):
     returns the result and the job the scheduler was handed."""
     svc = StencilService(
         StencilScheduler(devices=1, engine=engine),
-        policy=ServicePolicy(coalesce_max_batch=1, degraded_checkpoint=2),
+        policy=ServicePolicy(coalesce_max_batch=1),
         start=False,
     )
     jobs = []
@@ -442,15 +435,16 @@ def test_dispatch_thread_serves_concurrent_tenants() -> None:
 
 
 def test_metrics_reservoir_is_bounded() -> None:
-    from repro.runtime.service import ServiceMetrics
+    from repro.runtime.service import METRICS_WINDOW, ServiceMetrics
 
-    m = ServiceMetrics(window=4)
-    for i in range(100):
+    m = ServiceMetrics()
+    for i in range(METRICS_WINDOW + 6):
         m.record([("t", ("completed",), float(i), 0.0)])
     snap = m.snapshot()["t"]
-    assert snap["latency_samples"] == 4
-    # only the 4 most recent samples (96..99) survive in the window
-    assert snap["p50_ms"] >= 96_000.0
+    assert snap["latency_samples"] == METRICS_WINDOW
+    # only the most recent samples (6 .. METRICS_WINDOW + 5) survive
+    recent = np.arange(6, METRICS_WINDOW + 6, dtype=np.float64)
+    assert snap["p50_ms"] == pytest.approx(np.percentile(recent, 50) * 1e3)
 
 
 def test_metrics_zero_samples_emit_no_percentiles() -> None:
@@ -470,18 +464,6 @@ def test_metrics_single_sample_pins_percentiles() -> None:
     snap = m.snapshot()["t"]
     assert snap["p50_ms"] == snap["p99_ms"] == pytest.approx(250.0)
     assert snap["latency_samples"] == 1
-
-
-def test_metrics_window_validated_and_policy_threads_through() -> None:
-    from repro.runtime.service import ServiceMetrics
-
-    with pytest.raises(ConfigurationError):
-        ServiceMetrics(window=0)
-    with pytest.raises(ConfigurationError):
-        ServicePolicy(metrics_window=0)
-    svc = numpy_service(policy=ServicePolicy(metrics_window=7))
-    assert svc.metrics.window == 7
-    svc.close()
 
 
 def test_drain_estimate_never_hands_out_zero_backoff() -> None:

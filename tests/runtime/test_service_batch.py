@@ -120,12 +120,15 @@ def test_coalesce_false_disables_batching() -> None:
 
 
 def test_large_grids_are_never_batched() -> None:
-    policy = ServicePolicy(coalesce_max_cells=64)  # 12*20 = 240 > 64
-    svc = numpy_service(policy=policy)
-    tickets = [svc.submit(**request(tenant=t)) for t in "ab"]
+    # one row more than 128 * 256 == 32**3 cells, the largest that batches
+    grid = make_grid((129, 256), "mixed", seed=7)
+    svc = numpy_service()
+    tickets = [svc.submit(**request(tenant=t, grid=grid)) for t in "ab"]
     assert svc.run_pending() == 2
     results = [t.result(0) for t in tickets]
+    ref = reference_run(grid, SPEC, 4)
     assert all(r.status == "completed" and not r.batched for r in results)
+    assert all(np.array_equal(r.result, ref) for r in results)
     svc.close()
 
 
@@ -139,7 +142,7 @@ def test_coalesce_max_batch_caps_batch_size() -> None:
 
 
 def test_batched_latency_lands_in_metrics_reservoir() -> None:
-    svc = numpy_service(policy=ServicePolicy(metrics_window=8))
+    svc = numpy_service()
     for t in "abcdef":
         svc.submit(**request(tenant=t))
     svc.run_pending()

@@ -67,7 +67,7 @@ def serve_every_outcome(monkeypatch) -> tuple[StencilService, list]:
     )
     svc = StencilService(
         sched,
-        policy=ServicePolicy(max_queue_depth=16, max_retries=1, retry_jitter=0.0),
+        policy=ServicePolicy(max_queue_depth=16),
         quotas={"metered": TenantQuota(rate_per_s=1.0, burst=1.0)},
         start=False,
     )
@@ -187,9 +187,11 @@ SNAPSHOT = {
         submitted=1, failed=1, deadline_misses=1, p50_ms=1000.0,
         p99_ms=1000.0, latency_samples=1, mean_queue_wait_ms=0.0,
     ),
+    # the retry's backoff: 5 ms times the first jitter factor the
+    # service's seeded generator draws
     "e": _tenant(
         submitted=1, completed=1, coalesced=1, retries=1,
-        p50_ms=4.9999999999954525, p99_ms=4.9999999999954525,
+        p50_ms=4.937016462562838, p99_ms=4.937016462562838,
         latency_samples=1, mean_queue_wait_ms=0.0,
     ),
     "f": _tenant(
